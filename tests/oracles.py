@@ -130,3 +130,32 @@ def oracle_por_count(models: list[str]) -> int:
         k = models.count(model)
         total += k * (k - 1) // 2
     return total
+
+
+def oracle_flood(graph, kinds, source_device, decisions, ttl) -> dict:
+    """Receivers of a token flood and their hop counts, by per-level sweeps
+    over the raw edge list (never a kind-filtered view).
+
+    An edge carries the token iff it has one of `kinds`; a C-IOR edge thus
+    counts only when C-IOR is among `kinds`, whatever its interests. The
+    source always sends; any other device forwards at hop h < ttl iff its
+    decision `forwards(device, h)` holds."""
+    kinds = set(kinds)
+    adjacency: dict = {}
+    for e in graph.edges():
+        if e.kinds & kinds:
+            adjacency.setdefault(e.device_a, set()).add(e.device_b)
+            adjacency.setdefault(e.device_b, set()).add(e.device_a)
+    level = {source_device}
+    hops = {source_device: 0}
+    for hop in range(ttl):
+        nxt = set()
+        for dev in level:
+            if dev != source_device and not decisions.forwards(dev, hop):
+                continue
+            nxt |= {v for v in adjacency.get(dev, ()) if v not in hops}
+        for v in nxt:
+            hops[v] = hop + 1
+        level = nxt
+    del hops[source_device]
+    return hops

@@ -16,7 +16,8 @@ import time
 from conftest import (checkin, corpus_of, make_devices, mobile, profile,
                       random_device_graph, random_friend_graph,
                       random_nonincreasing)
-from oracles import (oracle_colocations, oracle_giant_pct, oracle_reach)
+from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
+                     oracle_reach)
 from siotsim import cli
 from siotsim.experiment import (ExperimentConfig, Mode, run_campaign,
                                 run_source)
@@ -28,7 +29,7 @@ from siotsim.protocol import (evaluate_candidates, make_token, propagate_vuip,
                               run_cior_round, serialize_trace)
 from siotsim.report import irn_by_hop, irn_pct_at_hop, mean_hops_comparison, mean_irn_pct
 from siotsim.scenario import Scenario
-from siotsim.siotgraph import RelationshipKind, SIoTGraph
+from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
 from siotsim.trace import detect_colocations
 from siotsim.humangraph import FriendshipGraph
@@ -281,29 +282,6 @@ def test_criterion_04_protocol_invariants():
             previous = reached
 
 
-def independent_flood(graph: SIoTGraph, source_dev: str, decisions,
-                      ttl: int) -> set[str]:
-    """Re-derivation of the receiver set by per-level sweeps."""
-    adjacency: dict[str, set[str]] = {}
-    for e in graph.edges():
-        if e.kinds - {RelationshipKind.CIOR}:
-            adjacency.setdefault(e.device_a, set()).add(e.device_b)
-            adjacency.setdefault(e.device_b, set()).add(e.device_a)
-    level = {source_dev}
-    seen = {source_dev}
-    received: set[str] = set()
-    for hop in range(ttl):
-        nxt = set()
-        for dev in level:
-            if dev != source_dev and not decisions.forwards(dev, hop):
-                continue
-            nxt |= adjacency.get(dev, set()) - seen
-        seen |= nxt
-        received |= nxt
-        level = nxt
-    return received
-
-
 @criterion(5, "co-interest links form iff cosine >= 0.5 and the interest is held")
 def test_criterion_05_similarity_gate():
     # crafted chain: u0 -- u1 -- u2 -- u3, full forwarding, everything held
@@ -365,7 +343,7 @@ def test_criterion_05_similarity_gate():
                   if RelationshipKind.CIOR in e.kinds}
         expected = set()
         for src in sources:
-            receivers = independent_flood(graph, mobile(src), decisions, 6)
+            receivers = oracle_flood(graph, BASE_KINDS, mobile(src), decisions, 6)
             for dev in receivers:
                 owner = graph.devices[dev].owner
                 if owner == src:

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from conftest import (FixedDecisions, make_devices, mobile, profile,
                       random_device_graph, random_nonincreasing)
+from oracles import oracle_flood
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (CiorRequest, PropagationTrace, VuipToken,
                               backpropagate, evaluate_candidates, make_token,
                               propagate_vuip, run_cior_round, serialize_trace)
-from siotsim.siotgraph import RelationshipKind, SIoTGraph
+from siotsim.interests import cosine_similarity
+from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 
 
 def chain_graph(n: int) -> SIoTGraph:
@@ -285,3 +288,79 @@ def test_ttl_monotonicity_with_coupled_draws():
             reached = set(trace.records)
             assert reached_prev <= reached
             reached_prev = reached
+
+
+def with_cior_edges(rnd: random.Random, g: SIoTGraph, count: int) -> SIoTGraph:
+    ids = sorted(g.devices)
+    for _ in range(count):
+        a, b = rnd.sample(ids, 2)
+        if g.devices[a].owner != g.devices[b].owner:
+            g.add_edge(a, b, RelationshipKind.CIOR,
+                       interests=(rnd.choice([3, 5, 9]),))
+    return g
+
+
+def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl):
+    """(source device, requester device, shared interests) per request, from
+    the oracle flood and the similarity and holder gate."""
+    out = []
+    for user in sorted(set(sources)):
+        own = profiles.get(user)
+        if own is None or not own.held:
+            continue
+        src = mobile(user)
+        for dev in oracle_flood(graph, kinds, src, decisions, ttl):
+            owner = graph.devices[dev].owner
+            theirs = profiles.get(owner)
+            if owner == user or theirs is None:
+                continue
+            if cosine_similarity(theirs, own.anonymized()) < 0.5:
+                continue
+            if interest not in theirs.held:
+                continue
+            out.append((src, dev, own.held & theirs.held))
+    return sorted(out, key=lambda r: (r[0], r[1]))
+
+
+def merged(base: SIoTGraph, established) -> SIoTGraph:
+    g = SIoTGraph(base.devices)
+    for e in base.edges():
+        for kind in e.kinds:
+            g.add_edge(e.device_a, e.device_b, kind,
+                       e.cior_interests if kind is RelationshipKind.CIOR else ())
+    for src, dev, interests in established:
+        g.add_edge(src, dev, RelationshipKind.CIOR, interests)
+    return g
+
+
+def kind_subsets():
+    base = sorted(BASE_KINDS, key=lambda k: k.value)
+    for size in range(1, len(base) + 1):
+        yield from (frozenset(c) for c in itertools.combinations(base, size))
+
+
+def test_flood_and_round_match_the_oracle_on_every_kind_subset():
+    rnd = random.Random(1212)
+    for trial in range(12):
+        g = with_cior_edges(rnd, random_device_graph(
+            rnd, rnd.randrange(4, 11), rnd.uniform(0.08, 0.35)), rnd.randrange(1, 5))
+        users = sorted({d.owner for d in g.devices.values()})
+        # some owners have no profile at all: the gate's default path
+        profiles = {u: profile(u, set(rnd.sample(range(2, 7), rnd.randrange(1, 4))))
+                    for u in users if rnd.random() < 0.85}
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6))
+        shared = decisions(policy, seed=trial)
+        ttl = rnd.randrange(1, 7)
+        base_edges = g.edges()
+        for kinds in kind_subsets():
+            view = g.select_kinds(kinds)
+            for user in users:
+                token = make_token(profile(user, {3}), trial, 0, mobile(user), ttl)
+                trace = propagate_vuip(mobile(user), view, token, shared)
+                assert trace.hops == oracle_flood(g, kinds, mobile(user), shared, ttl)
+                assert set(trace.records) == set(trace.hops)
+
+            out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl)
+            expected = oracle_round(users, g, kinds, profiles, shared, 3, ttl)
+            assert out.edges() == merged(g, expected).edges()
+            assert g.edges() == base_edges  # base graph untouched
