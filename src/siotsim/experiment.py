@@ -9,13 +9,14 @@ import csv
 import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import rng
 from .humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                          AuthorizationPolicy, ReachContext, interest_reach)
 from .interests import DEFAULT_SIMILARITY_THRESHOLD
-from .protocol import DEFAULT_TTL, ORIGIN_BOTH, ORIGIN_MOBILE, run_cior_round
+from .protocol import (DEFAULT_TTL, ORIGIN_BOTH, ORIGIN_MOBILE, CiorEdge,
+                       run_cior_round)
 from .scenario import Scenario
 from .siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph, parse_kind
 
@@ -302,30 +303,51 @@ def _apply_config_key(kwargs: dict, key: str, value: str,
 
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                         auth: AuthorizationMap, max_hops: int,
-                        siot: SIoTGraph | None = None) -> ReachContext:
+                        cior_edges: Sequence[CiorEdge] = ()) -> ReachContext:
     """Assemble the reachability context for one (mode, decisions) pair.
 
     In enhanced mode every node additionally sees, one hop away, the owners
     of devices linked to its own devices in the selected-kind view (with
-    co-interest edges gated on the interest)."""
+    co-interest edges gated on the interest), plus the owners linked by
+    the round's `cior_edges` that carry the interest."""
     holders = scenario.holders(interest)
     extra = None
     if mode.name == MODE_ENHANCED:
-        graph = siot if siot is not None else scenario.siot
         view_kinds = set(mode.kinds)
         if mode.cior:
             view_kinds.add(RelationshipKind.CIOR)
-        if view_kinds:
-            extra = graph.select_kinds(view_kinds, interest).owner_contacts()
-        else:
-            extra = {}
+        base = (scenario.siot.select_kinds(view_kinds, interest).owner_contacts()
+                if view_kinds else {})
+        extra = _with_cior_contacts(base, scenario.siot, cior_edges, interest)
     return ReachContext.for_graph(scenario.friendships, holders, auth,
                                   max_hops, extra)
 
 
+def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]], siot: SIoTGraph,
+                        cior_edges: Sequence[CiorEdge], interest: int,
+                        ) -> Mapping[str, tuple[str, ...]]:
+    """`contacts` plus the owner pairs of the edges carrying `interest`, as
+    a new mapping; `contacts` itself is left as it is."""
+    added: dict[str, set[str]] = {}
+    for edge in cior_edges:
+        if interest not in edge.interests:
+            continue
+        oa = siot.devices[edge.source_device].owner
+        ob = siot.devices[edge.requester_device].owner
+        if oa != ob:
+            added.setdefault(oa, set()).add(ob)
+            added.setdefault(ob, set()).add(oa)
+    if not added:
+        return contacts
+    merged = dict(contacts)
+    for user, others in added.items():
+        merged[user] = tuple(sorted(others.union(contacts.get(user, ()))))
+    return merged
+
+
 def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
                auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-               siot: SIoTGraph | None = None,
+               cior_edges: Sequence[CiorEdge] = (),
                context: ReachContext | None = None,
                include_isolated: bool = True,
                campaign: str = "adhoc", sweep_var: str = "none",
@@ -333,7 +355,8 @@ def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
     """One discovery run: everything the source can reach for the interest
     under the mode, with minimum hop counts."""
     if context is None:
-        context = build_reach_context(scenario, interest, mode, auth, max_hops, siot)
+        context = build_reach_context(scenario, interest, mode, auth, max_hops,
+                                      cior_edges)
     if source not in context.holders:
         raise ValueError(f"source {source!r} does not hold interest {interest}")
     _, best = interest_reach(source, context)
@@ -376,19 +399,19 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
         auth = AuthorizationMap(point.policy, config.seed, replicate)
         for mode_name in config.modes:
             mode = config.mode_for(mode_name, point)
-            siot = scenario.siot
+            cior_edges: list[CiorEdge] = []
             if mode.name == MODE_ENHANCED and mode.cior and mode.kinds:
-                siot = run_cior_round(all_holders, scenario.siot, mode.kinds,
-                                      scenario.profiles, auth, config.interest,
-                                      ttl=point.ttl,
-                                      sim_threshold=config.sim_threshold,
-                                      origin_device=config.origin_device)
+                cior_edges = run_cior_round(
+                    all_holders, scenario.siot, mode.kinds, scenario.profiles,
+                    auth, config.interest, ttl=point.ttl,
+                    sim_threshold=config.sim_threshold,
+                    origin_device=config.origin_device)
             context = build_reach_context(scenario, config.interest, mode,
-                                          auth, point.max_hops, siot)
+                                          auth, point.max_hops, cior_edges)
             for source in sources:
                 runs.append(run_source(
                     source, config.interest, mode, scenario, auth,
-                    max_hops=point.max_hops, siot=siot, context=context,
+                    max_hops=point.max_hops, context=context,
                     include_isolated=config.include_isolated,
                     campaign=config.campaign, sweep_var=point.var,
                     sweep_value=point.value, replicate=replicate))

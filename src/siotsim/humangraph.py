@@ -19,10 +19,14 @@ DEFAULT_MAX_HOPS = 4
 
 
 class FriendshipGraph:
-    """Undirected friendship graph without self-loops."""
+    """Undirected friendship graph without self-loops.
+
+    The sorted adjacency is built on first use and shared by every caller;
+    it must not be mutated. Adding a node or an edge drops it."""
 
     def __init__(self) -> None:
         self._adj: dict[str, set[str]] = {}
+        self._sorted: dict[str, tuple[str, ...]] | None = None
 
     @staticmethod
     def from_pairs(users: Iterable[str] = (),
@@ -36,18 +40,26 @@ class FriendshipGraph:
 
     def add_node(self, u: str) -> None:
         self._adj.setdefault(u, set())
+        self._sorted = None
 
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
             raise ValueError(f"self-loop on {a!r}")
         self._adj.setdefault(a, set()).add(b)
         self._adj.setdefault(b, set()).add(a)
+        self._sorted = None
 
     def has_node(self, u: str) -> bool:
         return u in self._adj
 
+    def sorted_adjacency(self) -> Mapping[str, tuple[str, ...]]:
+        """Every node mapped to its sorted neighbour tuple."""
+        if self._sorted is None:
+            self._sorted = {u: tuple(sorted(vs)) for u, vs in self._adj.items()}
+        return self._sorted
+
     def neighbors(self, u: str) -> tuple[str, ...]:
-        return tuple(sorted(self._adj.get(u, ())))
+        return self.sorted_adjacency().get(u, ())
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -193,9 +205,8 @@ class ReachContext:
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
                   extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
                   ) -> "ReachContext":
-        adjacency = {u: graph.neighbors(u) for u in graph.nodes}
-        return ReachContext(adjacency, frozenset(holders), auth.authorizes,
-                            max_hops, extra_contacts)
+        return ReachContext(graph.sorted_adjacency(), frozenset(holders),
+                            auth.authorizes, max_hops, extra_contacts)
 
 
 def _discover_from(ctx: ReachContext, start: str) -> dict[str, int]:

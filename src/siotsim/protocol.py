@@ -22,6 +22,9 @@ from .siotgraph import MOBILE, RelationshipKind, SIoTGraph, SIoTView
 
 DEFAULT_TTL = 6
 
+# profile of an owner with no recorded interests
+_NO_PROFILE = InterestDescriptor.empty()
+
 ORIGIN_MOBILE = "mobile"
 ORIGIN_BOTH = "both"
 
@@ -146,7 +149,7 @@ def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
         owner = graph.devices[holder].owner
         if owner == source_owner:
             continue
-        own = profiles.get(owner, InterestDescriptor.empty(owner))
+        own = profiles.get(owner, _NO_PROFILE)
         if cosine_similarity(own, token.payload) < sim_threshold:
             continue
         if interest is not None and interest not in own.held:
@@ -172,8 +175,8 @@ def backpropagate(request: CiorRequest, trace: PropagationTrace,
         steps += 1
     source_owner = graph.devices[trace.source_device].owner
     requester_owner = graph.devices[request.requester].owner
-    shared = (profiles.get(source_owner, InterestDescriptor.empty()).held
-              & profiles.get(requester_owner, InterestDescriptor.empty()).held)
+    shared = (profiles.get(source_owner, _NO_PROFILE).held
+              & profiles.get(requester_owner, _NO_PROFILE).held)
     edge = CiorEdge(trace.source_device, request.requester, frozenset(shared), steps)
     trace.established.append(edge)
     return edge
@@ -185,18 +188,18 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
                    decisions: AuthorizationMap, interest: int,
                    ttl: int = DEFAULT_TTL,
                    sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-                   origin_device: str = ORIGIN_MOBILE) -> SIoTGraph:
-    """Run one full establishment round and return the augmented graph.
+                   origin_device: str = ORIGIN_MOBILE) -> list[CiorEdge]:
+    """Run one full establishment round and return the established
+    co-interest edges, one per request, in source order.
 
     Every source user's origin device(s) propagate in turn over the
-    selected-kind view of the base graph; all established co-interest
-    edges are merged into a copy of the graph. Deterministic for a fixed
-    decision map.
+    selected-kind view of the base graph, which the round leaves unchanged.
+    Deterministic for a fixed decision map.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
     view = graph.select_kinds(frozenset(kinds) - {RelationshipKind.CIOR})
-    augmented = graph.copy()
+    established: list[CiorEdge] = []
     for user in sorted(set(sources)):
         own = profiles.get(user)
         if own is None or not own.held:
@@ -208,10 +211,8 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
             trace = propagate_vuip(dev, view, token, decisions)
             for req in evaluate_candidates(trace, graph, profiles, token,
                                            sim_threshold, interest):
-                edge = backpropagate(req, trace, graph, profiles)
-                augmented.add_edge(edge.source_device, edge.requester_device,
-                                   RelationshipKind.CIOR, edge.interests)
-    return augmented
+                established.append(backpropagate(req, trace, graph, profiles))
+    return established
 
 
 def serialize_trace(trace: PropagationTrace) -> str:

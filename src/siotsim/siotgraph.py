@@ -192,7 +192,8 @@ class SIoTGraph:
     def __init__(self, devices: Mapping[str, Device]):
         self.devices = dict(devices)
         self._edges: dict[tuple[str, str], SIoTEdge] = {}
-        self._adj: dict[str, set[str]] = {d: set() for d in self.devices}
+        self._views: dict[tuple[frozenset[RelationshipKind], int | None],
+                          SIoTView] = {}
         self.owner_devices: dict[str, list[str]] = {}
         for d in sorted(self.devices.values(), key=lambda d: d.device_id):
             self.owner_devices.setdefault(d.owner, []).append(d.device_id)
@@ -214,16 +215,11 @@ class SIoTGraph:
         else:
             edge = SIoTEdge(a, b, old.kinds | {kind}, old.cior_interests | interests)
         self._edges[(a, b)] = edge
-        self._adj[a].add(b)
-        self._adj[b].add(a)
+        for view in self._views.values():
+            view._clear()
 
     def edges(self) -> list[SIoTEdge]:
         return [self._edges[k] for k in sorted(self._edges)]
-
-    def edge_between(self, a: str, b: str) -> SIoTEdge | None:
-        if a > b:
-            a, b = b, a
-        return self._edges.get((a, b))
 
     def kind_counts(self) -> dict[RelationshipKind, int]:
         counts = {kind: 0 for kind in RelationshipKind}
@@ -235,18 +231,30 @@ class SIoTGraph:
     def copy(self) -> "SIoTGraph":
         g = SIoTGraph(self.devices)
         g._edges = dict(self._edges)
-        g._adj = {d: set(nbrs) for d, nbrs in self._adj.items()}
         return g
 
     def select_kinds(self, kinds: Iterable[RelationshipKind],
                      interest: int | None = None) -> "SIoTView":
-        return SIoTView(self, kinds, interest)
+        """The view of the given kinds, one per (kinds, interest) and kept
+        until the graph is discarded. The interest matters only when C-IOR
+        is among the kinds."""
+        kinds = frozenset(kinds)
+        if RelationshipKind.CIOR not in kinds:
+            interest = None
+        view = self._views.get((kinds, interest))
+        if view is None:
+            view = self._views[(kinds, interest)] = SIoTView(self, kinds, interest)
+        return view
 
 
 class SIoTView:
     """Read-only view of a SIoTGraph exposing only edges carrying at least
     one selected kind. C-IOR edges additionally require the view's interest
-    (when set) to be among the edge's interests."""
+    (when set) to be among the edge's interests.
+
+    The sorted neighbour tuples and the owner projection are built on first
+    use and shared by every caller; they must not be mutated. Adding an
+    edge to the graph drops them."""
 
     def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind],
                  interest: int | None = None):
@@ -255,6 +263,11 @@ class SIoTView:
         self.interest = interest
         if not self.kinds:
             raise ValueError("kind selection must be non-empty")
+        self._clear()
+
+    def _clear(self) -> None:
+        self._neighbors: dict[str, tuple[str, ...]] | None = None
+        self._contacts: dict[str, tuple[str, ...]] | None = None
 
     def _visible(self, edge: SIoTEdge) -> bool:
         base = edge.kinds & (self.kinds - {RelationshipKind.CIOR})
@@ -269,25 +282,30 @@ class SIoTView:
         return [e for e in self.graph.edges() if self._visible(e)]
 
     def neighbors(self, device: str) -> tuple[str, ...]:
-        out = []
-        for other in self.graph._adj.get(device, ()):
-            edge = self.graph.edge_between(device, other)
-            if edge is not None and self._visible(edge):
-                out.append(other)
-        return tuple(sorted(out))
+        if self._neighbors is None:
+            self._neighbors = _sorted_adjacency(
+                (e.device_a, e.device_b) for e in self.edges())
+        return self._neighbors.get(device, ())
 
     def owner_contacts(self) -> dict[str, tuple[str, ...]]:
         """Owner-level projection: for each user, the owners of devices
         linked to any of that user's devices (self excluded)."""
-        contacts: dict[str, set[str]] = {}
-        for edge in self.edges():
-            oa = self.graph.devices[edge.device_a].owner
-            ob = self.graph.devices[edge.device_b].owner
-            if oa == ob:
-                continue
-            contacts.setdefault(oa, set()).add(ob)
-            contacts.setdefault(ob, set()).add(oa)
-        return {u: tuple(sorted(vs)) for u, vs in contacts.items()}
+        if self._contacts is None:
+            owner = {d: dev.owner for d, dev in self.graph.devices.items()}
+            self._contacts = _sorted_adjacency(
+                (owner[e.device_a], owner[e.device_b]) for e in self.edges()
+                if owner[e.device_a] != owner[e.device_b])
+        return self._contacts
+
+
+def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Undirected adjacency of the pairs, each neighbour listed once, in
+    sorted order."""
+    adj: dict[str, set[str]] = {}
+    for a, b in pairs:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
 
 def build_siot_graph(devices: Mapping[str, Device], colocations: Sequence[CoLocation],

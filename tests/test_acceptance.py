@@ -13,8 +13,8 @@ import math
 import random
 import time
 
-from conftest import (checkin, corpus_of, make_devices, mobile, profile,
-                      random_device_graph, random_friend_graph,
+from conftest import (checkin, cior_pairs, corpus_of, make_devices, mobile,
+                      profile, random_device_graph, random_friend_graph,
                       random_nonincreasing)
 from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
                      oracle_reach)
@@ -172,7 +172,7 @@ def test_criterion_02_reachability_oracle():
                 scn = Scenario(graph, siot, profiles)
                 mode = Mode.enhanced(kinds, cior=RelationshipKind.CIOR in kinds)
                 run = run_source(source, 3, mode, scn, auth_map,
-                                 max_hops=max_hops, siot=siot)
+                                 max_hops=max_hops)
                 assert run.reached == frozenset(best) - {source}
                 assert run.hops == {k: v for k, v in best.items() if k != source}
         else:
@@ -297,20 +297,20 @@ def test_criterion_05_similarity_gate():
     }
     assert cosine_similarity(profiles["u0"], profiles["u1"]) == 2.0 / 3.0
     decisions = AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)), 0, 0)
+    base_edges = graph.edges()
 
     out4 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=4)
-    pairs4 = {(e.device_a, e.device_b) for e in out4.edges()
-              if RelationshipKind.CIOR in e.kinds}
-    assert pairs4 == {(mobile("u0"), mobile("u1")),
-                      (mobile("u0"), mobile("u3"))}
+    assert cior_pairs(out4) == {(mobile("u0"), mobile("u1")),
+                                (mobile("u0"), mobile("u3"))}
+    assert {e.requester_device: e.interests for e in out4} == {
+        mobile("u1"): {4, 6}, mobile("u3"): {3, 4, 6}}
 
     out3 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=3)
-    pairs3 = {(e.device_a, e.device_b) for e in out3.edges()
-              if RelationshipKind.CIOR in e.kinds}
     # u1 is similar but does not hold interest 3; u3 passes both gates
-    assert pairs3 == {(mobile("u0"), mobile("u3"))}
+    assert cior_pairs(out3) == {(mobile("u0"), mobile("u3"))}
+    assert graph.edges() == base_edges
 
     # boundary: cosine exactly 0.5 establishes (inclusive within 1e-12)
     boundary = {"a": profile("a", {1, 2}), "b": profile("b", {2, 3})}
@@ -320,12 +320,14 @@ def test_criterion_05_similarity_gate():
     g2.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     out = run_cior_round(["a"], g2, RelationshipKind, boundary, decisions,
                          interest=2)
-    assert any(RelationshipKind.CIOR in e.kinds for e in out.edges())
+    assert cior_pairs(out) == {(mobile("a"), mobile("b"))}
+    assert [e.interests for e in out] == [{2}]
     # one representable step below the threshold must not establish
     below = run_cior_round(["a"], g2, RelationshipKind, boundary,
                            decisions, interest=2,
                            sim_threshold=math.nextafter(0.5, 1.0))
-    assert not any(RelationshipKind.CIOR in e.kinds for e in below.edges())
+    assert below == []
+    assert g2.kind_counts()[RelationshipKind.CIOR] == 0
 
     # randomized iff-check against an independent flood re-derivation
     rnd = random.Random(50505)
@@ -337,10 +339,12 @@ def test_criterion_05_similarity_gate():
         decisions = AuthorizationMap(
             AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6)), trial, 0)
         sources = [u for u in users if 3 in profiles[u].held]
+        base_edges = graph.edges()
         out = run_cior_round(sources, graph, RelationshipKind, profiles,
                              decisions, interest=3, ttl=6)
-        actual = {(e.device_a, e.device_b) for e in out.edges()
-                  if RelationshipKind.CIOR in e.kinds}
+        actual = cior_pairs(out)
+        assert all(3 in e.interests for e in out)
+        assert graph.edges() == base_edges
         expected = set()
         for src in sources:
             receivers = oracle_flood(graph, BASE_KINDS, mobile(src), decisions, 6)
@@ -500,12 +504,17 @@ def test_criterion_08_giant_component():
                         if a in holders and b in holders]
         decisions = AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)),
                                      trial, 0)
-        augmented = run_cior_round(sorted(holders), scn.siot, RelationshipKind,
-                                   scn.profiles, decisions, interest=3)
+        base_edges = scn.siot.edges()
+        established = run_cior_round(sorted(holders), scn.siot, RelationshipKind,
+                                     scn.profiles, decisions, interest=3)
+        assert scn.siot.edges() == base_edges
+        device_pairs = {(e.device_a, e.device_b) for e in
+                        scn.siot.select_kinds(set(RelationshipKind), interest=3).edges()}
+        device_pairs |= cior_pairs(e for e in established if 3 in e.interests)
         device_edges = set()
-        for e in augmented.select_kinds(set(RelationshipKind), interest=3).edges():
-            oa = augmented.devices[e.device_a].owner
-            ob = augmented.devices[e.device_b].owner
+        for a, b in device_pairs:
+            oa = scn.siot.devices[a].owner
+            ob = scn.siot.devices[b].owner
             if oa != ob:
                 device_edges.add((min(oa, ob), max(oa, ob)))
         enhanced_edges = sorted(set(friend_edges) | device_edges)

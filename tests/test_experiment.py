@@ -8,7 +8,8 @@ from conftest import make_devices, mobile, profile
 from siotsim.experiment import (ExperimentConfig, Mode, couple_randomness,
                                 load_config, result_csv_text, run_campaign,
                                 run_source, select_sources)
-from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy, FriendshipGraph
+from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
+                                FriendshipGraph, ReachContext)
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import RelationshipKind, SIoTGraph
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
@@ -318,3 +319,31 @@ def test_hops_sweep_is_samplewise_monotone():
         for lo, hi in (("1", "2"), ("2", "4")):
             assert index[(mode, lo, rep, src)].reached <= \
                 index[(mode, hi, rep, src)].reached
+
+
+def test_cached_views_and_adjacency_see_edges_added_later():
+    users = ["a", "b", "c"]
+    friendships = FriendshipGraph.from_pairs(users, [("a", "b")])
+    siot = SIoTGraph(make_devices(users))
+    siot.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+    kinds = {RelationshipKind.SOR, RelationshipKind.CIOR}
+    view = siot.select_kinds(kinds, interest=3)
+    assert view.neighbors(mobile("a")) == (mobile("b"),)
+    assert view.owner_contacts() == {"a": ("b",), "b": ("a",)}
+    ctx = ReachContext.for_graph(friendships, users, full_auth())
+    assert ctx.adjacency == {"a": ("b",), "b": ("a",), "c": ()}
+
+    siot.add_edge(mobile("b"), mobile("c"), RelationshipKind.CIOR, interests=(3,))
+    friendships.add_edge("b", "c")
+
+    again = siot.select_kinds(kinds, interest=3)
+    assert again.neighbors(mobile("b")) == (mobile("a"), mobile("c"))
+    assert again.owner_contacts() == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
+    assert view.owner_contacts() == again.owner_contacts()
+    assert siot.select_kinds(kinds, interest=6).owner_contacts() == {
+        "a": ("b",), "b": ("a",)}
+    ctx = ReachContext.for_graph(friendships, users, full_auth())
+    assert ctx.adjacency == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
+    friendships.add_node("d")
+    ctx = ReachContext.for_graph(friendships, users, full_auth())
+    assert ctx.adjacency["d"] == ()

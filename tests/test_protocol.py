@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import (FixedDecisions, make_devices, mobile, profile,
-                      random_device_graph, random_nonincreasing)
+from conftest import (FixedDecisions, cior_pairs, make_devices, mobile,
+                      profile, random_device_graph, random_nonincreasing)
 from oracles import oracle_flood
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (CiorRequest, PropagationTrace, VuipToken,
@@ -189,24 +189,27 @@ def decisions(policy=None, seed=0, replicate=0) -> AuthorizationMap:
     return AuthorizationMap(policy, seed, replicate)
 
 
-def test_round_with_no_similar_pairs_leaves_graph_unchanged():
+def test_round_with_no_similar_pairs_establishes_nothing():
     g, users, _ = two_cliques_with_bridge()
+    base_edges = g.edges()
     disjoint = {u: profile(u, {i}) for i, u in enumerate(sorted(users))}
     out = run_cior_round(users, g, RelationshipKind, disjoint, decisions(), 3)
-    assert out.edges() == g.edges()
+    assert out == []
+    assert g.edges() == base_edges
 
 
 def test_round_bridges_two_cliques():
     g, users, profiles = two_cliques_with_bridge()
+    base_edges = g.edges()
     out = run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3)
-    cior_edges = [e for e in out.edges() if RelationshipKind.CIOR in e.kinds]
-    assert cior_edges
-    cross = [e for e in cior_edges
-             if out.devices[e.device_a].owner[0] != out.devices[e.device_b].owner[0]]
+    assert out
+    cross = [e for e in out
+             if g.devices[e.source_device].owner[0] != g.devices[e.requester_device].owner[0]]
     assert cross  # at least one co-interest edge spans the two communities
-    for e in cior_edges:
-        assert 3 in e.cior_interests
+    for e in out:
+        assert 3 in e.interests
     assert g.kind_counts()[RelationshipKind.CIOR] == 0  # base graph untouched
+    assert g.edges() == base_edges
 
 
 def test_round_can_originate_from_both_devices():
@@ -214,13 +217,16 @@ def test_round_can_originate_from_both_devices():
     g = SIoTGraph(make_devices(users))
     # only the fixed devices are linked, so a mobile-only origin finds nobody
     g.add_edge("a:fixed", "b:fixed", RelationshipKind.CLOR)
+    base_edges = g.edges()
     profiles = {u: profile(u, {3}) for u in users}
     mobile_only = run_cior_round(users, g, RelationshipKind, profiles,
                                  decisions(), 3, origin_device="mobile")
-    assert mobile_only.kind_counts()[RelationshipKind.CIOR] == 0
+    assert cior_pairs(mobile_only) == set()
     both = run_cior_round(users, g, RelationshipKind, profiles,
                           decisions(), 3, origin_device="both")
-    assert both.kind_counts()[RelationshipKind.CIOR] == 1
+    assert cior_pairs(both) == {("a:fixed", "b:fixed")}
+    assert all(e.interests == {3} for e in both)
+    assert g.edges() == base_edges
     with pytest.raises(ValueError):
         run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3,
                        origin_device="fixed")
@@ -228,16 +234,18 @@ def test_round_can_originate_from_both_devices():
 
 def test_round_is_deterministic_and_seed_sensitive():
     g, users, profiles = two_cliques_with_bridge()
+    base_edges = g.edges()
     policy = AuthorizationPolicy((1.0,), (0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
     first = run_cior_round(users, g, RelationshipKind, profiles,
                            decisions(policy, seed=1), 3)
     again = run_cior_round(users, g, RelationshipKind, profiles,
                            decisions(policy, seed=1), 3)
-    assert first.edges() == again.edges()
+    assert first == again
     other_edges = [run_cior_round(users, g, RelationshipKind, profiles,
-                                  decisions(policy, seed=s), 3).edges()
+                                  decisions(policy, seed=s), 3)
                    for s in range(2, 12)]
-    assert any(edges != first.edges() for edges in other_edges)
+    assert any(cior_pairs(edges) != cior_pairs(first) for edges in other_edges)
+    assert g.edges() == base_edges
 
 
 def source_first_neighbors(graph: SIoTGraph, source_device: str) -> set[str]:
@@ -322,17 +330,6 @@ def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl):
     return sorted(out, key=lambda r: (r[0], r[1]))
 
 
-def merged(base: SIoTGraph, established) -> SIoTGraph:
-    g = SIoTGraph(base.devices)
-    for e in base.edges():
-        for kind in e.kinds:
-            g.add_edge(e.device_a, e.device_b, kind,
-                       e.cior_interests if kind is RelationshipKind.CIOR else ())
-    for src, dev, interests in established:
-        g.add_edge(src, dev, RelationshipKind.CIOR, interests)
-    return g
-
-
 def kind_subsets():
     base = sorted(BASE_KINDS, key=lambda k: k.value)
     for size in range(1, len(base) + 1):
@@ -362,5 +359,6 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
 
             out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl)
             expected = oracle_round(users, g, kinds, profiles, shared, 3, ttl)
-            assert out.edges() == merged(g, expected).edges()
+            assert sorted((e.source_device, e.requester_device, e.interests)
+                          for e in out) == expected
             assert g.edges() == base_edges  # base graph untouched
