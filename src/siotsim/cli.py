@@ -9,6 +9,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -47,6 +48,27 @@ def _load_config(parser: argparse.ArgumentParser, path: str | None,
         parser.error(str(exc))
 
 
+def _threshold(kind: type, positive: bool = True):
+    """argparse type for a threshold flag: a `kind` that is > 0, or >= 0
+    when not `positive`."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {text!r}") from None
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive' if positive else 'non-negative'}, got {text!r}")
+        return value
+    return parse
+
+
+def _or(value, default):
+    """A flag's value, or `default` when the flag was not given."""
+    return default if value is None else value
+
+
 def cmd_ingest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     checkins_path = _require_file(parser, args.checkins, "--checkins")
     friendships_path = _require_file(parser, args.friendships, "--friendships")
@@ -57,18 +79,19 @@ def cmd_ingest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
     corpus = trace.parse_checkins(checkins_path)
     corpus = trace.parse_friendships(friendships_path, corpus)
-    corpus = trace.filter_active_users(corpus, args.min_checkins or cfg.min_checkins,
-                                       args.min_places or cfg.min_places)
-    colocs = trace.detect_colocations(corpus, args.radius or cfg.coloc_radius_m,
-                                      args.window or cfg.coloc_window_s)
-    homes = trace.compute_home_points(corpus, args.cell_deg or cfg.home_cell_deg)
+    corpus = trace.filter_active_users(corpus,
+                                       _or(args.min_checkins, cfg.min_checkins),
+                                       _or(args.min_places, cfg.min_places))
+    colocs = trace.detect_colocations(corpus, _or(args.radius, cfg.coloc_radius_m),
+                                      _or(args.window, cfg.coloc_window_s))
+    homes = trace.compute_home_points(corpus, _or(args.cell_deg, cfg.home_cell_deg))
     catalog = im.load_poi_catalog(poi_path)
     macros = (im.load_macro_categories(_require_file(parser, args.macros, "--macros"))
               if args.macros else im.default_macro_categories())
     assignments = im.assign_colocation_interests(
-        colocs, catalog, macros, args.poi_radius or cfg.poi_radius_m)
+        colocs, catalog, macros, _or(args.poi_radius, cfg.poi_radius_m))
     profiles = im.build_profiles(assignments, colocs,
-                                 args.interest_threshold or cfg.interest_threshold)
+                                 _or(args.interest_threshold, cfg.interest_threshold))
 
     trace.write_checkins_tsv(corpus, out / "checkins.tsv")
     trace.write_friendships_tsv(corpus.friendships, out / scenario.FRIENDSHIPS_FILE)
@@ -96,8 +119,8 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
                if args.models else sg.default_model_catalog())
     devices = sg.instantiate_devices(sorted(homes), homes, catalog, args.seed)
     graph = sg.build_siot_graph(devices, colocs,
-                                args.sor_threshold or cfg.sor_threshold,
-                                args.clor_radius or cfg.clor_radius_m)
+                                _or(args.sor_threshold, cfg.sor_threshold),
+                                _or(args.clor_radius, cfg.clor_radius_m))
 
     trace.write_friendships_tsv(pairs, out / scenario.FRIENDSHIPS_FILE)
     sg.write_devices_csv(devices, out / scenario.DEVICES_FILE)
@@ -145,6 +168,8 @@ def cmd_synth(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cfg = _load_config(parser, args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     scenario_dir = args.scenario or cfg.scenario
     scn = scenario.read_scenario_dir(_require_dir(parser, scenario_dir, "--scenario"))
     out = Path(args.out)
@@ -176,7 +201,6 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--threads", type=int, default=1,
                         help="worker cap; never changes results")
     common.add_argument("--out", default="out", help="output directory")
@@ -194,15 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poi", help="PoI catalog CSV file")
     p.add_argument("--macros", help="macro-category CSV file (default: packaged)")
     p.add_argument("--config", help="experiment config supplying thresholds")
-    p.add_argument("--min-checkins", type=int, default=0)
-    p.add_argument("--min-places", type=int, default=0)
-    p.add_argument("--radius", type=float, default=0.0,
+    p.add_argument("--min-checkins", type=_threshold(int))
+    p.add_argument("--min-places", type=_threshold(int))
+    p.add_argument("--radius", type=_threshold(float),
                    help="co-location radius in meters")
-    p.add_argument("--window", type=float, default=0.0,
+    p.add_argument("--window", type=_threshold(float),
                    help="co-location window in seconds")
-    p.add_argument("--poi-radius", type=float, default=0.0)
-    p.add_argument("--interest-threshold", type=int, default=0)
-    p.add_argument("--cell-deg", type=float, default=0.0)
+    p.add_argument("--poi-radius", type=_threshold(float, positive=False))
+    p.add_argument("--interest-threshold", type=_threshold(int))
+    p.add_argument("--cell-deg", type=_threshold(float))
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build-graph", parents=[common],
@@ -210,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ingest", help="directory written by the ingest command")
     p.add_argument("--models", help="model catalog CSV (default: 10 uniform models)")
     p.add_argument("--config", help="experiment config supplying thresholds")
-    p.add_argument("--sor-threshold", type=int, default=0)
-    p.add_argument("--clor-radius", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0, help="device model seed")
+    p.add_argument("--sor-threshold", type=_threshold(int))
+    p.add_argument("--clor-radius", type=_threshold(float, positive=False))
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("synth", parents=[common],
@@ -226,12 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interest", type=int, default=3)
     p.add_argument("--interest-prob", type=float, default=1.0)
     p.add_argument("--noise-interests", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", parents=[common],
                        help="run an experiment campaign on a scenario")
     p.add_argument("--config", help="flat key=value experiment config file")
     p.add_argument("--scenario", help="scenario directory (overrides config)")
+    p.add_argument("--seed", type=int,
+                   help="master seed (default: the config's seed)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", parents=[common],

@@ -3,6 +3,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from pathlib import Path
 
+import pytest
 
 from siotsim import cli
 from siotsim.experiment import read_result_csv
@@ -238,3 +239,71 @@ def test_every_subcommand_has_help(capsys):
         rc = run_cli([sub, "--help"])
         assert rc == 0
         assert "--out" in capsys.readouterr().out
+
+
+def test_run_seed_flag_overrides_the_config_seed(tmp_path):
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--communities", 3, "--nodes", 6, "--intra-prob", 0.5,
+                    "--cross", "POR=2,SOR=1", "--seed", 5, "--out", scn]) == 0
+    config = "replicates = 2\nauth_prob_per_hop = 0.6, 0.3\nsources = 4\nseed = {}\n"
+
+    def run(name, config_seed, *flags):
+        cfg = tmp_path / f"{name}.txt"
+        cfg.write_text(config.format(config_seed), encoding="utf-8")
+        out = tmp_path / name
+        assert run_cli(["run", "--config", cfg, "--scenario", scn,
+                        "--out", out, *flags]) == 0
+        return read_all(out)
+
+    config_only = run("config1", 1)
+    assert run("flag1", 9, "--seed", 1) == config_only
+    assert run("flag2", 1, "--seed", 2) == run("config2", 2)
+    assert run("flag2b", 1, "--seed", 2) != config_only
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--min-checkins", 0), ("--min-places", 0), ("--radius", 0),
+    ("--window", 0), ("--poi-radius", -1), ("--interest-threshold", 0),
+    ("--cell-deg", 0), ("--radius", -250), ("--window", "nan")])
+def test_ingest_rejects_invalid_thresholds(tmp_path, capsys, flag, value):
+    files = write_trace_fixture(tmp_path)
+    rc = run_cli(["ingest", "--checkins", files["checkins"],
+                  "--friendships", files["friendships"], "--poi", files["poi"],
+                  flag, value, "--out", tmp_path / "ing"])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--sor-threshold", 0),
+                                         ("--clor-radius", -1)])
+def test_build_graph_rejects_invalid_thresholds(tmp_path, capsys, flag, value):
+    _ingest_and_build(tmp_path)
+    rc = run_cli(["build-graph", "--ingest", tmp_path / "ing",
+                  "--models", tmp_path / "models.csv", flag, value,
+                  "--out", tmp_path / "graph2"])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_explicit_zero_poi_radius_is_not_replaced_by_the_default(tmp_path):
+    # the only PoI lies about 11 m from every meeting, so a 0 m PoI radius
+    # matches nothing while the 250 m default matches every co-location
+    files = write_trace_fixture(tmp_path)
+    outs = {}
+    for name, flags in (("default", []), ("zero", ["--poi-radius", 0])):
+        outs[name] = tmp_path / name
+        assert run_cli(["ingest", "--checkins", files["checkins"],
+                        "--friendships", files["friendships"],
+                        "--poi", files["poi"], *flags, "--out", outs[name]]) == 0
+    assert "u1,3,24,1" in (outs["default"] / "profiles.csv").read_text(encoding="utf-8")
+    assert ",1\n" not in (outs["zero"] / "profiles.csv").read_text(encoding="utf-8")
+
+
+def test_seed_is_accepted_only_where_it_is_read(tmp_path):
+    files = write_trace_fixture(tmp_path)
+    assert run_cli(["ingest", "--checkins", files["checkins"],
+                    "--friendships", files["friendships"], "--poi", files["poi"],
+                    "--seed", 1, "--out", tmp_path / "ing"]) == 2
+    assert run_cli(["ingest", "--checkins", files["checkins"],
+                    "--friendships", files["friendships"], "--poi", files["poi"],
+                    "--threads", 1, "--out", tmp_path / "ing"]) == 0

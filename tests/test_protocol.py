@@ -203,8 +203,9 @@ def test_round_bridges_two_cliques():
     base_edges = g.edges()
     out = run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3)
     assert out
+    owner = {d: dev.owner for d, dev in g.devices.items()}
     cross = [e for e in out
-             if g.devices[e.source_device].owner[0] != g.devices[e.requester_device].owner[0]]
+             if owner[e.source_device][0] != owner[e.requester_device][0]]
     assert cross  # at least one co-interest edge spans the two communities
     for e in out:
         assert 3 in e.interests
