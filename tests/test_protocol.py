@@ -189,7 +189,7 @@ def decisions(policy=None, seed=0, replicate=0) -> AuthorizationMap:
     return AuthorizationMap(policy, seed, replicate)
 
 
-def test_round_with_no_similar_pairs_establishes_nothing():
+def test_round_with_no_similar_pairs_leaves_graph_unchanged():
     g, users, _ = two_cliques_with_bridge()
     base_edges = g.edges()
     disjoint = {u: profile(u, {i}) for i, u in enumerate(sorted(users))}
