@@ -347,7 +347,6 @@ def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]], siot: SIoTGraph
 
 def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
                auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-               cior_edges: Sequence[CiorEdge] = (),
                context: ReachContext | None = None,
                include_isolated: bool = True,
                campaign: str = "adhoc", sweep_var: str = "none",
@@ -355,8 +354,7 @@ def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
     """One discovery run: everything the source can reach for the interest
     under the mode, with minimum hop counts."""
     if context is None:
-        context = build_reach_context(scenario, interest, mode, auth, max_hops,
-                                      cior_edges)
+        context = build_reach_context(scenario, interest, mode, auth, max_hops)
     if source not in context.holders:
         raise ValueError(f"source {source!r} does not hold interest {interest}")
     _, best = interest_reach(source, context)
