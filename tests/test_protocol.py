@@ -309,7 +309,7 @@ def with_cior_edges(rnd: random.Random, g: SIoTGraph, count: int) -> SIoTGraph:
     return g
 
 
-def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl):
+def oracle_round(sources, graph, kinds, profiles, decision_map, interest, ttl):
     """(source device, requester device, shared interests) per request, from
     the oracle flood and the similarity and holder gate."""
     out = []
@@ -318,7 +318,7 @@ def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl):
         if own is None or not own.held:
             continue
         src = mobile(user)
-        for dev in oracle_flood(graph, kinds, src, decisions, ttl):
+        for dev in oracle_flood(graph, kinds, src, decision_map, ttl):
             owner = graph.devices[dev].owner
             theirs = profiles.get(owner)
             if owner == user or theirs is None:
