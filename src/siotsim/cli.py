@@ -37,11 +37,11 @@ def _require_dir(parser: argparse.ArgumentParser, path: str | None, flag: str) -
     return p
 
 
-def _load_config(parser: argparse.ArgumentParser, path: str | None,
-                 flag: str = "--config") -> experiment.ExperimentConfig:
+def _load_config(parser: argparse.ArgumentParser,
+                 path: str | None) -> experiment.ExperimentConfig:
     if path is None:
         return experiment.ExperimentConfig()
-    cfg_path = _require_file(parser, path, flag)
+    cfg_path = _require_file(parser, path, "--config")
     try:
         return experiment.load_config(cfg_path)
     except ValueError as exc:
@@ -64,34 +64,24 @@ def _threshold(kind: type, positive: bool = True):
     return parse
 
 
-def _or(value, default):
-    """A flag's value, or `default` when the flag was not given."""
-    return default if value is None else value
-
-
 def cmd_ingest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     checkins_path = _require_file(parser, args.checkins, "--checkins")
     friendships_path = _require_file(parser, args.friendships, "--friendships")
     poi_path = _require_file(parser, args.poi, "--poi")
-    cfg = _load_config(parser, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     corpus = trace.parse_checkins(checkins_path)
     corpus = trace.parse_friendships(friendships_path, corpus)
-    corpus = trace.filter_active_users(corpus,
-                                       _or(args.min_checkins, cfg.min_checkins),
-                                       _or(args.min_places, cfg.min_places))
-    colocs = trace.detect_colocations(corpus, _or(args.radius, cfg.coloc_radius_m),
-                                      _or(args.window, cfg.coloc_window_s))
-    homes = trace.compute_home_points(corpus, _or(args.cell_deg, cfg.home_cell_deg))
+    corpus = trace.filter_active_users(corpus, args.min_checkins, args.min_places)
+    colocs = trace.detect_colocations(corpus, args.radius, args.window)
+    homes = trace.compute_home_points(corpus, args.cell_deg)
     catalog = im.load_poi_catalog(poi_path)
     macros = (im.load_macro_categories(_require_file(parser, args.macros, "--macros"))
               if args.macros else im.default_macro_categories())
-    assignments = im.assign_colocation_interests(
-        colocs, catalog, macros, _or(args.poi_radius, cfg.poi_radius_m))
-    profiles = im.build_profiles(assignments, colocs,
-                                 _or(args.interest_threshold, cfg.interest_threshold))
+    assignments = im.assign_colocation_interests(colocs, catalog, macros,
+                                                 args.poi_radius)
+    profiles = im.build_profiles(assignments, colocs, args.interest_threshold)
 
     trace.write_checkins_tsv(corpus, out / "checkins.tsv")
     trace.write_friendships_tsv(corpus.friendships, out / scenario.FRIENDSHIPS_FILE)
@@ -108,7 +98,6 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     for name in (scenario.FRIENDSHIPS_FILE, "colocations.csv", "home_points.csv",
                  scenario.PROFILES_FILE):
         _require_file(parser, str(ingest_dir / name), f"--ingest ({name})")
-    cfg = _load_config(parser, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -118,9 +107,7 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     catalog = (sg.load_model_catalog(_require_file(parser, args.models, "--models"))
                if args.models else sg.default_model_catalog())
     devices = sg.instantiate_devices(sorted(homes), homes, catalog, args.seed)
-    graph = sg.build_siot_graph(devices, colocs,
-                                _or(args.sor_threshold, cfg.sor_threshold),
-                                _or(args.clor_radius, cfg.clor_radius_m))
+    graph = sg.build_siot_graph(devices, colocs, args.sor_threshold, args.clor_radius)
 
     trace.write_friendships_tsv(pairs, out / scenario.FRIENDSHIPS_FILE)
     sg.write_devices_csv(devices, out / scenario.DEVICES_FILE)
@@ -180,7 +167,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     irn_series = report.mean_irn_pct(result.runs)
     report.emit_csv(irn_series, out / "irn_series.csv")
     report.emit_plot_data(irn_series, out / "irn_series.dat")
-    hop_series = report.irn_by_hop(result.runs, cfg.max_hops)
+    hop_series = report.irn_by_hop(result.runs)
     report.emit_csv(hop_series, out / "irn_by_hop.csv")
     report.emit_plot_data(hop_series, out / "irn_by_hop.dat")
     print(f"run: {len(result.runs)} source runs -> {out}")
@@ -217,26 +204,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--friendships", help="friendship pair TSV file")
     p.add_argument("--poi", help="PoI catalog CSV file")
     p.add_argument("--macros", help="macro-category CSV file (default: packaged)")
-    p.add_argument("--config", help="experiment config supplying thresholds")
-    p.add_argument("--min-checkins", type=_threshold(int))
-    p.add_argument("--min-places", type=_threshold(int))
+    p.add_argument("--min-checkins", type=_threshold(int),
+                   default=trace.DEFAULT_MIN_CHECKINS)
+    p.add_argument("--min-places", type=_threshold(int),
+                   default=trace.DEFAULT_MIN_PLACES)
     p.add_argument("--radius", type=_threshold(float),
+                   default=trace.DEFAULT_COLOCATION_RADIUS_M,
                    help="co-location radius in meters")
     p.add_argument("--window", type=_threshold(float),
+                   default=trace.DEFAULT_COLOCATION_WINDOW_S,
                    help="co-location window in seconds")
-    p.add_argument("--poi-radius", type=_threshold(float, positive=False))
-    p.add_argument("--interest-threshold", type=_threshold(int))
-    p.add_argument("--cell-deg", type=_threshold(float))
+    p.add_argument("--poi-radius", type=_threshold(float, positive=False),
+                   default=im.DEFAULT_POI_RADIUS_M)
+    p.add_argument("--interest-threshold", type=_threshold(int),
+                   default=im.DEFAULT_INTEREST_THRESHOLD)
+    p.add_argument("--cell-deg", type=_threshold(float),
+                   default=trace.DEFAULT_HOME_CELL_DEG)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build-graph", parents=[common],
                        help="instantiate devices and device relationships")
     p.add_argument("--ingest", help="directory written by the ingest command")
     p.add_argument("--models", help="model catalog CSV (default: 10 uniform models)")
-    p.add_argument("--config", help="experiment config supplying thresholds")
     p.add_argument("--seed", type=int, default=0, help="device model seed")
-    p.add_argument("--sor-threshold", type=_threshold(int))
-    p.add_argument("--clor-radius", type=_threshold(float, positive=False))
+    p.add_argument("--sor-threshold", type=_threshold(int),
+                   default=sg.DEFAULT_SOR_THRESHOLD)
+    p.add_argument("--clor-radius", type=_threshold(float, positive=False),
+                   default=sg.DEFAULT_CLOR_RADIUS_M)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("synth", parents=[common],

@@ -7,9 +7,9 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import rng
 from .humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
@@ -56,25 +56,6 @@ class Mode:
         if self.cior:
             parts.append(RelationshipKind.CIOR.value)
         return "+".join(parts)
-
-
-@dataclass(frozen=True)
-class DecisionStreams:
-    """Coupled per-replicate uniform draws, keyed only by the entity, so
-    the identical draw is reused across modes and sweep points."""
-
-    seed: int
-    replicate: int
-
-    def auth_draw(self, node: str) -> float:
-        return rng.unit_draw(self.seed, self.replicate, "auth", node)
-
-    def spread_draw(self, entity: str) -> float:
-        return rng.unit_draw(self.seed, self.replicate, "spread", entity)
-
-
-def couple_randomness(seed: int, replicate: int) -> DecisionStreams:
-    return DecisionStreams(seed, replicate)
 
 
 @dataclass(frozen=True)
@@ -144,16 +125,6 @@ class ExperimentConfig:
     sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
     origin_device: str = ORIGIN_MOBILE
     sources: str = "all"
-    # pipeline-stage thresholds, addressable from the same config file
-    min_checkins: int = 10
-    min_places: int = 10
-    coloc_radius_m: float = 250.0
-    coloc_window_s: float = 1800.0
-    poi_radius_m: float = 250.0
-    interest_threshold: int = 10
-    sor_threshold: int = 3
-    clor_radius_m: float = 250.0
-    home_cell_deg: float = 0.25
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -226,19 +197,41 @@ _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     try:
         return _BOOL_VALUES[value.strip().lower()]
     except KeyError:
-        raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
+        raise ValueError("expected a boolean") from None
+
+
+def _items(value: str, sep: str = ",") -> list[str]:
+    return [x.strip() for x in value.split(sep) if x.strip()]
 
 
 def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in value.split(",") if x.strip())
+    return tuple(float(x) for x in _items(value))
 
 
 def _parse_kindset(value: str) -> frozenset[RelationshipKind]:
-    return frozenset(parse_kind(x.strip()) for x in value.split(",") if x.strip())
+    return frozenset(parse_kind(x) for x in _items(value))
+
+
+# one parser per annotation of an ExperimentConfig field
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": lambda v: tuple(_items(v)),
+    "tuple[int, ...]": lambda v: tuple(int(x) for x in _items(v)),
+    "tuple[float, ...]": _parse_floats,
+    "tuple[tuple[float, ...], ...]": lambda v: tuple(map(_parse_floats, _items(v, ";"))),
+    "frozenset[RelationshipKind]": _parse_kindset,
+    "tuple[frozenset[RelationshipKind], ...]":
+        lambda v: tuple(map(_parse_kindset, _items(v, ";"))),
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -253,52 +246,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            _apply_config_key(kwargs, key, value, path, lineno)
+            parse = _FIELD_PARSERS.get(key)
+            if parse is None:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                kwargs[key] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
+                                 f"{value!r} ({exc})") from exc
     return ExperimentConfig(**kwargs)
-
-
-def _apply_config_key(kwargs: dict, key: str, value: str,
-                      path: str | Path, lineno: int) -> None:
-    ints = {"interest", "replicates", "seed", "max_hops", "ttl", "min_checkins",
-            "min_places", "interest_threshold", "sor_threshold"}
-    floats = {"sim_threshold", "coloc_radius_m", "coloc_window_s", "poi_radius_m",
-              "clor_radius_m", "home_cell_deg"}
-    strings = {"campaign", "scenario", "sweep", "origin_device", "sources"}
-    try:
-        if key in ints:
-            kwargs[key] = int(value)
-        elif key in floats:
-            kwargs[key] = float(value)
-        elif key in strings:
-            kwargs[key] = value
-        elif key == "modes":
-            kwargs[key] = tuple(m.strip() for m in value.split(",") if m.strip())
-        elif key == "kinds":
-            kwargs[key] = _parse_kindset(value) - {RelationshipKind.CIOR}
-        elif key == "cior":
-            kwargs[key] = _parse_bool(value, key)
-        elif key == "include_isolated":
-            kwargs[key] = _parse_bool(value, key)
-        elif key == "spread_values":
-            kwargs[key] = _parse_floats(value)
-        elif key == "auth_values":
-            kwargs[key] = tuple(_parse_floats(v) for v in value.split(";") if v.strip())
-        elif key == "kind_sets":
-            kwargs[key] = tuple(_parse_kindset(v) for v in value.split(";") if v.strip())
-        elif key == "ttl_values":
-            kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key == "hops_values":
-            kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key == "auth_prob_per_hop":
-            kwargs[key] = _parse_floats(value)
-        elif key == "spread_prob_per_hop":
-            kwargs[key] = _parse_floats(value)
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-    except ValueError as exc:
-        if "unknown config key" in str(exc) or "expected a boolean" in str(exc):
-            raise
-        raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
 
 
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,

@@ -162,26 +162,6 @@ class AuthorizationMap:
         return cooperates(self.spread_draw(entity), self.policy.spread_at(hop))
 
 
-def sample_decisions(graph: FriendshipGraph, policy: AuthorizationPolicy,
-                     seed: int, replicate: int) -> AuthorizationMap:
-    """Materialize the coupled decision draws for every node of the graph."""
-    auth = AuthorizationMap(policy, seed, replicate)
-    for node in graph.nodes:
-        auth.auth_draw(node)
-        auth.spread_draw(node)
-    return auth
-
-
-@dataclass(frozen=True)
-class ReachabilityResult:
-    source: str
-    interest: int
-    direct: frozenset[str]
-    indirect: frozenset[str]
-    community: frozenset[str]
-    hop_count: Mapping[str, int]
-
-
 @dataclass
 class ReachContext:
     """Shared state for reachability runs over one fixed configuration.
@@ -275,54 +255,6 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
                 best[n] = cand
                 heapq.heappush(heap, (cand, n))
     return direct, best
-
-
-def discover_direct(source: str, interest: int, graph: FriendshipGraph,
-                    auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-                    holders: Iterable[str] | None = None) -> frozenset[str]:
-    """Interested nodes the source reaches through its own discovery pass."""
-    ctx = _default_context(interest, graph, auth, max_hops, holders)
-    if source not in ctx.adjacency:
-        raise ValueError(f"unknown source node: {source!r}")
-    return frozenset(_discover_from(ctx, source))
-
-
-def discover_indirect(source: str, interest: int, graph: FriendshipGraph,
-                      auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-                      holders: Iterable[str] | None = None) -> frozenset[str]:
-    """Interested nodes reached only after reached interested nodes
-    relaunch the search as sources of their own."""
-    ctx = _default_context(interest, graph, auth, max_hops, holders)
-    direct, best = interest_reach(source, ctx)
-    return frozenset(best) - frozenset(direct) - {source}
-
-
-def community_of(source: str, interest: int, graph: FriendshipGraph,
-                 auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-                 holders: Iterable[str] | None = None) -> ReachabilityResult:
-    """The interest community seen from `source`: the fixed point of the
-    relaunch process, split into directly and indirectly reached nodes."""
-    ctx = _default_context(interest, graph, auth, max_hops, holders)
-    if source not in ctx.holders:
-        raise ValueError(f"source {source!r} does not hold interest {interest}")
-    direct, best = interest_reach(source, ctx)
-    direct_set = frozenset(direct)
-    community = frozenset(best) | {source}
-    return ReachabilityResult(
-        source=source,
-        interest=interest,
-        direct=direct_set,
-        indirect=frozenset(best) - direct_set - {source},
-        community=community,
-        hop_count=dict(best),
-    )
-
-
-def _default_context(interest: int, graph: FriendshipGraph, auth: AuthorizationMap,
-                     max_hops: int, holders: Iterable[str] | None) -> ReachContext:
-    if holders is None:
-        raise ValueError("holders of the interest must be provided")
-    return ReachContext.for_graph(graph, holders, auth, max_hops)
 
 
 # --- connected components ----------------------------------------------------

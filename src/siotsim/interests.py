@@ -246,10 +246,6 @@ def cosine_similarity(a: InterestDescriptor, b: InterestDescriptor) -> float:
     return inter / math.sqrt(len(a.held) * len(b.held))
 
 
-def has_interest(d: InterestDescriptor, macro_id: int) -> bool:
-    return macro_id in d.held
-
-
 PROFILE_HEADER = ["owner", "macro_id", "count", "held"]
 
 

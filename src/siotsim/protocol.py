@@ -214,12 +214,3 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
                 established.append(backpropagate(req, trace, graph, profiles))
     return established
 
-
-def serialize_trace(trace: PropagationTrace) -> str:
-    """Debug export, one line per relay record:
-    `token_id,holder,previous_hop,hop`."""
-    lines = []
-    for holder in trace.receivers():
-        r = trace.records[holder]
-        lines.append(f"{r.token_id},{r.holder},{r.previous_hop},{trace.hops[holder]}")
-    return "\n".join(lines) + ("\n" if lines else "")

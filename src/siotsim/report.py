@@ -40,17 +40,12 @@ def _series_label(run, series_keys: Sequence[str]) -> str:
     return "|".join(parts)
 
 
-def _aggregate(values_by_replicate: dict[int, list[float]],
-               pooled: bool = False) -> tuple[float, float | None]:
-    """Average sources within each replicate, then replicates (or pool all
-    runs directly when `pooled`); the confidence half-width is computed
-    over the replicate means and is absent (not zero) for a single
-    replicate."""
+def _aggregate(values_by_replicate: dict[int, list[float]]) -> tuple[float, float | None]:
+    """Average sources within each replicate, then replicates; the
+    confidence half-width is computed over the replicate means and is
+    absent (not zero) for a single replicate."""
     means = [float(np.mean(vs)) for _, vs in sorted(values_by_replicate.items())]
-    if pooled:
-        y = float(np.mean([v for vs in values_by_replicate.values() for v in vs]))
-    else:
-        y = float(np.mean(means))
+    y = float(np.mean(means))
     if len(means) < 2:
         return y, None
     ci = Z_95 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
@@ -59,13 +54,11 @@ def _aggregate(values_by_replicate: dict[int, list[float]],
 
 def mean_irn_pct(runs: Iterable, x_key: str = "sweep_value",
                  series_keys: Sequence[str] = ("mode", "kinds"),
-                 pooled: bool = False) -> list[MetricSeries]:
+                 ) -> list[MetricSeries]:
     """Mean percentage of interested nodes reached, grouped into one series
     per `series_keys` with one point per `x_key` value. Empty groups are
-    omitted with a warning. By default sources are averaged within each
-    replicate before replicates are averaged; `pooled` averages all runs in
-    one pass instead (identical when every replicate covers the same
-    sources)."""
+    omitted with a warning. Sources are averaged within each replicate
+    before replicates are averaged."""
     table: dict[str, dict] = {}
     x_order: dict[str, list] = {}
     for run in runs:
@@ -84,7 +77,7 @@ def mean_irn_pct(runs: Iterable, x_key: str = "sweep_value",
             if not by_rep:
                 log.warning("mean_irn_pct: empty group %s at %s", label, x)
                 continue
-            y, ci = _aggregate(by_rep, pooled)
+            y, ci = _aggregate(by_rep)
             xs.append(x)
             ys.append(y)
             cis.append(ci)
@@ -101,19 +94,22 @@ def irn_pct_at_hop(run, hop: int) -> float:
     return 100.0 * within / run.denominator
 
 
-def irn_by_hop(runs: Iterable, max_hops: int,
+def irn_by_hop(runs: Iterable,
                series_keys: Sequence[str] = ("mode", "kinds", "sweep_value"),
                ) -> list[MetricSeries]:
-    """Cumulative reach curves: one point per hop 1..max_hops, counting
-    only nodes first reached within that many hops. Non-decreasing in the
-    hop index by construction."""
+    """Cumulative reach curves: one point per hop from 1 to the largest hop
+    any run reached (at least 1), counting only nodes first reached within
+    that many hops. Non-decreasing in the hop index by construction, and
+    the last point of each curve is its group's mean IRN percentage."""
     groups: dict[str, list] = {}
     for run in runs:
         groups.setdefault(_series_label(run, series_keys), []).append(run)
+    last_hop = max((run.hops[n] for group in groups.values() for run in group
+                    for n in run.reached), default=1)
     out = []
     for label in sorted(groups):
         xs, ys, cis = [], [], []
-        for hop in range(1, max_hops + 1):
+        for hop in range(1, last_hop + 1):
             by_rep: dict[int, list[float]] = {}
             for run in groups[label]:
                 by_rep.setdefault(run.replicate, []).append(irn_pct_at_hop(run, hop))
@@ -128,7 +124,7 @@ def irn_by_hop(runs: Iterable, max_hops: int,
 @dataclass(frozen=True)
 class HopComparison:
     """Paired per-source mean hop counts over nodes reached in both
-    conditions, plus the pooled with/without ratio."""
+    conditions, plus the ratio of their with and without means."""
 
     pairs: tuple[tuple[str, float, float], ...]  # (source, with, without)
     ratio: float | None

@@ -22,11 +22,11 @@ from siotsim import cli
 from siotsim.experiment import (ExperimentConfig, Mode, run_campaign,
                                 run_source)
 from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
-                                ReachContext, community_of, giant_component_pct,
+                                ReachContext, giant_component_pct,
                                 interest_reach)
 from siotsim.interests import cosine_similarity
 from siotsim.protocol import (evaluate_candidates, make_token, propagate_vuip,
-                              run_cior_round, serialize_trace)
+                              run_cior_round)
 from siotsim.report import irn_by_hop, irn_pct_at_hop, mean_hops_comparison, mean_irn_pct
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
@@ -181,11 +181,13 @@ def test_criterion_02_reachability_oracle():
                                frozenset(holders), authorizes, max_hops, extra)
             direct, best = interest_reach(source, ctx)
             if auth_map is not None:
-                res = community_of(source, 3, graph, auth_map, max_hops,
-                                   holders=holders)
-                assert res.direct == frozenset(direct)
-                assert res.community == frozenset(best) | {source}
-                assert dict(res.hop_count) == best
+                profiles = {u: profile(u, {3} if u in holders else {9})
+                            for u in users}
+                scn = Scenario(graph, SIoTGraph(make_devices(users)), profiles)
+                run = run_source(source, 3, Mode.friendships(), scn, auth_map,
+                                 max_hops=max_hops)
+                assert run.reached == frozenset(best) - {source}
+                assert run.hops == {k: v for k, v in best.items() if k != source}
 
         o_direct, o_best = oracle_reach(source, adjacency, authorizes,
                                         max_hops, holders, extra)
@@ -265,10 +267,9 @@ def test_criterion_04_protocol_invariants():
         # anonymized payload carries no owner at all
         assert token.payload.owner is None
         first_neighbors = set(view.neighbors(source_dev))
-        for line in serialize_trace(trace).splitlines():
-            token_id, holder, previous_hop, hop = line.split(",")
+        for holder, record in trace.records.items():
             assert holder != source_dev
-            fields = (token_id, previous_hop, hop)
+            fields = (record.token_id, record.previous_hop, trace.hops[holder])
             if holder not in first_neighbors:
                 assert source_dev not in fields
                 assert source_user not in fields
@@ -427,7 +428,7 @@ def test_criterion_06_fig23_qualitative():
             within_lo = {n for n in run.reached if run.hops[n] <= hop}
             within_hi = {n for n in run.reached if run.hops[n] <= hop + 1}
             assert within_lo <= within_hi
-    for series_obj in irn_by_hop(spread_runs.runs, max_hops=6):
+    for series_obj in irn_by_hop(spread_runs.runs):
         assert list(series_obj.y) == sorted(series_obj.y)
 
     # larger hop budgets only add reach, sample-wise

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -191,8 +192,8 @@ def test_report_reaggregates_results(tmp_path):
            (run_dir / "irn_series.csv").read_bytes()
 
 
-def test_ingest_reads_thresholds_from_config(tmp_path):
-    # one user with only 3 check-ins survives when the config lowers the
+def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):
+    # one user with only 3 check-ins survives when the flags lower the
     # activity thresholds
     lines = [f"solo\t{iso(1000.0 * i)}\t10.0\t10.0\tpl{i}" for i in range(3)]
     checkins = tmp_path / "checkins.tsv"
@@ -201,13 +202,69 @@ def test_ingest_reads_thresholds_from_config(tmp_path):
     friendships.write_text("", encoding="utf-8")
     poi = tmp_path / "poi.csv"
     poi.write_text("poi_id,lat,lon,keyword\n", encoding="utf-8")
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("min_checkins = 1\nmin_places = 1\n", encoding="utf-8")
     out = tmp_path / "out"
     assert run_cli(["ingest", "--checkins", checkins, "--friendships", friendships,
-                    "--poi", poi, "--config", cfg, "--out", out]) == 0
+                    "--poi", poi, "--min-checkins", 1, "--min-places", 1,
+                    "--out", out]) == 0
     homes = (out / "home_points.csv").read_text(encoding="utf-8")
     assert "solo" in homes
+
+
+def test_only_run_reads_a_config_file(tmp_path):
+    files = write_trace_fixture(tmp_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 1\n", encoding="utf-8")
+    assert run_cli(["ingest", "--checkins", files["checkins"],
+                    "--friendships", files["friendships"], "--poi", files["poi"],
+                    "--config", cfg, "--out", tmp_path / "ing2"]) == 2
+    _ingest_and_build(tmp_path)
+    assert run_cli(["build-graph", "--ingest", tmp_path / "ing",
+                    "--models", files["models"], "--config", cfg,
+                    "--out", tmp_path / "graph2"]) == 2
+
+
+def test_kinds_naming_cior_gives_the_same_results(tmp_path):
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--communities", 3, "--nodes", 6, "--intra-prob", 0.4,
+                    "--cross", "POR=2,SOR=1", "--interest-prob", 0.7,
+                    "--seed", 4, "--out", scn]) == 0
+    results = {}
+    for name, kinds in (("plain", "POR, SOR"), ("cior", "POR, C-IOR, SOR")):
+        cfg = tmp_path / f"{name}.txt"
+        cfg.write_text(f"replicates = 2\nseed = 3\nkinds = {kinds}\n"
+                       "spread_prob_per_hop = 0.7\n", encoding="utf-8")
+        assert run_cli(["run", "--config", cfg, "--scenario", scn,
+                        "--out", tmp_path / name]) == 0
+        results[name] = (tmp_path / name / "results.csv").read_bytes()
+    assert results["cior"] == results["plain"]
+
+
+def _series_rows(path: Path) -> list[list[str]]:
+    return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
+
+
+def test_hop_curve_ends_at_the_headline_irn(tmp_path):
+    # one-hop discovery passes: every node past the first hop is reached by
+    # relaunches, beyond the configured max_hops
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--communities", 3, "--nodes", 8, "--intra-prob", 0.3,
+                    "--cross", "POR=1,SOR=1", "--interest-prob", 0.8,
+                    "--seed", 2, "--out", scn]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 3\nmax_hops = 1\nsweep = spread\n"
+                   "spread_values = 1.0, 0.3\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli(["run", "--config", cfg, "--scenario", scn, "--out", out]) == 0
+    headline = {(label, x): (y, ci)
+                for label, x, y, ci in _series_rows(out / "irn_series.csv")}
+    last = {}
+    for label, hop, y, ci in _series_rows(out / "irn_by_hop.csv"):
+        mode, kinds, value = label.split("|")
+        last[(f"{mode}|{kinds}", "" if value == "-" else value)] = (int(hop), y, ci)
+    assert set(last) == set(headline)
+    for key, (_, y, ci) in last.items():
+        assert (y, ci) == headline[key]
+    assert max(hop for hop, _, _ in last.values()) > 1
 
 
 def test_run_with_missing_scenario_is_usage_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import make_devices, mobile, profile
-from siotsim.experiment import (ExperimentConfig, Mode, couple_randomness,
+from siotsim.experiment import (ExperimentConfig, Mode,
                                 load_config, result_csv_text, run_campaign,
                                 run_source, select_sources)
 from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
@@ -33,16 +33,6 @@ def test_mode_invariants():
     assert RelationshipKind.CIOR not in enhanced.kinds
     assert enhanced.kinds_label() == "POR+C-IOR"
     assert Mode.friendships().kinds_label() == ""
-
-
-def test_couple_randomness_matches_authorization_map_draws():
-    streams = couple_randomness(seed=5, replicate=2)
-    auth = full_auth(seed=5, replicate=2)
-    for node in ("a", "b", "c"):
-        assert streams.auth_draw(node) == auth.auth_draw(node)
-        assert streams.spread_draw(node) == auth.spread_draw(node)
-    other = couple_randomness(seed=5, replicate=3)
-    assert any(streams.auth_draw(n) != other.auth_draw(n) for n in "abcdef")
 
 
 def test_enhanced_without_device_edges_reduces_to_friendships():
@@ -158,11 +148,10 @@ def test_spread_sweep_is_samplewise_monotone():
 
 
 def test_holders_match_has_interest_exactly():
-    from siotsim.interests import has_interest
     scn = generate_scenario(SyntheticScenarioSpec(
         communities=2, nodes_per_community=8, interest_prob=0.5,
         noise_interests=2, seed=44))
-    expected = {u for u, p in scn.profiles.items() if has_interest(p, 3)}
+    expected = {u for u, p in scn.profiles.items() if 3 in p.held}
     assert scn.holders(3) == expected
 
 

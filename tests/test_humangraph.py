@@ -5,12 +5,14 @@ import random
 import pytest
 
 from conftest import random_friend_graph, random_nonincreasing
+from conftest import make_devices, profile
 from oracles import oracle_giant_pct, oracle_reach
+from siotsim.experiment import Mode, run_source
 from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
-                                FriendshipGraph, ReachContext, community_of,
-                                cooperates, discover_direct, discover_indirect,
-                                giant_component_pct, interest_reach,
-                                sample_decisions)
+                                FriendshipGraph, ReachContext, cooperates,
+                                giant_component_pct, interest_reach)
+from siotsim.scenario import Scenario
+from siotsim.siotgraph import SIoTGraph
 
 
 def bool_context(adjacency, holders, authorize, max_hops, extra=None):
@@ -27,12 +29,23 @@ def graph_of(*edges) -> FriendshipGraph:
     return g
 
 
-def all_yes(graph, seed=0, replicate=0) -> AuthorizationMap:
-    return sample_decisions(graph, AuthorizationPolicy((1.0,), (1.0,)), seed, replicate)
+def all_yes(seed=0, replicate=0) -> AuthorizationMap:
+    return AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)), seed, replicate)
 
 
-def all_no(graph, seed=0, replicate=0) -> AuthorizationMap:
-    return sample_decisions(graph, AuthorizationPolicy((0.0,), (0.0,)), seed, replicate)
+def all_no(seed=0, replicate=0) -> AuthorizationMap:
+    return AuthorizationMap(AuthorizationPolicy((0.0,), (0.0,)), seed, replicate)
+
+
+def reach(source, graph, auth, holders, max_hops=4):
+    """(direct, best) of `source` over the friendship graph."""
+    return interest_reach(source, ReachContext.for_graph(graph, holders, auth,
+                                                         max_hops))
+
+
+def community(source, graph, auth, holders, max_hops=4) -> set[str]:
+    """The source plus every interested node its relaunches reach."""
+    return set(reach(source, graph, auth, holders, max_hops)[1]) | {source}
 
 
 # --- policies and decisions ----------------------------------------------------
@@ -63,18 +76,18 @@ def test_cooperates_threshold_semantics():
 
 def test_degenerate_policies():
     g = graph_of(("a", "b"), ("b", "c"))
-    yes = all_yes(g)
+    yes = all_yes()
     assert all(yes.authorizes(u, h) for u in g.nodes for h in (1, 2, 3))
-    no = all_no(g)
+    no = all_no()
     assert not any(no.authorizes(u, h) for u in g.nodes for h in (1, 2, 3))
 
 
 def test_decisions_deterministic_per_seed_replicate():
     g = random_friend_graph(random.Random(3), 20, 0.2)
     policy = AuthorizationPolicy((0.8, 0.5, 0.3), (0.7, 0.4))
-    first = sample_decisions(g, policy, seed=11, replicate=2)
-    second = sample_decisions(g, policy, seed=11, replicate=2)
-    other = sample_decisions(g, policy, seed=11, replicate=3)
+    first = AuthorizationMap(policy, seed=11, replicate=2)
+    second = AuthorizationMap(policy, seed=11, replicate=2)
+    other = AuthorizationMap(policy, seed=11, replicate=3)
     booleans = lambda m: [(u, h, m.authorizes(u, h), m.forwards(u, h))
                           for u in sorted(g.nodes) for h in (1, 2, 3)]
     assert booleans(first) == booleans(second)
@@ -85,16 +98,16 @@ def test_decisions_deterministic_per_seed_replicate():
 
 def test_direct_single_interested_friend():
     g = graph_of(("s", "f"))
-    res = community_of("s", 3, g, all_yes(g), max_hops=4, holders={"s", "f"})
-    assert res.direct == {"f"}
-    assert res.hop_count == {"f": 1}
+    direct, best = reach("s", g, all_yes(), {"s", "f"})
+    assert set(direct) == {"f"}
+    assert best == {"f": 1}
 
 
 def test_friend_in_direct_set_even_without_authorizing():
     # authorization gates expansion through a node, not its visibility
     g = graph_of(("s", "f"))
-    res = community_of("s", 3, g, all_no(g), max_hops=4, holders={"s", "f"})
-    assert res.direct == {"f"}
+    direct, _ = reach("s", g, all_no(), {"s", "f"})
+    assert set(direct) == {"f"}
 
 
 def test_interested_node_behind_non_authorizing_intermediary():
@@ -108,13 +121,13 @@ def test_interested_node_behind_non_authorizing_intermediary():
 
 def test_empty_neighborhood_gives_empty_direct():
     g = FriendshipGraph.from_pairs(["s"])
-    assert discover_direct("s", 3, g, all_yes(g), holders={"s"}) == frozenset()
+    assert reach("s", g, all_yes(), {"s"})[0] == {}
 
 
 def test_unknown_source_rejected():
     g = graph_of(("a", "b"))
     with pytest.raises(ValueError):
-        discover_direct("zz", 3, g, all_yes(g), holders={"a"})
+        reach("zz", g, all_yes(), {"a"})
 
 
 def test_relaunch_reaches_through_non_authorizing_interested_node():
@@ -133,45 +146,44 @@ def test_relaunch_reaches_through_non_authorizing_interested_node():
 
 def test_indirect_empty_when_direct_reaches_everything():
     g = graph_of(("s", "a"), ("a", "b"), ("s", "b"))
-    assert discover_indirect("s", 3, g, all_yes(g), max_hops=4,
-                             holders={"s", "a", "b"}) == frozenset()
+    direct, best = reach("s", g, all_yes(), {"s", "a", "b"})
+    assert set(best) - set(direct) - {"s"} == set()
 
 
 def test_disconnected_interested_node_unreached():
     g = FriendshipGraph.from_pairs(["s", "x", "lonely"], [("s", "x")])
-    res = community_of("s", 3, g, all_yes(g), max_hops=4,
-                       holders={"s", "x", "lonely"})
-    assert "lonely" not in res.community
-    assert res.community == {"s", "x"}
+    members = community("s", g, all_yes(), {"s", "x", "lonely"})
+    assert "lonely" not in members
+    assert members == {"s", "x"}
 
 
 def test_community_clique_full_authorization():
     users = ["a", "b", "c", "d"]
     g = FriendshipGraph.from_pairs(users, [(u, v) for u in users for v in users if u < v])
-    res = community_of("a", 3, g, all_yes(g), max_hops=4, holders=set(users))
-    assert res.community == set(users)
-    assert res.direct == {"b", "c", "d"}
-    assert res.indirect == frozenset()
+    direct, best = reach("a", g, all_yes(), set(users))
+    assert set(best) | {"a"} == set(users)
+    assert set(direct) == {"b", "c", "d"}
+    assert set(best) - set(direct) == set()
 
 
 def test_community_excludes_other_component():
     g = graph_of(("a1", "a2"), ("a2", "a3"), ("b1", "b2"))
-    res = community_of("a1", 3, g, all_yes(g), max_hops=4,
-                       holders={"a1", "a2", "a3", "b1", "b2"})
-    assert res.community == {"a1", "a2", "a3"}
+    assert community("a1", g, all_yes(), {"a1", "a2", "a3", "b1", "b2"}) == \
+        {"a1", "a2", "a3"}
 
 
 def test_singleton_source_community():
     g = FriendshipGraph.from_pairs(["s"])
-    res = community_of("s", 3, g, all_yes(g), max_hops=4, holders={"s"})
-    assert res.community == {"s"}
-    assert res.direct == res.indirect == frozenset()
+    assert reach("s", g, all_yes(), {"s"}) == ({}, {})
+    assert community("s", g, all_yes(), {"s"}) == {"s"}
 
 
 def test_source_must_hold_interest():
     g = graph_of(("s", "a"))
+    scn = Scenario(g, SIoTGraph(make_devices(["s", "a"])),
+                   {"s": profile("s", {9}), "a": profile("a", {3})})
     with pytest.raises(ValueError):
-        community_of("s", 3, g, all_yes(g), max_hops=4, holders={"a"})
+        run_source("s", 3, Mode.friendships(), scn, all_yes())
 
 
 def test_direct_and_indirect_disjoint_subsets_of_holders():
@@ -180,17 +192,18 @@ def test_direct_and_indirect_disjoint_subsets_of_holders():
         g = random_friend_graph(rnd, 14, 0.25)
         users = sorted(g.nodes)
         holders = {u for u in users if rnd.random() < 0.6}
-        auth = sample_decisions(g, AuthorizationPolicy(
+        auth = AuthorizationMap(AuthorizationPolicy(
             random_nonincreasing(rnd, 3), (1.0,)), rnd.randrange(99), 0)
         source = rnd.choice(users)
         holders.add(source)
-        res = community_of(source, 3, g, auth, max_hops=3, holders=holders)
-        assert res.direct & res.indirect == frozenset()
-        assert res.direct <= holders - {source}
-        assert res.indirect <= holders - {source}
-        assert res.community <= holders
-        assert all(h >= 1 for h in res.hop_count.values())
-        assert all(res.hop_count[n] <= 3 for n in res.direct)
+        direct, best = reach(source, g, auth, holders, max_hops=3)
+        indirect = set(best) - set(direct) - {source}
+        assert set(direct) & indirect == set()
+        assert set(direct) <= holders - {source}
+        assert indirect <= holders - {source}
+        assert set(best) | {source} <= holders
+        assert all(h >= 1 for h in best.values())
+        assert all(best[n] <= 3 for n in direct)
 
 
 # --- oracle equality -------------------------------------------------------------
@@ -269,13 +282,13 @@ def test_hop_counts_shrink_when_policy_rises():
         low_vec = random_nonincreasing(rnd, 3)
         high_vec = tuple(min(1.0, v + 0.3) for v in low_vec)
         seed = rnd.randrange(1000)
-        low = sample_decisions(g, AuthorizationPolicy(low_vec, (1.0,)), seed, 0)
-        high = sample_decisions(g, AuthorizationPolicy(high_vec, (1.0,)), seed, 0)
-        r_low = community_of(source, 3, g, low, max_hops=4, holders=holders)
-        r_high = community_of(source, 3, g, high, max_hops=4, holders=holders)
-        assert r_low.community <= r_high.community
-        for n, h in r_low.hop_count.items():
-            assert r_high.hop_count[n] <= h
+        low = AuthorizationMap(AuthorizationPolicy(low_vec, (1.0,)), seed, 0)
+        high = AuthorizationMap(AuthorizationPolicy(high_vec, (1.0,)), seed, 0)
+        _, best_low = reach(source, g, low, holders)
+        _, best_high = reach(source, g, high, holders)
+        assert set(best_low) <= set(best_high)
+        for n, h in best_low.items():
+            assert best_high[n] <= h
 
 
 # --- giant component -------------------------------------------------------------

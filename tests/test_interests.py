@@ -9,7 +9,7 @@ from siotsim.geo import GeoPoint
 from siotsim.interests import (InterestDescriptor, PoI, PoiCatalog,
                                assign_colocation_interests, build_profiles,
                                cosine_similarity, default_macro_categories,
-                               has_interest, keyword_index,
+                               keyword_index,
                                load_macro_categories, load_poi_catalog,
                                read_profiles_csv, write_profiles_csv)
 from siotsim.trace import detect_colocations
@@ -113,12 +113,12 @@ def test_profile_threshold_boundary():
     colocs = _repeat_colocs(10)
     held = build_profiles(assign_colocation_interests(colocs, catalog, macros),
                           colocs, interest_threshold=10)
-    assert has_interest(held["a"], 3) and has_interest(held["b"], 3)
+    assert 3 in held["a"].held and 3 in held["b"].held
 
     colocs = _repeat_colocs(9)
     not_held = build_profiles(assign_colocation_interests(colocs, catalog, macros),
                               colocs, interest_threshold=10)
-    assert not has_interest(not_held["a"], 3)
+    assert 3 not in not_held["a"].held
     assert not_held["a"].weights[3] == 9
 
 
@@ -128,7 +128,7 @@ def test_profile_threshold_one_holds_on_single_meeting():
     profiles = build_profiles(
         assign_colocation_interests(colocs, catalog, default_macro_categories()),
         colocs, interest_threshold=1)
-    assert has_interest(profiles["a"], 3)
+    assert 3 in profiles["a"].held
 
 
 def test_raising_threshold_never_adds_categories():
@@ -184,12 +184,6 @@ def test_cosine_symmetric_and_bounded_on_random_profiles():
         sab = cosine_similarity(a, b)
         assert sab == cosine_similarity(b, a)
         assert 0.0 <= sab <= 1.0
-
-
-def test_has_interest_trivial_cases():
-    assert has_interest(profile("a", {3}), 3)
-    assert not has_interest(profile("a", {3}), 6)
-    assert not has_interest(InterestDescriptor.empty("a"), 3)
 
 
 def test_anonymized_strips_owner_only():

@@ -11,7 +11,7 @@ from oracles import oracle_flood
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (CiorRequest, PropagationTrace, VuipToken,
                               backpropagate, evaluate_candidates, make_token,
-                              propagate_vuip, run_cior_round, serialize_trace)
+                              propagate_vuip, run_cior_round)
 from siotsim.interests import cosine_similarity
 from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 
@@ -258,9 +258,8 @@ def assert_anonymity(trace, graph):
     source_dev = trace.source_device
     source_owner = graph.devices[source_dev].owner
     first = source_first_neighbors(graph, source_dev)
-    for line in serialize_trace(trace).splitlines():
-        token_id, holder, previous_hop, hop = line.split(",")
-        for field in (token_id, previous_hop, hop):
+    for holder, record in trace.records.items():
+        for field in (record.token_id, record.previous_hop, trace.hops[holder]):
             if holder not in first:
                 assert field != source_dev
                 assert field != source_owner

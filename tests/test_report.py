@@ -67,16 +67,10 @@ def test_sources_average_within_replicate_first():
             reach({"x": 1}, 2, source="a", replicate=1)]
     series = mean_irn_pct(runs)
     assert series[0].y == (50.0,)
-    # pooling weights every run equally instead: (0 + 100 + 50) / 3
-    pooled = mean_irn_pct(runs, pooled=True)
-    assert pooled[0].y == (50.0,)
     lopsided = runs + [reach({"x": 1, "y": 1}, 2, source="b", replicate=1)]
     assert mean_irn_pct(lopsided)[0].y == (62.5,)
-    assert mean_irn_pct(lopsided, pooled=True)[0].y == (62.5,)
     unbalanced = runs[:2] + [reach({}, 2, source="a", replicate=1)]
     assert mean_irn_pct(unbalanced)[0].y == (25.0,)       # 50, 0 -> 25
-    assert mean_irn_pct(unbalanced, pooled=True)[0].y[0] == \
-        pytest.approx(100.0 / 3.0)                        # 0, 100, 0
 
 
 def test_aggregation_permutation_invariant():
@@ -108,14 +102,27 @@ def test_irn_at_hop_zero_is_zero():
 
 def test_irn_by_hop_flat_when_everything_at_hop_one():
     runs = [reach({"a": 1, "b": 1}, 2)]
-    series = irn_by_hop(runs, max_hops=4)
-    assert series[0].x == (1, 2, 3, 4)
-    assert series[0].y == (100.0, 100.0, 100.0, 100.0)
+    series = irn_by_hop(runs)
+    assert series[0].x == (1,)
+    assert series[0].y == (100.0,)
+    # a curve that another group extends runs flat to the last hop
+    runs.append(reach({"a": 1, "b": 3}, 2, mode="enhanced"))
+    by_label = {s.label: s for s in irn_by_hop(runs)}
+    assert by_label["friendships|-|-"].y == (100.0, 100.0, 100.0)
+    assert by_label["enhanced|-|-"].y == (50.0, 50.0, 100.0)
+
+
+def test_irn_by_hop_runs_to_the_largest_hop_reached():
+    assert irn_by_hop([reach({}, 3)])[0].x == (1,)
+    runs = [reach({"a": 2}, 4), reach({"a": 1, "b": 9}, 4, replicate=1)]
+    series = irn_by_hop(runs)[0]
+    assert series.x == tuple(range(1, 10))
+    assert series.y[-1] == mean_irn_pct(runs)[0].y[0]
 
 
 def test_irn_by_hop_increases_along_chain():
     runs = [reach({"a": 1, "b": 2, "c": 3, "d": 4}, 4)]
-    series = irn_by_hop(runs, max_hops=4)
+    series = irn_by_hop(runs)
     assert series[0].y == (25.0, 50.0, 75.0, 100.0)
     assert all(series[0].y[i] <= series[0].y[i + 1]
                for i in range(len(series[0].y) - 1))
@@ -125,7 +132,7 @@ def test_irn_by_hop_monotone_on_random_runs():
     rnd = random.Random(8)
     runs = [reach({f"n{i}": rnd.randrange(1, 6) for i in range(rnd.randrange(6))},
                   8, replicate=rnd.randrange(3)) for _ in range(20)]
-    for series in irn_by_hop(runs, max_hops=6):
+    for series in irn_by_hop(runs):
         assert all(series.y[i] <= series.y[i + 1]
                    for i in range(len(series.y) - 1))
 
