@@ -263,17 +263,13 @@ def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
     """Assemble the reachability context for one (mode, decisions) pair.
 
     In enhanced mode every node additionally sees, one hop away, the owners
-    of devices linked to its own devices in the selected-kind view (with
-    co-interest edges gated on the interest), plus the owners linked by
-    the round's `cior_edges` that carry the interest."""
+    of devices linked to its own devices in the selected-kind view, plus
+    the owners linked by the round's `cior_edges` that carry the interest."""
     holders = scenario.holders(interest)
     extra = None
     if mode.name == MODE_ENHANCED:
-        view_kinds = set(mode.kinds)
-        if mode.cior:
-            view_kinds.add(RelationshipKind.CIOR)
-        base = (scenario.siot.select_kinds(view_kinds, interest).owner_contacts()
-                if view_kinds else {})
+        base = (scenario.siot.select_kinds(mode.kinds).owner_contacts()
+                if mode.kinds else {})
         extra = _with_cior_contacts(base, scenario.siot, cior_edges, interest)
     return ReachContext.for_graph(scenario.friendships, holders, auth,
                                   max_hops, extra)
@@ -302,15 +298,12 @@ def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]], siot: SIoTGraph
 
 
 def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
-               auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-               context: ReachContext | None = None,
-               include_isolated: bool = True,
+               context: ReachContext, include_isolated: bool = True,
                campaign: str = "adhoc", sweep_var: str = "none",
                sweep_value: str = "", replicate: int = 0) -> SourceRun:
     """One discovery run: everything the source can reach for the interest
-    under the mode, with minimum hop counts."""
-    if context is None:
-        context = build_reach_context(scenario, interest, mode, auth, max_hops)
+    under the mode, with minimum hop counts. `context` comes from
+    `build_reach_context` for the same interest and mode."""
     if source not in context.holders:
         raise ValueError(f"source {source!r} does not hold interest {interest}")
     _, best = interest_reach(source, context)
@@ -364,8 +357,7 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                                           auth, point.max_hops, cior_edges)
             for source in sources:
                 runs.append(run_source(
-                    source, config.interest, mode, scenario, auth,
-                    max_hops=point.max_hops, context=context,
+                    source, config.interest, mode, scenario, context,
                     include_isolated=config.include_isolated,
                     campaign=config.campaign, sweep_var=point.var,
                     sweep_value=point.value, replicate=replicate))

@@ -198,7 +198,7 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
-    view = graph.select_kinds(frozenset(kinds) - {RelationshipKind.CIOR})
+    view = graph.select_kinds(kinds)
     established: list[CiorEdge] = []
     for user in sorted(set(sources)):
         own = profiles.get(user)

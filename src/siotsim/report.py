@@ -8,6 +8,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,13 +86,15 @@ def mean_irn_pct(runs: Iterable, x_key: str = "sweep_value",
     return out
 
 
-def irn_pct_at_hop(run, hop: int) -> float:
-    """Percentage of interested nodes reached within `hop` hops; zero at
-    hop 0 by definition."""
-    if hop <= 0 or run.denominator == 0:
-        return 0.0
-    within = sum(1 for n in run.reached if run.hops[n] <= hop)
-    return 100.0 * within / run.denominator
+def _irn_pct_within(run, last_hop: int) -> list[float]:
+    """Percentage of interested nodes reached within 1, 2, ..., `last_hop`
+    hops, from one hop histogram of the run."""
+    if run.denominator == 0:
+        return [0.0] * last_hop
+    counts = [0] * (last_hop + 1)
+    for n in run.reached:
+        counts[run.hops[n]] += 1
+    return [100.0 * within / run.denominator for within in accumulate(counts)][1:]
 
 
 def irn_by_hop(runs: Iterable,
@@ -108,11 +111,13 @@ def irn_by_hop(runs: Iterable,
                     for n in run.reached), default=1)
     out = []
     for label in sorted(groups):
+        curves = [(run.replicate, _irn_pct_within(run, last_hop))
+                  for run in groups[label]]
         xs, ys, cis = [], [], []
         for hop in range(1, last_hop + 1):
             by_rep: dict[int, list[float]] = {}
-            for run in groups[label]:
-                by_rep.setdefault(run.replicate, []).append(irn_pct_at_hop(run, hop))
+            for replicate, curve in curves:
+                by_rep.setdefault(replicate, []).append(curve[hop - 1])
             y, ci = _aggregate(by_rep)
             xs.append(hop)
             ys.append(y)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 from .humangraph import FriendshipGraph
 from .interests import InterestDescriptor, read_profiles_csv, write_profiles_csv
-from .siotgraph import (SIoTGraph, read_devices_csv, read_siot_graph,
-                        write_devices_csv, write_siot_graph)
+from .siotgraph import (BASE_KINDS, SIoTGraph, read_devices_csv,
+                        read_siot_graph, write_devices_csv, write_siot_graph)
 from .trace import read_friendships_tsv, write_friendships_tsv
 
 FRIENDSHIPS_FILE = "friendships.tsv"
@@ -39,16 +39,9 @@ class Scenario:
         set is mode-independent; cached because graphs are fixed after
         construction."""
         if self._isolated is None:
-            connected: set[str] = set()
-            for u in self.friendships.nodes:
-                if self.friendships.degree(u) > 0:
-                    connected.add(u)
-            for edge in self.siot.edges():
-                oa = self.siot.devices[edge.device_a].owner
-                ob = self.siot.devices[edge.device_b].owner
-                if oa != ob:
-                    connected.add(oa)
-                    connected.add(ob)
+            connected = {u for u in self.friendships.nodes
+                         if self.friendships.degree(u) > 0}
+            connected.update(self.siot.select_kinds(BASE_KINDS).owner_contacts())
             self._isolated = self.users - connected
         return self._isolated
 

@@ -1,5 +1,6 @@
 """Device layer: device instantiation from users and typed social-object
-relationship edges (POR, C-LOR, OOR, SOR, plus protocol-established C-IOR).
+relationship edges (POR, C-LOR, OOR, SOR). Protocol-established C-IOR links
+are never stored here; a round returns them as a list of its own.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class SIoTEdge:
     device_a: str
     device_b: str
     kinds: frozenset[RelationshipKind]
-    cior_interests: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.device_a >= self.device_b:
@@ -192,29 +192,23 @@ class SIoTGraph:
     def __init__(self, devices: Mapping[str, Device]):
         self.devices = dict(devices)
         self._edges: dict[tuple[str, str], SIoTEdge] = {}
-        self._views: dict[tuple[frozenset[RelationshipKind], int | None],
-                          SIoTView] = {}
+        self._views: dict[frozenset[RelationshipKind], SIoTView] = {}
         self.owner_devices: dict[str, list[str]] = {}
         for d in sorted(self.devices.values(), key=lambda d: d.device_id):
             self.owner_devices.setdefault(d.owner, []).append(d.device_id)
 
-    def add_edge(self, a: str, b: str, kind: RelationshipKind,
-                 interests: Iterable[int] = ()) -> None:
+    def add_edge(self, a: str, b: str, kind: RelationshipKind) -> None:
+        if kind is RelationshipKind.CIOR:
+            raise ValueError("C-IOR links are not stored in the device graph")
         if a == b:
             raise ValueError(f"self-edge on device {a!r}")
         if a not in self.devices or b not in self.devices:
             raise ValueError(f"unknown device in edge ({a!r}, {b!r})")
         if a > b:
             a, b = b, a
-        interests = frozenset(interests)
-        if kind is not RelationshipKind.CIOR and interests:
-            raise ValueError("only C-IOR edges carry interests")
         old = self._edges.get((a, b))
-        if old is None:
-            edge = SIoTEdge(a, b, frozenset({kind}), interests)
-        else:
-            edge = SIoTEdge(a, b, old.kinds | {kind}, old.cior_interests | interests)
-        self._edges[(a, b)] = edge
+        kinds = frozenset({kind}) if old is None else old.kinds | {kind}
+        self._edges[(a, b)] = SIoTEdge(a, b, kinds)
         for view in self._views.values():
             view._clear()
 
@@ -233,53 +227,38 @@ class SIoTGraph:
         g._edges = dict(self._edges)
         return g
 
-    def select_kinds(self, kinds: Iterable[RelationshipKind],
-                     interest: int | None = None) -> "SIoTView":
-        """The view of the given kinds, one per (kinds, interest) and kept
-        until the graph is discarded. The interest matters only when C-IOR
-        is among the kinds."""
-        kinds = frozenset(kinds)
-        if RelationshipKind.CIOR not in kinds:
-            interest = None
-        view = self._views.get((kinds, interest))
+    def select_kinds(self, kinds: Iterable[RelationshipKind]) -> "SIoTView":
+        """The view of the given kinds, one per kind set and kept until the
+        graph is discarded. C-IOR is dropped from the set, since the graph
+        holds no C-IOR edge."""
+        kinds = frozenset(kinds) - {RelationshipKind.CIOR}
+        view = self._views.get(kinds)
         if view is None:
-            view = self._views[(kinds, interest)] = SIoTView(self, kinds, interest)
+            view = self._views[kinds] = SIoTView(self, kinds)
         return view
 
 
 class SIoTView:
     """Read-only view of a SIoTGraph exposing only edges carrying at least
-    one selected kind. C-IOR edges additionally require the view's interest
-    (when set) to be among the edge's interests.
+    one selected kind.
 
     The sorted neighbour tuples and the owner projection are built on first
     use and shared by every caller; they must not be mutated. Adding an
     edge to the graph drops them."""
 
-    def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind],
-                 interest: int | None = None):
+    def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind]):
         self.graph = graph
         self.kinds = frozenset(kinds)
-        self.interest = interest
         if not self.kinds:
-            raise ValueError("kind selection must be non-empty")
+            raise ValueError("kind selection must name a base kind")
         self._clear()
 
     def _clear(self) -> None:
         self._neighbors: dict[str, tuple[str, ...]] | None = None
         self._contacts: dict[str, tuple[str, ...]] | None = None
 
-    def _visible(self, edge: SIoTEdge) -> bool:
-        base = edge.kinds & (self.kinds - {RelationshipKind.CIOR})
-        if base:
-            return True
-        if (RelationshipKind.CIOR in self.kinds
-                and RelationshipKind.CIOR in edge.kinds):
-            return self.interest is None or self.interest in edge.cior_interests
-        return False
-
     def edges(self) -> list[SIoTEdge]:
-        return [e for e in self.graph.edges() if self._visible(e)]
+        return [e for e in self.graph.edges() if e.kinds & self.kinds]
 
     def neighbors(self, device: str) -> tuple[str, ...]:
         if self._neighbors is None:
@@ -311,8 +290,7 @@ def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, 
 def build_siot_graph(devices: Mapping[str, Device], colocations: Sequence[CoLocation],
                      sor_threshold: int = DEFAULT_SOR_THRESHOLD,
                      clor_radius_m: float = DEFAULT_CLOR_RADIUS_M) -> SIoTGraph:
-    """Assemble the device graph from the trace-derived relationship rules.
-    C-IOR edges are added later by the protocol, never here."""
+    """Assemble the device graph from the trace-derived relationship rules."""
     g = SIoTGraph(devices)
     for a, b in establish_por(devices):
         g.add_edge(a, b, RelationshipKind.POR)
@@ -355,35 +333,27 @@ def read_devices_csv(path: str | Path) -> dict[str, Device]:
 
 
 def write_siot_graph(graph: SIoTGraph, path: str | Path) -> None:
-    """Line-oriented export `device_a,device_b,kind[,interest_id]`, one line
-    per edge kind (C-IOR lines are repeated per interest)."""
+    """Line-oriented export `device_a,device_b,kind`, one line per edge
+    kind."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for edge in graph.edges():
             for kind in sorted(edge.kinds, key=lambda k: k.value):
-                if kind is RelationshipKind.CIOR:
-                    for interest in sorted(edge.cior_interests):
-                        fh.write(f"{edge.device_a},{edge.device_b},{kind.value},{interest}\n")
-                else:
-                    fh.write(f"{edge.device_a},{edge.device_b},{kind.value}\n")
+                fh.write(f"{edge.device_a},{edge.device_b},{kind.value}\n")
 
 
 def read_siot_graph(path: str | Path, devices: Mapping[str, Device]) -> SIoTGraph:
+    """Load a `write_siot_graph` export. A malformed line, a C-IOR line or
+    an unknown device is an error naming the file and line."""
     g = SIoTGraph(devices)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) == 3:
-                a, b, kind_text = parts
+            try:
+                a, b, kind_text = line.split(",")
                 g.add_edge(a, b, parse_kind(kind_text))
-            elif len(parts) == 4:
-                a, b, kind_text, interest = parts
-                kind = parse_kind(kind_text)
-                if kind is not RelationshipKind.CIOR:
-                    raise ValueError(f"{path}: interest on non-C-IOR line {line!r}")
-                g.add_edge(a, b, kind, (int(interest),))
-            else:
-                raise ValueError(f"{path}: malformed edge line {line!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad edge line {line!r} "
+                                 f"({exc})") from exc
     return g

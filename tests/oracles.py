@@ -136,8 +136,8 @@ def oracle_flood(graph, kinds, source_device, decisions, ttl) -> dict:
     """Receivers of a token flood and their hop counts, by per-level sweeps
     over the raw edge list (never a kind-filtered view).
 
-    An edge carries the token iff it has one of `kinds`; a C-IOR edge thus
-    counts only when C-IOR is among `kinds`, whatever its interests. The
+    An edge carries the token iff it has one of `kinds`; the device graph
+    holds no C-IOR edge, so naming C-IOR in `kinds` changes nothing. The
     source always sends; any other device forwards at hop h < ttl iff its
     decision `forwards(device, h)` holds."""
     kinds = set(kinds)

@@ -19,15 +19,15 @@ from conftest import (checkin, cior_pairs, corpus_of, make_devices, mobile,
 from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
                      oracle_reach)
 from siotsim import cli
-from siotsim.experiment import (ExperimentConfig, Mode, run_campaign,
-                                run_source)
+from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
+                                run_campaign, run_source)
 from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
                                 ReachContext, giant_component_pct,
                                 interest_reach)
 from siotsim.interests import cosine_similarity
-from siotsim.protocol import (evaluate_candidates, make_token, propagate_vuip,
-                              run_cior_round)
-from siotsim.report import irn_by_hop, irn_pct_at_hop, mean_hops_comparison, mean_irn_pct
+from siotsim.protocol import (CiorEdge, evaluate_candidates, make_token,
+                              propagate_vuip, run_cior_round)
+from siotsim.report import irn_by_hop, mean_hops_comparison, mean_irn_pct
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
@@ -108,20 +108,17 @@ def test_criterion_01_dominance_suite():
     assert elapsed < 30.0, f"dominance suite took {elapsed:.1f}s"
 
 
-def _raw_owner_contacts(graph: SIoTGraph, kinds, interest):
-    """Owner projection re-derived from the raw edge list (independent of
-    the view machinery): a base-kind match or a C-IOR edge carrying the
-    interest links the two owners."""
+def _raw_owner_contacts(graph: SIoTGraph, kinds, cior_edges, interest):
+    """Owner projection re-derived from the raw edge lists (independent of
+    the view machinery): a device edge of a selected kind, or a C-IOR edge
+    of the round carrying the interest, links the two owners."""
+    pairs = [(e.device_a, e.device_b) for e in graph.edges() if e.kinds & kinds]
+    pairs += [(e.source_device, e.requester_device) for e in cior_edges
+              if interest in e.interests]
     contacts: dict[str, set[str]] = {}
-    for e in graph.edges():
-        usable = bool(e.kinds & (kinds - {RelationshipKind.CIOR}))
-        if not usable and RelationshipKind.CIOR in kinds \
-                and RelationshipKind.CIOR in e.kinds:
-            usable = interest in e.cior_interests
-        if not usable:
-            continue
-        oa = graph.devices[e.device_a].owner
-        ob = graph.devices[e.device_b].owner
+    for a, b in pairs:
+        oa = graph.devices[a].owner
+        ob = graph.devices[b].owner
         if oa != ob:
             contacts.setdefault(oa, set()).add(ob)
             contacts.setdefault(ob, set()).add(oa)
@@ -153,16 +150,19 @@ def test_criterion_02_reachability_oracle():
             authorizes = auth_map.authorizes
 
         if trial % 2 == 0:
-            # device-layer fixture exercised through run_source
+            # device-layer fixture exercised through run_source, with the
+            # C-IOR links a round would return
             siot = random_device_graph(rnd, n, min(0.2, 4.0 / n))
+            links = []
             for _ in range(rnd.randrange(0, 3)):
                 a, b = rnd.sample(sorted(siot.devices), 2)
                 if siot.devices[a].owner != siot.devices[b].owner:
-                    siot.add_edge(a, b, RelationshipKind.CIOR,
-                                  interests=(rnd.choice([3, 9]),))
+                    links.append(CiorEdge(a, b, frozenset({rnd.choice([3, 9])}), 1))
             kinds = frozenset(rnd.sample(sorted(RelationshipKind, key=lambda k: k.value),
                                          rnd.randrange(1, 6)))
-            extra = _raw_owner_contacts(siot, kinds, 3)
+            if RelationshipKind.CIOR not in kinds:
+                links = []
+            extra = _raw_owner_contacts(siot, kinds, links, 3)
             ctx = ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
                                frozenset(holders), authorizes, max_hops, extra)
             direct, best = interest_reach(source, ctx)
@@ -171,8 +171,9 @@ def test_criterion_02_reachability_oracle():
                             for u in users}
                 scn = Scenario(graph, siot, profiles)
                 mode = Mode.enhanced(kinds, cior=RelationshipKind.CIOR in kinds)
-                run = run_source(source, 3, mode, scn, auth_map,
-                                 max_hops=max_hops)
+                context = build_reach_context(scn, 3, mode, auth_map, max_hops,
+                                              links)
+                run = run_source(source, 3, mode, scn, context)
                 assert run.reached == frozenset(best) - {source}
                 assert run.hops == {k: v for k, v in best.items() if k != source}
         else:
@@ -184,8 +185,9 @@ def test_criterion_02_reachability_oracle():
                 profiles = {u: profile(u, {3} if u in holders else {9})
                             for u in users}
                 scn = Scenario(graph, SIoTGraph(make_devices(users)), profiles)
-                run = run_source(source, 3, Mode.friendships(), scn, auth_map,
-                                 max_hops=max_hops)
+                mode = Mode.friendships()
+                context = build_reach_context(scn, 3, mode, auth_map, max_hops)
+                run = run_source(source, 3, mode, scn, context)
                 assert run.reached == frozenset(best) - {source}
                 assert run.hops == {k: v for k, v in best.items() if k != source}
 
@@ -247,7 +249,7 @@ def test_criterion_04_protocol_invariants():
         source_dev = mobile(source_user)
         policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6))
         decisions = AuthorizationMap(policy, seed=trial, replicate=0)
-        view = graph.select_kinds(set(RelationshipKind) - {RelationshipKind.CIOR})
+        view = graph.select_kinds(BASE_KINDS)
 
         token = make_token(profile(source_user, {3}), trial, 0, source_dev, 6)
         trace = propagate_vuip(source_dev, view, token, decisions)
@@ -424,7 +426,6 @@ def test_criterion_06_fig23_qualitative():
     # (c) hop curves: cumulative reach never decreases with the hop index
     for run in spread_runs.runs:
         for hop in range(0, 6):
-            assert irn_pct_at_hop(run, hop) <= irn_pct_at_hop(run, hop + 1)
             within_lo = {n for n in run.reached if run.hops[n] <= hop}
             within_hi = {n for n in run.reached if run.hops[n] <= hop + 1}
             assert within_lo <= within_hi
@@ -510,7 +511,7 @@ def test_criterion_08_giant_component():
                                      scn.profiles, decisions, interest=3)
         assert scn.siot.edges() == base_edges
         device_pairs = {(e.device_a, e.device_b) for e in
-                        scn.siot.select_kinds(set(RelationshipKind), interest=3).edges()}
+                        scn.siot.select_kinds(set(RelationshipKind)).edges()}
         device_pairs |= cior_pairs(e for e in established if 3 in e.interests)
         device_edges = set()
         for a, b in device_pairs:

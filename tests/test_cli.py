@@ -239,6 +239,23 @@ def test_kinds_naming_cior_gives_the_same_results(tmp_path):
     assert results["cior"] == results["plain"]
 
 
+def test_run_rejects_a_cior_line_in_the_device_graph(tmp_path, capsys):
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--communities", 2, "--nodes", 3, "--seed", 1,
+                    "--out", scn]) == 0
+    graph = scn / "siot_graph.csv"
+    lines = graph.read_text(encoding="utf-8").splitlines()
+    lines.append("c00n000:mobile,c01n000:mobile,C-IOR")
+    graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 1\n", encoding="utf-8")
+    rc = run_cli(["run", "--config", cfg, "--scenario", scn,
+                  "--out", tmp_path / "out"])
+    assert rc == 2
+    assert f"{graph}:{len(lines)}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def _series_rows(path: Path) -> list[list[str]]:
     return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
 

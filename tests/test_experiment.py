@@ -5,11 +5,12 @@ import random
 import pytest
 
 from conftest import make_devices, mobile, profile
-from siotsim.experiment import (ExperimentConfig, Mode,
+from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 load_config, result_csv_text, run_campaign,
                                 run_source, select_sources)
-from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
-                                FriendshipGraph, ReachContext)
+from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
+                                AuthorizationPolicy, FriendshipGraph,
+                                ReachContext)
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import RelationshipKind, SIoTGraph
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
@@ -40,8 +41,10 @@ def test_enhanced_without_device_edges_reduces_to_friendships():
     pairs = [("u0", "u1"), ("u1", "u2"), ("u3", "u4")]
     scn = scenario_without_siot_edges(users, pairs, set(users))
     auth = full_auth()
-    friend = run_source("u0", 3, Mode.friendships(), scn, auth)
-    enhanced = run_source("u0", 3, Mode.enhanced(), scn, auth)
+    friend, enhanced = (
+        run_source("u0", 3, mode, scn,
+                   build_reach_context(scn, 3, mode, auth, DEFAULT_MAX_HOPS))
+        for mode in (Mode.friendships(), Mode.enhanced()))
     assert friend.reached == enhanced.reached
     assert friend.hops == enhanced.hops
 
@@ -96,8 +99,10 @@ def test_cior_link_shortens_hops_to_one():
 
 def test_run_source_requires_interested_source():
     scn = scenario_without_siot_edges(["a", "b"], [("a", "b")], {"b"})
+    context = build_reach_context(scn, 3, Mode.friendships(), full_auth(),
+                                  DEFAULT_MAX_HOPS)
     with pytest.raises(ValueError):
-        run_source("a", 3, Mode.friendships(), scn, full_auth())
+        run_source("a", 3, Mode.friendships(), scn, context)
 
 
 def test_campaign_single_source_single_replicate():
@@ -315,21 +320,21 @@ def test_cached_views_and_adjacency_see_edges_added_later():
     friendships = FriendshipGraph.from_pairs(users, [("a", "b")])
     siot = SIoTGraph(make_devices(users))
     siot.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
-    kinds = {RelationshipKind.SOR, RelationshipKind.CIOR}
-    view = siot.select_kinds(kinds, interest=3)
+    kinds = {RelationshipKind.SOR, RelationshipKind.POR}
+    view = siot.select_kinds(kinds)
     assert view.neighbors(mobile("a")) == (mobile("b"),)
     assert view.owner_contacts() == {"a": ("b",), "b": ("a",)}
     ctx = ReachContext.for_graph(friendships, users, full_auth())
     assert ctx.adjacency == {"a": ("b",), "b": ("a",), "c": ()}
 
-    siot.add_edge(mobile("b"), mobile("c"), RelationshipKind.CIOR, interests=(3,))
+    siot.add_edge(mobile("b"), mobile("c"), RelationshipKind.POR)
     friendships.add_edge("b", "c")
 
-    again = siot.select_kinds(kinds, interest=3)
+    again = siot.select_kinds(kinds)
+    assert again is view
     assert again.neighbors(mobile("b")) == (mobile("a"), mobile("c"))
     assert again.owner_contacts() == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
-    assert view.owner_contacts() == again.owner_contacts()
-    assert siot.select_kinds(kinds, interest=6).owner_contacts() == {
+    assert siot.select_kinds({RelationshipKind.SOR}).owner_contacts() == {
         "a": ("b",), "b": ("a",)}
     ctx = ReachContext.for_graph(friendships, users, full_auth())
     assert ctx.adjacency == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}

@@ -7,10 +7,11 @@ import pytest
 from conftest import random_friend_graph, random_nonincreasing
 from conftest import make_devices, profile
 from oracles import oracle_giant_pct, oracle_reach
-from siotsim.experiment import Mode, run_source
-from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
-                                FriendshipGraph, ReachContext, cooperates,
-                                giant_component_pct, interest_reach)
+from siotsim.experiment import Mode, build_reach_context, run_source
+from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
+                                AuthorizationPolicy, FriendshipGraph,
+                                ReachContext, cooperates, giant_component_pct,
+                                interest_reach)
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import SIoTGraph
 
@@ -182,8 +183,10 @@ def test_source_must_hold_interest():
     g = graph_of(("s", "a"))
     scn = Scenario(g, SIoTGraph(make_devices(["s", "a"])),
                    {"s": profile("s", {9}), "a": profile("a", {3})})
+    context = build_reach_context(scn, 3, Mode.friendships(), all_yes(),
+                                  DEFAULT_MAX_HOPS)
     with pytest.raises(ValueError):
-        run_source("s", 3, Mode.friendships(), scn, all_yes())
+        run_source("s", 3, Mode.friendships(), scn, context)
 
 
 def test_direct_and_indirect_disjoint_subsets_of_holders():

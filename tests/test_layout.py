@@ -1,12 +1,16 @@
 """Source layout checks: every module-level function and class in
-`src/siotsim` is used by the program itself, not only by its tests."""
+`src/siotsim` is used by the program itself, not only by its tests, and
+every name the bench tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "siotsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "siotsim"
 
 # Secondary metrics of the paper that `run` does not write yet; ROADMAP
 # direction 4 has the CLI write them.
@@ -43,3 +47,21 @@ def unused_definitions() -> list[str]:
 
 def test_every_module_level_definition_is_used_by_the_package():
     assert unused_definitions() == []
+
+
+def test_every_name_the_bench_tracer_wraps_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, *_ in tracer.SPANS + tracer.COUNTERS:
+        mod = importlib.import_module(f"{tracer.PROGRAM}.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(mod, cls_name, object))
+        else:
+            found = callable(getattr(mod, attr, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from siotsim.report import (MetricSeries, emit_csv, emit_plot_data,
-                            irn_by_hop, irn_pct_at_hop,
-                            mean_hops_comparison, mean_irn_pct,
+                            irn_by_hop, mean_hops_comparison, mean_irn_pct,
                             plot_data_text)
 
 
@@ -94,10 +93,10 @@ def test_groups_split_by_series_keys():
 
 
 def test_irn_at_hop_zero_is_zero():
-    run = reach({"a": 1, "b": 3}, 4)
-    assert irn_pct_at_hop(run, 0) == 0.0
-    assert irn_pct_at_hop(run, 1) == 25.0
-    assert irn_pct_at_hop(run, 3) == 50.0
+    # nothing is reached within zero hops, so the curve starts at hop 1
+    series = irn_by_hop([reach({"a": 1, "b": 3}, 4)])[0]
+    assert series.x == (1, 2, 3)
+    assert series.y == (25.0, 25.0, 50.0)
 
 
 def test_irn_by_hop_flat_when_everything_at_hop_one():
@@ -131,10 +130,25 @@ def test_irn_by_hop_increases_along_chain():
 def test_irn_by_hop_monotone_on_random_runs():
     rnd = random.Random(8)
     runs = [reach({f"n{i}": rnd.randrange(1, 6) for i in range(rnd.randrange(6))},
-                  8, replicate=rnd.randrange(3)) for _ in range(20)]
-    for series in irn_by_hop(runs):
+                  rnd.randrange(0, 9), replicate=rnd.randrange(3),
+                  mode=rnd.choice(["friendships", "enhanced"]))
+            for _ in range(40)]
+    series_list = irn_by_hop(runs)
+    assert {s.label for s in series_list} == {"friendships|-|-", "enhanced|-|-"}
+    for series in series_list:
         assert all(series.y[i] <= series.y[i + 1]
                    for i in range(len(series.y) - 1))
+        # brute force: count each run's nodes within the hop, then average
+        # sources within a replicate and replicates
+        group = [r for r in runs if series.label == f"{r.mode}|-|-"]
+        for hop, y in zip(series.x, series.y):
+            by_rep: dict[int, list[float]] = {}
+            for r in group:
+                within = sum(1 for n in r.reached if r.hops[n] <= hop)
+                pct = 100.0 * within / r.denominator if r.denominator else 0.0
+                by_rep.setdefault(r.replicate, []).append(pct)
+            means = [sum(v) / len(v) for v in by_rep.values()]
+            assert y == pytest.approx(sum(means) / len(means))
 
 
 def test_hop_comparison_identical_runs_give_ratio_one():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -125,15 +126,18 @@ def test_select_kinds_filtering():
         g.select_kinds(set())
 
 
-def test_cior_edges_gated_by_interest_in_views():
-    devices = make_devices(["a", "b"])
-    g = SIoTGraph(devices)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.CIOR, interests=(3,))
-    view3 = g.select_kinds({RelationshipKind.CIOR}, interest=3)
-    view6 = g.select_kinds({RelationshipKind.CIOR}, interest=6)
-    assert len(view3.edges()) == 1
-    assert view6.edges() == []
-    assert view3.owner_contacts() == {"a": ("b",), "b": ("a",)}
+def test_cior_is_never_stored_and_never_keys_a_view():
+    g = SIoTGraph(make_devices(["a", "b"]))
+    with pytest.raises(ValueError):
+        g.add_edge(mobile("a"), mobile("b"), RelationshipKind.CIOR)
+    assert g.edges() == []
+    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+    view = g.select_kinds({RelationshipKind.SOR})
+    assert g.select_kinds({RelationshipKind.SOR, RelationshipKind.CIOR}) is view
+    assert view.kinds == {RelationshipKind.SOR}
+    assert g.kind_counts()[RelationshipKind.CIOR] == 0
+    with pytest.raises(ValueError):
+        g.select_kinds({RelationshipKind.CIOR})
 
 
 def test_kind_monotonicity_of_views():
@@ -189,7 +193,7 @@ def test_graph_export_roundtrip(tmp_path):
     devices = make_devices(["a", "b", "c"])
     g = SIoTGraph(devices)
     g.add_edge(mobile("a"), mobile("b"), RelationshipKind.POR)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.CIOR, interests=(3, 6))
+    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     g.add_edge(fixed("b"), fixed("c"), RelationshipKind.CLOR)
     dev_path, graph_path = tmp_path / "devices.csv", tmp_path / "graph.csv"
     write_devices_csv(devices, dev_path)
@@ -198,6 +202,20 @@ def test_graph_export_roundtrip(tmp_path):
     g2 = read_siot_graph(graph_path, devices2)
     assert devices2 == devices
     assert g2.edges() == g.edges()
+
+
+@pytest.mark.parametrize("bad_line", [
+    "a:mobile,b:mobile,C-IOR",
+    "a:mobile,b:mobile,C-IOR,3",
+    "a:mobile,b:mobile,POR,3",
+    "a:mobile,ghost:mobile,POR",
+])
+def test_read_siot_graph_names_the_file_and_line_of_bad_input(tmp_path, bad_line):
+    devices = make_devices(["a", "b"])
+    path = tmp_path / "graph.csv"
+    path.write_text(f"a:mobile,b:mobile,POR\n\n{bad_line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        read_siot_graph(path, devices)
 
 
 def test_parse_kind_roundtrip():
@@ -213,5 +231,3 @@ def test_add_edge_validations():
         g.add_edge(mobile("a"), mobile("a"), RelationshipKind.POR)
     with pytest.raises(ValueError):
         g.add_edge(mobile("a"), "ghost", RelationshipKind.POR)
-    with pytest.raises(ValueError):
-        g.add_edge(mobile("a"), fixed("a"), RelationshipKind.POR, interests=(3,))
