@@ -9,7 +9,7 @@ import csv
 import io
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, KeysView, Mapping, Sequence
 
 from . import rng
 from .humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
@@ -68,6 +68,14 @@ class SweepPoint:
     max_hops: int
 
 
+def irn_percentage(reached_count: int, denominator: int) -> float:
+    """Percentage of the interested nodes a source reached. `run` and
+    `report` both aggregate this exact value, never its rounded text."""
+    if denominator == 0:
+        return 0.0
+    return 100.0 * reached_count / denominator
+
+
 @dataclass(frozen=True)
 class SourceRun:
     campaign: str
@@ -78,21 +86,22 @@ class SourceRun:
     sweep_value: str
     replicate: int
     source: str
-    reached: frozenset[str]
-    hops: dict[str, int]
+    hops: dict[str, int]  # every reached node, the source excluded
     denominator: int
 
     @property
+    def reached(self) -> KeysView[str]:
+        return self.hops.keys()
+
+    @property
     def irn_pct(self) -> float:
-        if self.denominator == 0:
-            return 0.0
-        return 100.0 * len(self.reached) / self.denominator
+        return irn_percentage(len(self.hops), self.denominator)
 
     @property
     def mean_hops(self) -> float | None:
-        if not self.reached:
+        if not self.hops:
             return None
-        return sum(self.hops[n] for n in self.reached) / len(self.reached)
+        return sum(self.hops.values()) / len(self.hops)
 
 
 @dataclass
@@ -307,7 +316,6 @@ def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
     if source not in context.holders:
         raise ValueError(f"source {source!r} does not hold interest {interest}")
     _, best = interest_reach(source, context)
-    reached = frozenset(best) - {source}
     eligible = context.holders - {source}
     if not include_isolated:
         eligible -= scenario.isolated_users()
@@ -320,8 +328,7 @@ def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
         sweep_value=sweep_value,
         replicate=replicate,
         source=source,
-        reached=reached,
-        hops={n: best[n] for n in reached},
+        hops={n: h for n, h in best.items() if n != source},
         denominator=len(eligible),
     )
 
@@ -430,8 +437,11 @@ class ResultRow:
     source: str
     reached_count: int
     denominator: int
-    irn_pct: float
     mean_hops: float | None
+
+    @property
+    def irn_pct(self) -> float:
+        return irn_percentage(self.reached_count, self.denominator)
 
 
 def read_result_csv(path: str | Path) -> list[ResultRow]:
@@ -442,10 +452,14 @@ def read_result_csv(path: str | Path) -> list[ResultRow]:
         if header != RESULT_HEADER:
             raise ValueError(f"{path}: unexpected result header {header}")
         for rec in reader:
-            (campaign, interest, mode, kinds, sweep_var, sweep_value,
-             replicate, source, reached, denominator, irn_pct, mean_hops) = rec
-            rows.append(ResultRow(
-                campaign, int(interest), mode, kinds, sweep_var, sweep_value,
-                int(replicate), source, int(reached), int(denominator),
-                float(irn_pct), float(mean_hops) if mean_hops else None))
+            try:
+                (campaign, interest, mode, kinds, sweep_var, sweep_value,
+                 replicate, source, reached, denominator, _, mean_hops) = rec
+                rows.append(ResultRow(
+                    campaign, int(interest), mode, kinds, sweep_var, sweep_value,
+                    int(replicate), source, int(reached), int(denominator),
+                    float(mean_hops) if mean_hops else None))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad result row "
+                                 f"{rec!r} ({exc})") from exc
     return rows

@@ -45,34 +45,12 @@ class VuipToken:
             raise ValueError("ttl must be >= 0")
 
 
-@dataclass(frozen=True)
-class RelayRecord:
-    holder: str
-    token_id: str
-    previous_hop: str
-    received_ttl: int
-
-    def __post_init__(self) -> None:
-        if self.previous_hop == self.holder:
-            raise ValueError("relay record cannot point at its own holder")
-
-
-@dataclass(frozen=True)
-class CiorRequest:
-    requester: str  # device id; the requester's identity travels openly
-    token_id: str
-    interest: int | None
-
-
 @dataclass
 class PropagationTrace:
     token_id: str
     source_device: str
-    initial_ttl: int
-    records: dict[str, RelayRecord] = field(default_factory=dict)
+    records: dict[str, str] = field(default_factory=dict)  # receiver -> previous hop
     hops: dict[str, int] = field(default_factory=dict)
-    evaluated: set[str] = field(default_factory=set)
-    established: list["CiorEdge"] = field(default_factory=list)
 
     def receivers(self) -> list[str]:
         return sorted(self.records)
@@ -100,8 +78,7 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
         raise ValueError("propagation needs ttl >= 1")
     if source_device not in view.graph.devices:
         raise ValueError(f"unknown source device: {source_device!r}")
-    trace = PropagationTrace(token.token_id, source_device, token.ttl)
-    seen = {source_device}
+    trace = PropagationTrace(token.token_id, source_device)
     queue: deque[tuple[str, int]] = deque([(source_device, 0)])
     while queue:
         holder, hop = queue.popleft()
@@ -110,15 +87,9 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
         if holder != source_device and not decisions.forwards(holder, hop):
             continue
         for neighbor in view.neighbors(holder):
-            if neighbor in seen:
+            if neighbor in trace.records or neighbor == source_device:
                 continue
-            seen.add(neighbor)
-            trace.records[neighbor] = RelayRecord(
-                holder=neighbor,
-                token_id=token.token_id,
-                previous_hop=holder,
-                received_ttl=token.ttl - (hop + 1),
-            )
+            trace.records[neighbor] = holder
             trace.hops[neighbor] = hop + 1
             queue.append((neighbor, hop + 1))
     return trace
@@ -132,54 +103,51 @@ def make_token(owner_profile: InterestDescriptor, seed: int, replicate: int,
 
 def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
                         profiles: Mapping[str, InterestDescriptor],
-                        token: VuipToken,
+                        token: VuipToken, interest: int,
                         sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-                        interest: int | None = None) -> list[CiorRequest]:
-    """Decide which receiving devices request a co-interest link.
+                        ) -> list[str]:
+    """Return the ids of the receiving devices that request a co-interest
+    link, in receiver order.
 
     A receiver requests iff the cosine similarity between its owner's
-    profile and the token payload reaches `sim_threshold` (inclusive) and,
-    when `interest` is given, its owner holds that interest. The source
-    owner's own devices never request.
+    profile and the token payload reaches `sim_threshold` (inclusive) and
+    its owner holds `interest`. The source owner's own devices never
+    request.
     """
     source_owner = graph.devices[trace.source_device].owner
-    requests: list[CiorRequest] = []
+    requests: list[str] = []
     for holder in trace.receivers():
-        trace.evaluated.add(holder)
         owner = graph.devices[holder].owner
         if owner == source_owner:
             continue
         own = profiles.get(owner, _NO_PROFILE)
         if cosine_similarity(own, token.payload) < sim_threshold:
             continue
-        if interest is not None and interest not in own.held:
+        if interest not in own.held:
             continue
-        requests.append(CiorRequest(holder, token.token_id, interest))
+        requests.append(holder)
     return requests
 
 
-def backpropagate(request: CiorRequest, trace: PropagationTrace,
+def backpropagate(requester: str, trace: PropagationTrace,
                   graph: SIoTGraph,
                   profiles: Mapping[str, InterestDescriptor]) -> CiorEdge:
     """Walk the relay chain backwards from the requester to the source and
     return the established edge, annotated with the shared interests of the
     two owners."""
-    cur = request.requester
+    cur = requester
     steps = 0
     while cur != trace.source_device:
-        record = trace.records.get(cur)
-        if record is None or steps > len(trace.records):
-            raise RuntimeError(
-                f"broken relay chain for {request.requester!r} at {cur!r}")
-        cur = record.previous_hop
+        previous_hop = trace.records.get(cur)
+        if previous_hop is None or steps > len(trace.records):
+            raise RuntimeError(f"broken relay chain for {requester!r} at {cur!r}")
+        cur = previous_hop
         steps += 1
     source_owner = graph.devices[trace.source_device].owner
-    requester_owner = graph.devices[request.requester].owner
+    requester_owner = graph.devices[requester].owner
     shared = (profiles.get(source_owner, _NO_PROFILE).held
               & profiles.get(requester_owner, _NO_PROFILE).held)
-    edge = CiorEdge(trace.source_device, request.requester, frozenset(shared), steps)
-    trace.established.append(edge)
-    return edge
+    return CiorEdge(trace.source_device, requester, frozenset(shared), steps)
 
 
 def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
@@ -209,8 +177,8 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
                 continue
             token = make_token(own, decisions.seed, decisions.replicate, dev, ttl)
             trace = propagate_vuip(dev, view, token, decisions)
-            for req in evaluate_candidates(trace, graph, profiles, token,
-                                           sim_threshold, interest):
-                established.append(backpropagate(req, trace, graph, profiles))
+            for requester in evaluate_candidates(trace, graph, profiles, token,
+                                                 interest, sim_threshold):
+                established.append(backpropagate(requester, trace, graph, profiles))
     return established
 

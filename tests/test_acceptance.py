@@ -258,10 +258,13 @@ def test_criterion_04_protocol_invariants():
         assert all(1 <= h <= 6 for h in trace.hops.values())
 
         # evaluate-once: every receiver has exactly one record and one
-        # evaluation
+        # evaluation; every profile holds {3}, so each receiver not owned
+        # by the source user requests exactly once
         profiles = {u: profile(u, {3}) for u in users}
-        evaluate_candidates(trace, graph, profiles, token, interest=3)
-        assert trace.evaluated == set(trace.records)
+        requests = evaluate_candidates(trace, graph, profiles, token, interest=3)
+        assert len(requests) == len(set(requests))
+        assert set(requests) == {d for d in trace.records
+                                 if graph.devices[d].owner != source_user}
         assert len(trace.receivers()) == len(set(trace.receivers()))
 
         # anonymity: no field of any relay record held beyond the source's
@@ -269,9 +272,9 @@ def test_criterion_04_protocol_invariants():
         # anonymized payload carries no owner at all
         assert token.payload.owner is None
         first_neighbors = set(view.neighbors(source_dev))
-        for holder, record in trace.records.items():
+        for holder, previous_hop in trace.records.items():
             assert holder != source_dev
-            fields = (record.token_id, record.previous_hop, trace.hops[holder])
+            fields = (trace.token_id, previous_hop, trace.hops[holder])
             if holder not in first_neighbors:
                 assert source_dev not in fields
                 assert source_user not in fields

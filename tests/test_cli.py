@@ -175,21 +175,47 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "mystery_knob" in capsys.readouterr().err
 
 
+REPORT_CASES = [
+    (["--communities", 2, "--nodes", 4, "--intra-prob", 1.0, "--cross", "POR=1",
+      "--seed", 5],
+     "replicates = 2\nsweep = spread\nspread_values = 1.0, 0.1\n"),
+    # IRN percentages whose 6-digit text in results.csv would shift the last
+    # printed digit of the aggregate
+    (["--communities", 3, "--nodes", 9, "--intra-prob", 0.4,
+      "--cross", "POR=2,SOR=1", "--interest-prob", 0.7, "--seed", 1],
+     "replicates = 4\nsweep = spread\nspread_values = 1.0, 0.3\n"
+     "auth_prob_per_hop = 0.9, 0.6\n"),
+]
+
+
 def test_report_reaggregates_results(tmp_path):
-    scn = tmp_path / "scn"
-    assert run_cli(["synth", "--communities", 2, "--nodes", 4, "--intra-prob", 1.0,
-                    "--cross", "POR=1", "--seed", 5, "--out", scn]) == 0
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("replicates = 2\nsweep = spread\nspread_values = 1.0, 0.1\n",
-                   encoding="utf-8")
-    run_dir = tmp_path / "run"
-    assert run_cli(["run", "--config", cfg, "--scenario", scn, "--out", run_dir]) == 0
-    rep_dir = tmp_path / "rep"
-    assert run_cli(["report", "--results", run_dir / "results.csv",
-                    "--out", rep_dir]) == 0
-    # re-aggregating the persisted runs reproduces the run-time series
-    assert (rep_dir / "irn_series.csv").read_bytes() == \
-           (run_dir / "irn_series.csv").read_bytes()
+    for k, (synth_args, config) in enumerate(REPORT_CASES):
+        scn = tmp_path / f"scn{k}"
+        assert run_cli(["synth", *synth_args, "--out", scn]) == 0
+        cfg = tmp_path / f"cfg{k}.txt"
+        cfg.write_text(config, encoding="utf-8")
+        run_dir = tmp_path / f"run{k}"
+        assert run_cli(["run", "--config", cfg, "--scenario", scn, "--out", run_dir]) == 0
+        rep_dir = tmp_path / f"rep{k}"
+        assert run_cli(["report", "--results", run_dir / "results.csv",
+                        "--out", rep_dir]) == 0
+        # re-aggregating the persisted runs reproduces the run-time series
+        assert (rep_dir / "irn_series.csv").read_bytes() == \
+               (run_dir / "irn_series.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad_row", [
+    "c,3,friendships,,none,,0,s,2,4\n",
+    "c,3,friendships,,none,,0,s,two,4,50,1\n",
+], ids=["short-row", "non-integer-count"])
+def test_report_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, bad_row):
+    results = tmp_path / "results.csv"
+    results.write_text("campaign,interest,mode,kinds,sweep_var,sweep_value,"
+                       "replicate,source,reached,denominator,irn_pct,mean_hops\n"
+                       "c,3,friendships,,none,,0,s,1,4,25,1\n" + bad_row,
+                       encoding="utf-8")
+    assert run_cli(["report", "--results", results, "--out", tmp_path / "rep"]) == 2
+    assert f"{results}:3:" in capsys.readouterr().err
 
 
 def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):

@@ -1,12 +1,17 @@
 """Source layout checks: every module-level function and class in
-`src/siotsim` is used by the program itself, not only by its tests, and
-every name the bench tracer wraps exists."""
+`src/siotsim` is used by the program itself, not only by its tests, every
+name the bench tracer wraps exists, and the tracer's counts work on a real
+pipeline."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +70,42 @@ def test_every_name_the_bench_tracer_wraps_resolves():
         if not found:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_bench_tracer_counts_a_real_pipeline(tmp_path, monkeypatch):
+    """`ingest -> build-graph -> run` through `bench/tracer.py`, each stage
+    in its own process: every stage exits 0 and the dumps hold every count
+    the bench reports, including C-IOR requests."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    gen_trace = importlib.import_module("gen_trace")
+    bench = importlib.import_module("run")
+    inputs = tmp_path / "inputs"
+    gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), 0, inputs)
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text("interest = 4\ncior = true\nreplicates = 1\nsources = 3\n",
+                   encoding="utf-8")
+    stages = [
+        ["ingest", "--checkins", inputs / gen_trace.CHECKINS_FILE,
+         "--friendships", inputs / gen_trace.FRIENDSHIPS_FILE,
+         "--poi", inputs / gen_trace.POI_FILE, "--out", tmp_path / "ingest"],
+        ["build-graph", "--ingest", tmp_path / "ingest",
+         "--models", inputs / gen_trace.MODELS_FILE, "--out", tmp_path / "scenario"],
+        ["run", "--config", cfg, "--scenario", tmp_path / "scenario",
+         "--out", tmp_path / "results"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    counts: dict[str, float] = {}
+    for k, stage in enumerate(stages):
+        spans = tmp_path / f"spans{k}.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "tracer.py"), "--spans", str(spans),
+             "--workload", "layout", "--", *map(str, stage)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        dump = json.loads(spans.read_text(encoding="utf-8"))
+        for name, value in dump["counts"].items():
+            counts[name] = counts.get(name, 0) + value
+    assert [n for n in bench.LAYER_COUNTS if n not in counts] == []
+    assert counts["protocol.requests"] > 0

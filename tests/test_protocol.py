@@ -9,9 +9,9 @@ from conftest import (FixedDecisions, cior_pairs, make_devices, mobile,
                       profile, random_device_graph, random_nonincreasing)
 from oracles import oracle_flood
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
-from siotsim.protocol import (CiorRequest, PropagationTrace, VuipToken,
-                              backpropagate, evaluate_candidates, make_token,
-                              propagate_vuip, run_cior_round)
+from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
+                              evaluate_candidates, make_token, propagate_vuip,
+                              run_cior_round)
 from siotsim.interests import cosine_similarity
 from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 
@@ -83,7 +83,7 @@ def test_each_device_receives_once():
     assert len(trace.records) == len(set(trace.records))
     assert trace.hops[mobile("u3")] == 2
     # the previous hop of u3 is deterministic: the smaller neighbor id
-    assert trace.records[mobile("u3")].previous_hop == mobile("u1")
+    assert trace.records[mobile("u3")] == mobile("u1")
 
 
 def test_evaluate_similarity_and_interest_gate():
@@ -94,12 +94,9 @@ def test_evaluate_similarity_and_interest_gate():
     token = make_token(profiles["u0"], 0, 0, mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
 
-    requests = evaluate_candidates(trace, g, profiles, token, interest=None)
-    assert [r.requester for r in requests] == ["u1:fixed", mobile("u1")]
-
-    # interest-scoped: u1 holds 4, so interest 4 passes and interest 3 fails
-    assert [r.requester for r in
-            evaluate_candidates(trace, g, profiles, token, interest=4)] == ["u1:fixed", mobile("u1")]
+    # u1 holds 4, so interest 4 passes and interest 3 fails
+    assert evaluate_candidates(trace, g, profiles, token, interest=4) == \
+        ["u1:fixed", mobile("u1")]
     assert evaluate_candidates(trace, g, profiles, token, interest=3) == []
 
 
@@ -108,8 +105,8 @@ def test_evaluate_identical_profile_requests():
     profiles = {"u0": profile("u0", {3}), "u1": profile("u1", {3})}
     token = make_token(profiles["u0"], 0, 0, mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
-    requests = evaluate_candidates(trace, g, profiles, token, interest=3)
-    assert [r.requester for r in requests] == ["u1:fixed", mobile("u1")]
+    assert evaluate_candidates(trace, g, profiles, token, interest=3) == \
+        ["u1:fixed", mobile("u1")]
 
 
 def test_evaluate_boundary_inclusive_at_exactly_half():
@@ -117,8 +114,8 @@ def test_evaluate_boundary_inclusive_at_exactly_half():
     profiles = {"u0": profile("u0", {1, 2}), "u1": profile("u1", {2, 3})}
     token = make_token(profiles["u0"], 0, 0, mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
-    assert [r.requester for r in
-            evaluate_candidates(trace, g, profiles, token, interest=2)] == ["u1:fixed", mobile("u1")]
+    assert evaluate_candidates(trace, g, profiles, token, interest=2) == \
+        ["u1:fixed", mobile("u1")]
 
 
 def test_source_own_devices_never_request():
@@ -127,9 +124,8 @@ def test_source_own_devices_never_request():
     token = make_token(profiles["u0"], 0, 0, mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
     assert "u0:fixed" in trace.records  # reached via the owner edge
-    requesters = {r.requester for r in
-                  evaluate_candidates(trace, g, profiles, token, interest=3)}
-    assert "u0:fixed" not in requesters
+    assert "u0:fixed" not in evaluate_candidates(trace, g, profiles, token,
+                                                 interest=3)
 
 
 def test_evaluate_once_marks_every_receiver():
@@ -137,8 +133,12 @@ def test_evaluate_once_marks_every_receiver():
     profiles = {f"u{i}": profile(f"u{i}", {3}) for i in range(5)}
     token = make_token(profiles["u0"], 0, 0, mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
-    evaluate_candidates(trace, g, profiles, token, interest=3)
-    assert trace.evaluated == set(trace.records)
+    requests = evaluate_candidates(trace, g, profiles, token, interest=3)
+    # every receiver is evaluated once: each one not owned by u0 requests
+    # exactly once
+    assert len(requests) == len(set(requests))
+    assert set(requests) == {d for d in trace.records
+                             if g.devices[d].owner != "u0"}
 
 
 def test_backpropagate_walk_lengths():
@@ -147,28 +147,23 @@ def test_backpropagate_walk_lengths():
     token = make_token(profiles["u0"], 0, 0, mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
 
-    edge3 = backpropagate(CiorRequest(mobile("u3"), token.token_id, 3), trace,
-                          g, profiles)
+    edge3 = backpropagate(mobile("u3"), trace, g, profiles)
     assert edge3.walk_length == 3
     assert (edge3.source_device, edge3.requester_device) == (mobile("u0"), mobile("u3"))
     assert 3 in edge3.interests
 
-    edge1 = backpropagate(CiorRequest(mobile("u1"), token.token_id, 3), trace,
-                          g, profiles)
+    edge1 = backpropagate(mobile("u1"), trace, g, profiles)
     assert edge1.walk_length == 1
-    assert len(trace.established) == 2
-    assert {e.requester_device for e in trace.established} == {mobile("u1"), mobile("u3")}
-    for e in trace.established:
-        assert e.source_device == mobile("u0")
+    assert (edge1.source_device, edge1.requester_device) == (mobile("u0"), mobile("u1"))
+    assert 3 in edge1.interests
 
 
 def test_backpropagate_rejects_unknown_requester():
     g = chain_graph(3)
     token = anon_token()
-    trace = PropagationTrace(token.token_id, mobile("u0"), token.ttl)
+    trace = PropagationTrace(token.token_id, mobile("u0"))
     with pytest.raises(RuntimeError):
-        backpropagate(CiorRequest(mobile("u2"), token.token_id, 3), trace, g,
-                      {"u0": profile("u0", {3})})
+        backpropagate(mobile("u2"), trace, g, {"u0": profile("u0", {3})})
 
 
 def two_cliques_with_bridge():
@@ -258,8 +253,8 @@ def assert_anonymity(trace, graph):
     source_dev = trace.source_device
     source_owner = graph.devices[source_dev].owner
     first = source_first_neighbors(graph, source_dev)
-    for holder, record in trace.records.items():
-        for field in (record.token_id, record.previous_hop, trace.hops[holder]):
+    for holder, previous_hop in trace.records.items():
+        for field in (trace.token_id, previous_hop, trace.hops[holder]):
             if holder not in first:
                 assert field != source_dev
                 assert field != source_owner
