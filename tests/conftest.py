@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from siotsim.geo import GeoPoint
+from siotsim.geo import EARTH_RADIUS_M, GeoPoint
 from siotsim.humangraph import FriendshipGraph
 from siotsim.interests import InterestDescriptor
 from siotsim.siotgraph import FIXED, MOBILE, Device, SIoTGraph, device_id
@@ -68,6 +69,48 @@ def checkin(user: str, ts: float, lat: float, lon: float, place="p") -> CheckIn:
 
 def corpus_of(checkins, friendships=()) -> TraceCorpus:
     return TraceCorpus.build(checkins, friendships)
+
+
+# Where a fixed-radius search on the sphere goes wrong first: both sides of
+# the antimeridian (at +-179.9999 and at exactly +-180), beside and at each
+# pole, and plain mid-latitude ground for contrast.
+EDGE_ANCHORS = ((0.0, 0.0), (0.0, 179.9999), (0.0, -179.9999), (45.0, 180.0),
+                (-30.0, -180.0), (89.995, 0.0), (-89.995, 135.0), (90.0, 0.0),
+                (-90.0, -60.0), (60.0, 10.0))
+
+
+def _wrap_lon(lon: float) -> float:
+    return lon if -180.0 <= lon <= 180.0 else (lon + 180.0) % 360.0 - 180.0
+
+
+def scatter_points(rnd: random.Random, n: int, radius_m: float) -> list[GeoPoint]:
+    """`n` points around the edge anchors, spread over a few `radius_m`, so
+    that pairs straddle the rows and cells of any grid sized by the radius.
+    Some points repeat an earlier one exactly, and some lie one radius due
+    north or due east of an earlier one, where rounding decides."""
+    deg = math.degrees(max(radius_m, 1.0) / EARTH_RADIUS_M)
+    points: list[GeoPoint] = []
+    while len(points) < n:
+        pick = rnd.random()
+        if points and pick < 0.15:
+            points.append(rnd.choice(points))
+            continue
+        if points and pick < 0.3:
+            p = rnd.choice(points)
+            if rnd.random() < 0.5 and abs(p.lat + deg) <= 90.0:
+                points.append(GeoPoint(p.lat + deg, p.lon))
+            elif abs(p.lat) < 89.0:
+                points.append(GeoPoint(p.lat, _wrap_lon(
+                    p.lon + deg / math.cos(math.radians(p.lat)))))
+            continue
+        lat0, lon0 = rnd.choice(EDGE_ANCHORS)
+        if pick < 0.4:
+            points.append(GeoPoint(lat0, lon0))
+            continue
+        lat = min(90.0, max(-90.0, lat0 + rnd.uniform(-3.0, 3.0) * deg))
+        stretch = max(math.cos(math.radians(lat)), 1e-3)
+        points.append(GeoPoint(lat, _wrap_lon(lon0 + rnd.uniform(-3.0, 3.0) * deg / stretch)))
+    return points
 
 
 def random_friend_graph(rnd: random.Random, n: int, p: float) -> FriendshipGraph:

@@ -9,6 +9,7 @@ internals they verify.
 from __future__ import annotations
 
 from siotsim.geo import GeoPoint, haversine_m
+from siotsim.siotgraph import FIXED
 from siotsim.trace import CoLocation, TraceCorpus
 
 BIG = 1 << 30
@@ -42,6 +43,18 @@ def oracle_colocations(corpus: TraceCorpus, radius_m: float,
             ))
     out.sort(key=CoLocation.sort_key)
     return out
+
+
+def oracle_clor(devices, radius_m: float) -> list[tuple[str, str]]:
+    """All-pairs scan of the fixed devices: the sorted pairs of device ids
+    whose locations lie within `radius_m` meters, boundary inclusive."""
+    fixed = [d for d in devices.values() if d.kind == FIXED]
+    pairs = []
+    for x in fixed:
+        for y in fixed:
+            if x.device_id < y.device_id and haversine_m(x.location, y.location) <= radius_m:
+                pairs.append((x.device_id, y.device_id))
+    return sorted(pairs)
 
 
 def oracle_discover(start, adjacency, authorizes, max_hops, holders, extra=None):

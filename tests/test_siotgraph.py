@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 
 import pytest
 
-from conftest import checkin, corpus_of, fixed, make_devices, mobile
-from oracles import oracle_por_count
-from siotsim.geo import GeoPoint
+from conftest import checkin, corpus_of, fixed, make_devices, mobile, scatter_points
+from oracles import oracle_clor, oracle_por_count
+from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
 from siotsim.siotgraph import (FIXED, MOBILE, Device, RelationshipKind,
                                SIoTGraph, build_siot_graph,
                                default_model_catalog, establish_clor,
@@ -85,6 +86,63 @@ def test_clor_by_distance_and_kind():
     pairs = establish_clor(devices, radius_m=250.0)
     assert pairs == [("a:fixed", "b:fixed")]
     assert not any("d:mobile" in p for p in pairs)
+
+
+def _fixed_devices(points) -> dict[str, Device]:
+    devices = {}
+    for i, p in enumerate(points):
+        for kind in (FIXED, MOBILE):
+            did = f"u{i:03d}:{kind}"
+            devices[did] = Device(did, f"u{i:03d}", kind, "m",
+                                  p if kind == FIXED else None)
+    return devices
+
+
+# half the Earth's circumference is about 20,015 km
+CLOR_RADII = (0.0, 10.0, 250.0, 5000.0, 800_000.0, 21_000_000.0)
+
+
+def test_clor_matches_all_pairs_oracle_on_random_layouts():
+    rnd = random.Random(6201)
+    for radius in CLOR_RADII:
+        for n in (5, 40, 120):
+            devices = _fixed_devices(scatter_points(rnd, n, radius))
+            assert establish_clor(devices, radius) == oracle_clor(devices, radius), \
+                (radius, n)
+
+
+def test_clor_radius_zero_pairs_only_identical_points():
+    here, there = GeoPoint(-89.995, 179.9999), GeoPoint(-89.995, -179.9999)
+    devices = _fixed_devices([here, there, here, GeoPoint(0.0, 0.0), here])
+    pairs = establish_clor(devices, 0.0)
+    assert pairs == [("u000:fixed", "u002:fixed"), ("u000:fixed", "u004:fixed"),
+                     ("u002:fixed", "u004:fixed")]
+    assert pairs == oracle_clor(devices, 0.0)
+
+
+@pytest.mark.parametrize("a, b", [
+    (GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.00225)),
+    (GeoPoint(10.0, 179.9999), GeoPoint(10.0, -179.9990)),
+    (GeoPoint(89.995, 0.0), GeoPoint(89.995, 90.0)),
+    (GeoPoint(-89.999, -45.0), GeoPoint(-89.99, 135.0)),
+    (GeoPoint(45.0, 180.0), GeoPoint(45.002, -180.0)),
+], ids=["equator", "antimeridian", "north-pole", "across-south-pole", "at-180"])
+def test_clor_boundary_inclusive_at_the_computed_distance(a, b):
+    devices = _fixed_devices([a, b])
+    d = haversine_m(a, b)
+    assert 0.0 < d < 2000.0
+    assert establish_clor(devices, d) == [("u000:fixed", "u001:fixed")]
+    assert establish_clor(devices, math.nextafter(d, 0.0)) == []
+
+
+def test_clor_radius_beyond_half_the_circumference_pairs_everything():
+    points = [GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0), GeoPoint(0.0, 180.0),
+              GeoPoint(0.0, 0.0), GeoPoint(-45.0, -90.0)]
+    devices = _fixed_devices(points)
+    radius = math.pi * EARTH_RADIUS_M * 1.05
+    pairs = establish_clor(devices, radius)
+    assert len(pairs) == 10
+    assert pairs == oracle_clor(devices, radius)
 
 
 def test_oor_one_edge_per_owner():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import importlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import checkin, corpus_of
+from conftest import checkin, corpus_of, scatter_points
 from oracles import oracle_colocations
 from siotsim.geo import GeoPoint, haversine_m
 from siotsim.trace import (TraceCorpus, compute_home_points, detect_colocations,
@@ -198,6 +200,53 @@ def test_detect_matches_all_pairs_oracle_on_random_corpora():
     for n in (10, 60, 200):
         corpus = _random_corpus(rnd, n)
         assert detect_colocations(corpus) == oracle_colocations(corpus, 250.0, 1800.0)
+
+
+def _edge_corpus(rnd: random.Random, n: int, radius_m: float,
+                 window_s: float) -> TraceCorpus:
+    """Check-ins at `scatter_points` places and times over a few windows;
+    some repeat an earlier check-in's time exactly, others come exactly
+    `window_s` after it."""
+    checkins = []
+    for i, p in enumerate(scatter_points(rnd, n, radius_m)):
+        pick = rnd.random()
+        if checkins and pick < 0.3:
+            earlier = rnd.choice(checkins).timestamp
+            ts = earlier if pick < 0.1 else earlier + window_s
+        else:
+            ts = rnd.uniform(0.0, 3.0 * window_s)
+        checkins.append(checkin(f"u{rnd.randrange(max(2, n // 8))}", ts,
+                                p.lat, p.lon, place=f"p{i}"))
+    return corpus_of(checkins)
+
+
+@pytest.mark.parametrize("radius_m, window_s", [
+    (250.0, 1800.0), (10.0, 60.0), (5000.0, 7200.0), (1.0, 1.0), (900_000.0, 600.0)])
+def test_detect_matches_all_pairs_oracle_at_the_edges_of_the_map(radius_m, window_s):
+    rnd = random.Random(f"{radius_m}/{window_s}")
+    for n in (20, 150, 300):
+        corpus = _edge_corpus(rnd, n, radius_m, window_s)
+        expected = oracle_colocations(corpus, radius_m, window_s)
+        assert expected
+        assert detect_colocations(corpus, radius_m, window_s) == expected
+
+
+def test_time_bound_inclusive_at_exactly_window_s_across_the_antimeridian():
+    a = checkin("a", 1000.0, 12.0, 179.9999)
+    b = checkin("b", 1060.0, 12.0, -179.9999)
+    assert len(detect_colocations(corpus_of([a, b]), 30.0, 60.0)) == 1
+    assert detect_colocations(corpus_of([a, b]), 30.0, math.nextafter(60.0, 0.0)) == []
+
+
+def test_detect_matches_the_oracle_on_a_generated_trace(tmp_path, monkeypatch):
+    # bench/gen_trace.py puts many same-slot check-ins at shared haunts
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen_trace = importlib.import_module("gen_trace")
+    gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), 0, tmp_path)
+    corpus = filter_active_users(parse_checkins(tmp_path / gen_trace.CHECKINS_FILE))
+    found = detect_colocations(corpus)
+    assert len(found) > 100
+    assert found == oracle_colocations(corpus, 250.0, 1800.0)
 
 
 def test_detect_invariant_under_permutation():
