@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import rng
-from .geo import GeoPoint, haversine_m
+from .geo import CellIndex, GeoPoint, haversine_m
 from .trace import CoLocation
 
 MOBILE = "mobile"
@@ -141,15 +141,23 @@ def establish_por(devices: Mapping[str, Device]) -> list[tuple[str, str]]:
 
 def establish_clor(devices: Mapping[str, Device],
                    radius_m: float = DEFAULT_CLOR_RADIUS_M) -> list[tuple[str, str]]:
-    """Pair fixed devices whose home points lie within `radius_m` meters.
-    Mobile devices never receive this kind."""
+    """Pair fixed devices whose home points lie within `radius_m` meters,
+    in device id order. Mobile devices never receive this kind. Candidates
+    come from the cells of a `CellIndex`, so a radius of 0 pairs devices
+    at identical points."""
     fixed = sorted((d for d in devices.values() if d.kind == FIXED),
                    key=lambda d: d.device_id)
+    grid = CellIndex(radius_m)
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, d in enumerate(fixed):
+        members.setdefault(grid.cell(d.location), []).append(i)
     pairs: list[tuple[str, str]] = []
-    for i in range(len(fixed)):
-        for j in range(i + 1, len(fixed)):
-            if haversine_m(fixed[i].location, fixed[j].location) <= radius_m:
-                pairs.append((fixed[i].device_id, fixed[j].device_id))
+    for i, x in enumerate(fixed):
+        near = sorted(j for key in grid.near(x.location)
+                      for j in members.get(key, ()) if j > i)
+        for j in near:
+            if haversine_m(x.location, fixed[j].location) <= radius_m:
+                pairs.append((x.device_id, fixed[j].device_id))
     return pairs
 
 

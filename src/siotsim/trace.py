@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .geo import GeoPoint, haversine_m, midpoint
+from .geo import CellIndex, GeoPoint, haversine_m, midpoint
 
 log = logging.getLogger(__name__)
 
@@ -202,24 +202,41 @@ def detect_colocations(corpus: TraceCorpus,
     Every qualifying pair yields one record; repeated meetings of the same
     user pair are kept. Output is sorted canonically and is invariant under
     permutation of the input check-ins.
+
+    Candidates come from a time-sorted sweep over the cells of a
+    `CellIndex`: each cell keeps its check-ins in time order with its own
+    window start, and a check-in is compared with the earlier ones in the
+    cells `near` it.
     """
     if radius_m <= 0 or window_s <= 0:
         raise ValueError("radius_m and window_s must be positive")
     ordered = sorted(corpus.checkins, key=lambda c: c.timestamp)
+    grid = CellIndex(radius_m)
+    members: dict[tuple[int, int], list[CheckIn]] = {}
+    starts: dict[tuple[int, int], int] = {}
     out: list[CoLocation] = []
-    lo = 0
-    for j, y in enumerate(ordered):
-        # advance with the same subtraction the inclusion predicate uses, so
-        # window membership is bit-identical to the all-pairs oracle
-        while y.timestamp - ordered[lo].timestamp > window_s:
-            lo += 1
-        for i in range(lo, j):
-            x = ordered[i]
-            if x.user_id == y.user_id:
+    for y in ordered:
+        for key in grid.near(y.location):
+            cell = members.get(key)
+            if cell is None:
                 continue
-            d = haversine_m(x.location, y.location)
-            if d <= radius_m:
-                out.append(_make_colocation(x, y, d))
+            lo = starts[key]
+            # advance with the same subtraction the inclusion predicate uses,
+            # so window membership is bit-identical to the all-pairs oracle
+            while lo < len(cell) and y.timestamp - cell[lo].timestamp > window_s:
+                lo += 1
+            starts[key] = lo
+            for x in cell[lo:]:
+                if x.user_id == y.user_id:
+                    continue
+                d = haversine_m(x.location, y.location)
+                if d <= radius_m:
+                    out.append(_make_colocation(x, y, d))
+        key = grid.cell(y.location)
+        if key not in members:
+            members[key] = []
+            starts[key] = 0
+        members[key].append(y)
     out.sort(key=CoLocation.sort_key)
     return out
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m, midpoint
+from conftest import scatter_points
+from siotsim.geo import EARTH_RADIUS_M, CellIndex, GeoPoint, haversine_m, midpoint
 
 
 def test_identical_points_have_zero_distance():
@@ -50,3 +51,36 @@ def test_symmetry_and_triangle_inequality_on_random_triples():
 def test_midpoint_is_arithmetic():
     m = midpoint(GeoPoint(10, 20), GeoPoint(12, 26))
     assert (m.lat, m.lon) == (11, 23)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, 250.0, 5000.0, 800_000.0, 21_000_000.0])
+def test_cell_index_near_holds_every_point_within_the_radius(radius):
+    rnd = random.Random(f"cells/{radius}")
+    grid = CellIndex(radius)
+    points = scatter_points(rnd, 150, radius)
+    for a in points:
+        near = grid.near(a)
+        assert len(near) == len(set(near))
+        for b in points:
+            if haversine_m(a, b) <= radius:
+                assert grid.cell(b) in near, (a, b)
+
+
+def test_cell_index_finds_pairs_at_the_widest_longitude_gap():
+    # two points on one parallel, as far apart in longitude as the radius
+    # allows: sin(d/2) = cos(lat) sin(dlon/2)
+    rnd = random.Random(6302)
+    for _ in range(3000):
+        radius = rnd.choice((10.0, 250.0, 100_000.0, 800_000.0, 3_000_000.0))
+        lat = rnd.uniform(-89.999, 89.999)
+        s = math.sin(radius / EARTH_RADIUS_M / 2.0) / math.cos(math.radians(lat))
+        if s >= 1.0:
+            continue
+        gap = math.degrees(2.0 * math.asin(s)) * rnd.uniform(0.999, 1.0)
+        a = GeoPoint(lat, rnd.uniform(-180.0, 180.0))
+        lon = a.lon + gap
+        b = GeoPoint(lat, lon - 360.0 if lon > 180.0 else lon)
+        if haversine_m(a, b) <= radius:
+            grid = CellIndex(radius)
+            assert grid.cell(b) in grid.near(a), (radius, a, b)
+            assert grid.cell(a) in grid.near(b), (radius, a, b)
