@@ -284,6 +284,8 @@ def write_colocations_csv(colocs: Sequence[CoLocation], path: str | Path) -> Non
 
 
 def read_colocations_csv(path: str | Path) -> list[CoLocation]:
+    """Load a `write_colocations_csv` file. A malformed row is an error
+    naming the file and line."""
     out: list[CoLocation] = []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -291,10 +293,14 @@ def read_colocations_csv(path: str | Path) -> list[CoLocation]:
         if header != COLOCATION_HEADER:
             raise ValueError(f"{path}: unexpected co-location header {header}")
         for row in reader:
-            user_a, user_b, time_s, lat, lon, distance_m, dt_s = row
-            out.append(CoLocation(user_a, user_b, float(time_s),
-                                  GeoPoint(float(lat), float(lon)),
-                                  float(distance_m), float(dt_s)))
+            try:
+                user_a, user_b, time_s, lat, lon, distance_m, dt_s = row
+                out.append(CoLocation(user_a, user_b, float(time_s),
+                                      GeoPoint(float(lat), float(lon)),
+                                      float(distance_m), float(dt_s)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad co-location row "
+                                 f"{row!r} ({exc})") from exc
     return out
 
 
@@ -325,20 +331,32 @@ def read_friendships_tsv(path: str | Path) -> set[tuple[str, str]]:
     return pairs
 
 
+HOME_POINT_HEADER = ["user_id", "lat", "lon"]
+
+
 def write_home_points_csv(homes: dict[str, GeoPoint], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["user_id", "lat", "lon"])
+        w.writerow(HOME_POINT_HEADER)
         for user in sorted(homes):
             p = homes[user]
             w.writerow([user, repr(p.lat), repr(p.lon)])
 
 
 def read_home_points_csv(path: str | Path) -> dict[str, GeoPoint]:
+    """Load a `write_home_points_csv` file. A malformed row is an error
+    naming the file and line."""
     homes: dict[str, GeoPoint] = {}
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for user, lat, lon in reader:
-            homes[user] = GeoPoint(float(lat), float(lon))
+        header = next(reader, None)
+        if header != HOME_POINT_HEADER:
+            raise ValueError(f"{path}: unexpected home-point header {header}")
+        for row in reader:
+            try:
+                user, lat, lon = row
+                homes[user] = GeoPoint(float(lat), float(lon))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad home-point row "
+                                 f"{row!r} ({exc})") from exc
     return homes

@@ -218,6 +218,29 @@ def test_report_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, bad_row):
     assert f"{results}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, edit, where", [
+    ("colocations.csv", lambda lines: lines[:2] + ["u1,u2,5.0"] + lines[2:], ":3:"),
+    ("colocations.csv",
+     lambda lines: lines[:2] + ["u1,u2,5.0,10.0,10.0,x,0.0"] + lines[2:], ":3:"),
+    ("home_points.csv", lambda lines: lines[:2] + ["u9,10.0"] + lines[2:], ":3:"),
+    ("home_points.csv", lambda lines: lines[:2] + ["u9,95.0,10.0"] + lines[2:], ":3:"),
+    ("home_points.csv", lambda lines: ["user,latitude,longitude"] + lines[1:],
+     ": unexpected home-point header"),
+], ids=["short-colocation", "non-number-colocation", "short-home",
+        "latitude-out-of-range", "home-header"])
+def test_build_graph_names_the_file_and_line_of_a_bad_ingest_row(tmp_path, capsys,
+                                                                 name, edit, where):
+    _ingest_and_build(tmp_path)
+    path = tmp_path / "ing" / name
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(["build-graph", "--ingest", tmp_path / "ing",
+                  "--models", tmp_path / "models.csv", "--out", tmp_path / "graph2"])
+    assert rc == 2
+    assert f"{path}{where}" in capsys.readouterr().err
+
+
 def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):
     # one user with only 3 check-ins survives when the flags lower the
     # activity thresholds
@@ -324,12 +347,12 @@ def test_header_validation_of_csv_inputs(tmp_path):
     from siotsim.experiment import read_result_csv
     from siotsim.interests import load_macro_categories, load_poi_catalog
     from siotsim.siotgraph import load_model_catalog
-    from siotsim.trace import read_colocations_csv
+    from siotsim.trace import read_colocations_csv, read_home_points_csv
 
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n", encoding="utf-8")
     for loader in (load_poi_catalog, load_macro_categories, load_model_catalog,
-                   read_colocations_csv, read_result_csv):
+                   read_colocations_csv, read_home_points_csv, read_result_csv):
         with pytest.raises(ValueError):
             loader(bad)
 
