@@ -132,22 +132,20 @@ def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
 def backpropagate(requester: str, trace: PropagationTrace,
                   graph: SIoTGraph,
                   profiles: Mapping[str, InterestDescriptor]) -> CiorEdge:
-    """Walk the relay chain backwards from the requester to the source and
-    return the established edge, annotated with the shared interests of the
-    two owners."""
-    cur = requester
-    steps = 0
-    while cur != trace.source_device:
-        previous_hop = trace.records.get(cur)
-        if previous_hop is None or steps > len(trace.records):
-            raise RuntimeError(f"broken relay chain for {requester!r} at {cur!r}")
-        cur = previous_hop
-        steps += 1
+    """Return the edge a request establishes back along the relay chain to
+    the source, annotated with the shared interests of the two owners.
+
+    The flood is breadth-first, so every relay entry points one hop closer
+    to the source and the walk back takes as many steps as the requester's
+    hop."""
+    if requester not in trace.records:
+        raise RuntimeError(f"no relay chain for {requester!r}")
     source_owner = graph.devices[trace.source_device].owner
     requester_owner = graph.devices[requester].owner
     shared = (profiles.get(source_owner, _NO_PROFILE).held
               & profiles.get(requester_owner, _NO_PROFILE).held)
-    return CiorEdge(trace.source_device, requester, frozenset(shared), steps)
+    return CiorEdge(trace.source_device, requester, frozenset(shared),
+                    trace.hops[requester])
 
 
 def run_cior_round(sources: Iterable[str], graph: SIoTGraph,

@@ -258,6 +258,9 @@ def assert_anonymity(trace, graph):
             if holder not in first:
                 assert field != source_dev
                 assert field != source_owner
+        # the relay chain leads back to the source, one hop per entry
+        assert trace.hops[holder] == trace.hops.get(previous_hop, 0) + 1
+        assert (previous_hop == source_dev) == (trace.hops[holder] == 1)
 
 
 def test_anonymity_audit_on_randomized_propagations():
