@@ -220,7 +220,7 @@ def detect_colocations(corpus: TraceCorpus,
             cell = members.get(key)
             if cell is None:
                 continue
-            lo = starts[key]
+            lo = starts.get(key, 0)
             # advance with the same subtraction the inclusion predicate uses,
             # so window membership is bit-identical to the all-pairs oracle
             while lo < len(cell) and y.timestamp - cell[lo].timestamp > window_s:
@@ -232,11 +232,7 @@ def detect_colocations(corpus: TraceCorpus,
                 d = haversine_m(x.location, y.location)
                 if d <= radius_m:
                     out.append(_make_colocation(x, y, d))
-        key = grid.cell(y.location)
-        if key not in members:
-            members[key] = []
-            starts[key] = 0
-        members[key].append(y)
+        members.setdefault(grid.cell(y.location), []).append(y)
     out.sort(key=CoLocation.sort_key)
     return out
 
