@@ -44,8 +44,18 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
 
 
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
-    """Arithmetic midpoint of two points; adequate at sub-kilometer scales."""
-    return GeoPoint((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0)
+    """Arithmetic midpoint of two points, the short way round in longitude;
+    adequate at sub-kilometer scales. Longitudes more than 180 degrees
+    apart are averaged across the antimeridian."""
+    lon_b = b.lon
+    if abs(a.lon - lon_b) > 180.0:
+        lon_b += 360.0 if lon_b < a.lon else -360.0
+    lon = (a.lon + lon_b) / 2.0
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon < -180.0:
+        lon += 360.0
+    return GeoPoint((a.lat + b.lat) / 2.0, lon)
 
 
 class CellIndex:

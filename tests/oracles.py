@@ -37,12 +37,25 @@ def oracle_colocations(corpus: TraceCorpus, radius_m: float,
                 user_b=y.user_id,
                 time=(x.timestamp + y.timestamp) / 2.0,
                 location=GeoPoint((x.location.lat + y.location.lat) / 2.0,
-                                  (x.location.lon + y.location.lon) / 2.0),
+                                  _short_way_mean_lon(x.location.lon, y.location.lon)),
                 distance_m=d,
                 dt_s=abs(x.timestamp - y.timestamp),
             ))
     out.sort(key=CoLocation.sort_key)
     return out
+
+
+def _short_way_mean_lon(lon_a: float, lon_b: float) -> float:
+    """Mean of two longitudes: the copy of `lon_b` (as is, or 360 degrees
+    either way) nearest to `lon_a`, averaged with it and put back into
+    [-180, 180]."""
+    nearest = min((lon_b, lon_b - 360.0, lon_b + 360.0), key=lambda x: abs(x - lon_a))
+    mean = (lon_a + nearest) / 2.0
+    if mean > 180.0:
+        return mean - 360.0
+    if mean < -180.0:
+        return mean + 360.0
+    return mean
 
 
 def oracle_clor(devices, radius_m: float) -> list[tuple[str, str]]:

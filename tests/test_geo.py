@@ -53,6 +53,34 @@ def test_midpoint_is_arithmetic():
     assert (m.lat, m.lon) == (11, 23)
 
 
+@pytest.mark.parametrize("a, b, lon", [
+    ((12, 179.9999), (12, -179.9999), 180.0),
+    ((12, -179.9999), (12, 179.9999), 180.0),
+    ((0, 179.0), (0, -177.0), -179.0),
+    ((0, -170.0), (0, 172.0), -179.0),
+    ((-5, 180.0), (-5, -180.0), 180.0),
+])
+def test_midpoint_takes_the_short_way_across_the_antimeridian(a, b, lon):
+    m = midpoint(GeoPoint(*a), GeoPoint(*b))
+    assert m.lat == pytest.approx((a[0] + b[0]) / 2.0)
+    # +180 and -180 are one meridian
+    assert abs((m.lon - lon + 180.0) % 360.0 - 180.0) < 1e-9
+    assert -180.0 <= m.lon <= 180.0
+    assert haversine_m(m, GeoPoint(*a)) == pytest.approx(haversine_m(m, GeoPoint(*b)),
+                                                         rel=1e-6, abs=1e-6)
+
+
+def test_midpoint_of_pairs_that_do_not_wrap_is_the_plain_average():
+    rnd = random.Random(52)
+    for _ in range(500):
+        a = GeoPoint(rnd.uniform(-90, 90), rnd.uniform(-180, 180))
+        b = GeoPoint(rnd.uniform(-90, 90), rnd.uniform(-180, 180))
+        if abs(a.lon - b.lon) > 180.0:
+            continue
+        m = midpoint(a, b)
+        assert (m.lat, m.lon) == ((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0)
+
+
 @pytest.mark.parametrize("radius", [0.0, 1.0, 250.0, 5000.0, 800_000.0, 21_000_000.0])
 def test_cell_index_near_holds_every_point_within_the_radius(radius):
     rnd = random.Random(f"cells/{radius}")
