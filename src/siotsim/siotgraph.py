@@ -81,15 +81,21 @@ def default_model_catalog(n: int = DEFAULT_MODEL_COUNT) -> list[tuple[str, float
 
 
 def load_model_catalog(path: str | Path) -> list[tuple[str, float]]:
-    """Load a model catalog from CSV `model_id,probability`."""
+    """Load a model catalog from CSV `model_id,probability`. A malformed row
+    is an error naming the file and line."""
     catalog: list[tuple[str, float]] = []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["model_id", "probability"]:
             raise ValueError(f"{path}: unexpected model catalog header {header}")
-        for model_id, prob in reader:
-            catalog.append((model_id, float(prob)))
+        for row in reader:
+            try:
+                model_id, prob = row
+                catalog.append((model_id, float(prob)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad model catalog row "
+                                 f"{row!r} ({exc})") from exc
     return catalog
 
 
@@ -328,15 +334,22 @@ def write_devices_csv(devices: Mapping[str, Device], path: str | Path) -> None:
 
 
 def read_devices_csv(path: str | Path) -> dict[str, Device]:
+    """Load a `write_devices_csv` file. A malformed row is an error naming
+    the file and line."""
     devices: dict[str, Device] = {}
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != DEVICE_HEADER:
             raise ValueError(f"{path}: unexpected device header {header}")
-        for did, owner, kind, model, lat, lon in reader:
-            loc = GeoPoint(float(lat), float(lon)) if lat else None
-            devices[did] = Device(did, owner, kind, model, loc)
+        for row in reader:
+            try:
+                did, owner, kind, model, lat, lon = row
+                loc = GeoPoint(float(lat), float(lon)) if lat else None
+                devices[did] = Device(did, owner, kind, model, loc)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad device row "
+                                 f"{row!r} ({exc})") from exc
     return devices
 
 

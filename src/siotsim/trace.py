@@ -315,13 +315,19 @@ def write_friendships_tsv(pairs: Iterable[tuple[str, str]], path: str | Path) ->
 
 
 def read_friendships_tsv(path: str | Path) -> set[tuple[str, str]]:
+    """Load a `write_friendships_tsv` file. A line without exactly two
+    tab-separated fields is an error naming the file and line."""
     pairs: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line:
                 continue
-            a, b = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: bad friendship row {line!r} "
+                                 f"(expected 2 tab-separated fields, got {len(fields)})")
+            a, b = fields
             if a != b:
                 pairs.add((a, b) if a < b else (b, a))
     return pairs

@@ -241,6 +241,48 @@ def test_build_graph_names_the_file_and_line_of_a_bad_ingest_row(tmp_path, capsy
     assert f"{path}{where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, bad_row", [
+    ("ing/friendships.tsv", "u1\tu2\tu3"),
+    ("models.csv", "solo"),
+    ("models.csv", "mx,half"),
+], ids=["three-field-friendship", "short-model", "non-number-model"])
+def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys,
+                                                                name, bad_row):
+    _ingest_and_build(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:1] + [bad_row] + lines[1:]) + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(["build-graph", "--ingest", tmp_path / "ing",
+                  "--models", tmp_path / "models.csv", "--out", tmp_path / "graph2"])
+    assert rc == 2
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, bad_row", [
+    ("friendships.tsv", "c00n000\tc00n001\tc00n002"),
+    ("devices.csv", "c00n000:extra,c00n000"),
+    ("devices.csv", "c00n000:extra,c00n000,fixed,m0,north,0.0"),
+], ids=["three-field-friendship", "short-device", "non-number-device"])
+def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
+                                                           name, bad_row):
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--communities", 2, "--nodes", 3, "--seed", 1,
+                    "--out", scn]) == 0
+    path = scn / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:1] + [bad_row] + lines[1:]) + "\n",
+                    encoding="utf-8")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert f"{path}:2:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):
     # one user with only 3 check-ins survives when the flags lower the
     # activity thresholds
