@@ -3,7 +3,7 @@ per-user interest profiles, with directory-based persistence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .humangraph import FriendshipGraph
@@ -24,14 +24,21 @@ class Scenario:
     siot: SIoTGraph
     profiles: dict[str, InterestDescriptor]
     _isolated: frozenset[str] | None = None
+    _holders: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @property
     def users(self) -> frozenset[str]:
         return self.friendships.nodes
 
     def holders(self, interest: int) -> frozenset[str]:
-        return frozenset(u for u, d in self.profiles.items()
-                         if interest in d.held and self.friendships.has_node(u))
+        """Users holding `interest`; cached per interest, like
+        `isolated_users`, because profiles are fixed after construction."""
+        found = self._holders.get(interest)
+        if found is None:
+            found = self._holders[interest] = frozenset(
+                u for u, d in self.profiles.items()
+                if interest in d.held and self.friendships.has_node(u))
+        return found
 
     def isolated_users(self) -> frozenset[str]:
         """Users with no friendship edge and no device relationship to a
