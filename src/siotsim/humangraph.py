@@ -10,6 +10,7 @@ the community of an interest is the fixed point of that relaunch process.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -124,42 +125,56 @@ def cooperates(draw: float, prob: float) -> bool:
     return draw < prob
 
 
-class AuthorizationMap:
-    """Per-replicate cooperation decisions for every node and device.
+# hop horizon of an entity that cooperates at every hop
+UNBOUNDED = sys.maxsize
 
-    Each entity gets one uniform draw per decision dimension, fully
-    determined by (seed, replicate, entity). The boolean decision at hop k
-    compares that draw against the policy's hop-k probability, so the same
-    entity never flip-flops within a replicate and the identical draw is
-    reused across modes and sweep points.
+
+def _horizon(cooperates_at: Callable[[str, int], bool], entity: str,
+             hops: int) -> int:
+    """The hop horizon K of `entity` under a non-increasing vector of `hops`
+    probabilities: it cooperates at hops 1..K and at no later hop. K is the
+    number of leading hops at which it cooperates, or UNBOUNDED when it
+    cooperates at the last one, whose probability every later hop reuses."""
+    for hop in range(1, hops + 1):
+        if not cooperates_at(entity, hop):
+            return hop - 1
+    return UNBOUNDED
+
+
+@dataclass(frozen=True)
+class AuthorizationMap:
+    """One replicate's cooperation decisions under one policy: the
+    replicate's draw table paired with the policy.
+
+    The decision at hop k compares an entity's draw with the policy's hop-k
+    probability (`authorizes`, `forwards`). Because each vector is
+    non-increasing, the hops at which an entity cooperates are a prefix
+    1..K of all hops, so the searches read the horizon K from a mapping
+    made by `auth_horizons` or `spread_horizons` and compare `hop <= K`.
+    The draws are shared by every mode and sweep point of the replicate,
+    so the same entity never flip-flops within it.
     """
 
-    def __init__(self, policy: AuthorizationPolicy, seed: int, replicate: int):
-        self.policy = policy
-        self.seed = seed
-        self.replicate = replicate
-        self._auth: dict[str, float] = {}
-        self._spread: dict[str, float] = {}
-
-    def auth_draw(self, node: str) -> float:
-        d = self._auth.get(node)
-        if d is None:
-            d = rng.unit_draw(self.seed, self.replicate, "auth", node)
-            self._auth[node] = d
-        return d
-
-    def spread_draw(self, entity: str) -> float:
-        d = self._spread.get(entity)
-        if d is None:
-            d = rng.unit_draw(self.seed, self.replicate, "spread", entity)
-            self._spread[entity] = d
-        return d
+    draws: rng.DrawTable
+    policy: AuthorizationPolicy
 
     def authorizes(self, node: str, hop: int) -> bool:
-        return cooperates(self.auth_draw(node), self.policy.auth_at(hop))
+        return cooperates(self.draws.auth[node], self.policy.auth_at(hop))
 
     def forwards(self, entity: str, hop: int) -> bool:
-        return cooperates(self.spread_draw(entity), self.policy.spread_at(hop))
+        return cooperates(self.draws.spread[entity], self.policy.spread_at(hop))
+
+    def auth_horizons(self) -> Mapping[str, int]:
+        """Node -> authorization horizon, each computed from `authorizes`
+        on its first lookup."""
+        hops = len(self.policy.auth_prob_per_hop)
+        return rng.LazyDict(lambda node: _horizon(self.authorizes, node, hops))
+
+    def spread_horizons(self) -> Mapping[str, int]:
+        """Entity -> forwarding horizon, each computed from `forwards` on
+        its first lookup."""
+        hops = len(self.policy.spread_prob_per_hop)
+        return rng.LazyDict(lambda entity: _horizon(self.forwards, entity, hops))
 
 
 @dataclass
@@ -167,60 +182,84 @@ class ReachContext:
     """Shared state for reachability runs over one fixed configuration.
 
     `adjacency` maps node -> sorted contact tuple, `holders` is the set of
-    nodes holding the interest, `extra_contacts` optionally adds each
-    node's own device-layer contacts (one hop, no authorization needed).
-    Local discovery results are memoized per relauncher because they do
-    not depend on the original source.
+    nodes holding the interest and `horizon` maps each node to its hop
+    horizon K: it authorizes access to its contacts at hops 1..K only (see
+    `AuthorizationMap`).
+    `extra_contacts` optionally adds each node's own device-layer contacts
+    (one hop, no authorization needed).
+
+    Discovery results do not depend on the original source, so they are
+    memoized per launcher in `_memo`. The friendship passes they are built
+    from are kept in `passes`, which contexts with the same adjacency,
+    holders, horizons and `max_hops` may share. A context adds the passes
+    it computes to `passes`. With `keep_passes` false, as for the last
+    context that reads them, it adds none and takes out each one it uses.
     """
 
     adjacency: Mapping[str, tuple[str, ...]]
     holders: frozenset[str]
-    authorizes: Callable[[str, int], bool]
+    horizon: Mapping[str, int]
     max_hops: int = DEFAULT_MAX_HOPS
     extra_contacts: Mapping[str, tuple[str, ...]] | None = None
+    passes: dict[str, dict[str, int]] = field(default_factory=dict)
+    keep_passes: bool = True
     _memo: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
                   extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
-                  ) -> "ReachContext":
+                  passes: dict[str, dict[str, int]] | None = None,
+                  keep_passes: bool = True) -> "ReachContext":
         return ReachContext(graph.sorted_adjacency(), frozenset(holders),
-                            auth.authorizes, max_hops, extra_contacts)
+                            auth.auth_horizons(), max_hops, extra_contacts,
+                            {} if passes is None else passes, keep_passes)
 
 
-def _discover_from(ctx: ReachContext, start: str) -> dict[str, int]:
-    """One discovery pass launched by `start`: interested nodes it can see,
-    mapped to their hop distance from `start`.
+def _friendship_pass(ctx: ReachContext, start: str) -> dict[str, int]:
+    """The friendship part of a discovery pass launched by `start`:
+    interested nodes it can see through friendships, mapped to their hop
+    distance from `start`.
 
-    The launcher always uses its own contact list; expansion through any
-    other node at hop k requires that node's authorization at hop k. The
-    launcher's device-layer contacts, when present, are visible at hop 1.
+    The launcher always uses its own contact list; any other node reached
+    at hop k expands only if k is within its authorization horizon.
     """
-    cached = ctx._memo.get(start)
-    if cached is not None:
-        return cached
+    adjacency, horizon = ctx.adjacency, ctx.horizon
     hops: dict[str, int] = {start: 0}
     frontier = [start]
     hop = 0
     while frontier and hop < ctx.max_hops:
         nxt: list[str] = []
         for u in frontier:
-            if u != start and not ctx.authorizes(u, hops[u]):
+            if hop and hop > horizon[u]:  # hop 0 is the launcher
                 continue
-            for v in ctx.adjacency.get(u, ()):
+            for v in adjacency.get(u, ()):
                 if v not in hops:
                     hops[v] = hop + 1
                     nxt.append(v)
         frontier = nxt
         hop += 1
-    found = {n: h for n, h in hops.items() if n != start and n in ctx.holders}
+    return {n: h for n, h in hops.items() if n != start and n in ctx.holders}
+
+
+def _discover_from(ctx: ReachContext, start: str) -> dict[str, int]:
+    """One discovery pass launched by `start`: the friendship pass, with the
+    launcher's device-layer contacts, when present, visible at hop 1."""
+    cached = ctx._memo.get(start)
+    if cached is not None:
+        return cached
+    found = ctx.passes.get(start) if ctx.keep_passes else ctx.passes.pop(start, None)
+    if found is None:
+        found = _friendship_pass(ctx, start)
+        if ctx.keep_passes:
+            ctx.passes[start] = found
     if ctx.extra_contacts is not None:
-        for v in ctx.extra_contacts.get(start, ()):
-            if v != start and v in ctx.holders:
-                prev = found.get(v)
-                if prev is None or prev > 1:
-                    found[v] = 1
+        contacts = [v for v in ctx.extra_contacts.get(start, ())
+                    if v != start and v in ctx.holders]
+        if contacts:
+            found = dict(found)
+            for v in contacts:
+                found[v] = 1
     ctx._memo[start] = found
     return found
 

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from . import rng
 from .humangraph import AuthorizationMap
 from .interests import (DEFAULT_SIMILARITY_THRESHOLD, InterestDescriptor,
                         cosine_similarity)
@@ -65,14 +64,14 @@ class CiorEdge:
 
 
 def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
-                   decisions: AuthorizationMap) -> PropagationTrace:
+                   horizon: Mapping[str, int]) -> PropagationTrace:
     """Flood the token breadth-first from the source device.
 
     The source always sends to all its first social neighbors. Any other
-    device forwards only while the token has remaining hops and its own
-    per-replicate forwarding decision (at the hop where it received the
-    token) is positive. Each device receives and evaluates a token at most
-    once.
+    device forwards only while the token has remaining hops and the hop
+    where it received the token is within its forwarding horizon, read
+    from `horizon` (see `AuthorizationMap.spread_horizons`). Each device
+    receives and evaluates a token at most once.
     """
     if token.ttl < 1:
         raise ValueError("propagation needs ttl >= 1")
@@ -84,7 +83,7 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
         holder, hop = queue.popleft()
         if hop >= token.ttl:
             continue
-        if holder != source_device and not decisions.forwards(holder, hop):
+        if hop and hop > horizon[holder]:  # hop 0 is the source
             continue
         for neighbor in view.neighbors(holder):
             if neighbor in trace.records or neighbor == source_device:
@@ -93,12 +92,6 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
             trace.hops[neighbor] = hop + 1
             queue.append((neighbor, hop + 1))
     return trace
-
-
-def make_token(owner_profile: InterestDescriptor, seed: int, replicate: int,
-               source_device: str, ttl: int = DEFAULT_TTL) -> VuipToken:
-    token_id = rng.token_hex(seed, replicate, "token", source_device)
-    return VuipToken(token_id, owner_profile.anonymized(), ttl)
 
 
 def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
@@ -160,21 +153,25 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
 
     Every source user's origin device(s) propagate in turn over the
     selected-kind view of the base graph, which the round leaves unchanged.
-    Deterministic for a fixed decision map.
+    Token ids come from the decisions' draw table, and each owner's
+    anonymised payload is built once. Deterministic for a fixed decision
+    map.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
     view = graph.select_kinds(kinds)
+    horizon = decisions.spread_horizons()
     established: list[CiorEdge] = []
     for user in sorted(set(sources)):
         own = profiles.get(user)
         if own is None or not own.held:
             continue
+        payload = own.anonymized()
         for dev in graph.owner_devices.get(user, ()):
             if origin_device == ORIGIN_MOBILE and graph.devices[dev].kind != MOBILE:
                 continue
-            token = make_token(own, decisions.seed, decisions.replicate, dev, ttl)
-            trace = propagate_vuip(dev, view, token, decisions)
+            token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
+            trace = propagate_vuip(dev, view, token, horizon)
             for requester in evaluate_candidates(trace, graph, profiles, token,
                                                  interest, sim_threshold):
                 established.append(backpropagate(requester, trace, graph, profiles))

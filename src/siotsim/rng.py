@@ -38,3 +38,32 @@ def stream(*key) -> random.Random:
 def token_hex(*key) -> str:
     """Opaque 16-hex-digit identifier derived from the key."""
     return _digest(key)[:8].hex()
+
+
+class LazyDict(dict):
+    """A dict that computes a missing key's value once, with `fill(key)`,
+    the first time the key is looked up with `d[key]`."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class DrawTable:
+    """One replicate's keyed draws: the authorization draw of each node, the
+    spreading draw of each entity and the token id of each source device.
+
+    Each value is fixed by (seed, replicate, entity), computed on first use
+    and kept, so every mode and sweep point of the replicate reads the same
+    value instead of hashing its key again."""
+
+    def __init__(self, seed: int, replicate: int):
+        self.seed = seed
+        self.replicate = replicate
+        self.auth = LazyDict(lambda node: unit_draw(seed, replicate, "auth", node))
+        self.spread = LazyDict(lambda entity: unit_draw(seed, replicate, "spread", entity))
+        self.tokens = LazyDict(lambda device: token_hex(seed, replicate, "token", device))

@@ -3,36 +3,38 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint
-from siotsim.humangraph import FriendshipGraph
+from siotsim.humangraph import UNBOUNDED, FriendshipGraph
 from siotsim.interests import InterestDescriptor
+from siotsim.protocol import VuipToken
+from siotsim.rng import DrawTable
 from siotsim.siotgraph import FIXED, MOBILE, Device, SIoTGraph, device_id
 from siotsim.trace import CheckIn, TraceCorpus
 
 
-class FixedDecisions:
-    """Decision stub with directly controlled booleans (hop-independent)."""
+def fixed_horizon(forward=True) -> defaultdict:
+    """Forwarding horizons where every device forwards at every hop, or
+    none does."""
+    return defaultdict(lambda: UNBOUNDED if forward else 0)
 
-    def __init__(self, authorize=True, forward=True, seed=0, replicate=0):
-        self.authorize = authorize
-        self.forward = forward
-        self.seed = seed
-        self.replicate = replicate
 
-    def _lookup(self, table, key) -> bool:
-        if isinstance(table, dict):
-            return table.get(key, False)
-        return bool(table)
+def bool_horizons(decide: dict, entities) -> dict:
+    """Hop horizons of hop-independent decisions: unbounded where `decide`
+    says yes, 0 (no hop) for every other entity."""
+    return defaultdict(int, {e: UNBOUNDED if decide.get(e, False) else 0
+                             for e in entities})
 
-    def authorizes(self, node, hop) -> bool:
-        return self._lookup(self.authorize, node)
 
-    def forwards(self, entity, hop) -> bool:
-        return self._lookup(self.forward, entity)
+def token_for(owner_profile: InterestDescriptor, device: str, ttl: int = 6,
+              seed: int = 0, replicate: int = 0) -> VuipToken:
+    """The token a round of (seed, replicate) sends from `device`."""
+    return VuipToken(DrawTable(seed, replicate).tokens[device],
+                     owner_profile.anonymized(), ttl)
 
 
 def make_devices(users, model="m0", lat=0.0) -> dict:

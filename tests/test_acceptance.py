@@ -13,9 +13,9 @@ import math
 import random
 import time
 
-from conftest import (checkin, cior_pairs, corpus_of, make_devices, mobile,
-                      profile, random_device_graph, random_friend_graph,
-                      random_nonincreasing)
+from conftest import (bool_horizons, checkin, cior_pairs, corpus_of,
+                      make_devices, mobile, profile, random_device_graph,
+                      random_friend_graph, random_nonincreasing, token_for)
 from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
                      oracle_reach)
 from siotsim import cli
@@ -25,9 +25,10 @@ from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
                                 ReachContext, giant_component_pct,
                                 interest_reach)
 from siotsim.interests import cosine_similarity
-from siotsim.protocol import (CiorEdge, evaluate_candidates, make_token,
-                              propagate_vuip, run_cior_round)
+from siotsim.protocol import (CiorEdge, evaluate_candidates, propagate_vuip,
+                              run_cior_round)
 from siotsim.report import irn_by_hop, mean_hops_comparison, mean_irn_pct
+from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
@@ -142,12 +143,13 @@ def test_criterion_02_reachability_oracle():
         if trial % 3 == 0:
             decide = {u: rnd.random() < 0.5 for u in users}
             authorizes = lambda node, hop: decide.get(node, False)
+            horizon = bool_horizons(decide, users)
             auth_map = None
         else:
-            auth_map = AuthorizationMap(
-                AuthorizationPolicy(random_nonincreasing(rnd, 4),
-                                    (1.0,)), rnd.randrange(10_000), 0)
+            policy = AuthorizationPolicy(random_nonincreasing(rnd, 4), (1.0,))
+            auth_map = AuthorizationMap(DrawTable(rnd.randrange(10_000), 0), policy)
             authorizes = auth_map.authorizes
+            horizon = auth_map.auth_horizons()
 
         if trial % 2 == 0:
             # device-layer fixture exercised through run_source, with the
@@ -164,7 +166,7 @@ def test_criterion_02_reachability_oracle():
                 links = []
             extra = _raw_owner_contacts(siot, kinds, links, 3)
             ctx = ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
-                               frozenset(holders), authorizes, max_hops, extra)
+                               frozenset(holders), horizon, max_hops, extra)
             direct, best = interest_reach(source, ctx)
             if auth_map is not None:
                 profiles = {u: profile(u, {3} if u in holders else {9})
@@ -179,7 +181,7 @@ def test_criterion_02_reachability_oracle():
         else:
             extra = None
             ctx = ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
-                               frozenset(holders), authorizes, max_hops, extra)
+                               frozenset(holders), horizon, max_hops, extra)
             direct, best = interest_reach(source, ctx)
             if auth_map is not None:
                 profiles = {u: profile(u, {3} if u in holders else {9})
@@ -248,11 +250,11 @@ def test_criterion_04_protocol_invariants():
         source_user = rnd.choice(users)
         source_dev = mobile(source_user)
         policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6))
-        decisions = AuthorizationMap(policy, seed=trial, replicate=0)
+        decisions = AuthorizationMap(DrawTable(trial, 0), policy)
         view = graph.select_kinds(BASE_KINDS)
 
-        token = make_token(profile(source_user, {3}), trial, 0, source_dev, 6)
-        trace = propagate_vuip(source_dev, view, token, decisions)
+        token = token_for(profile(source_user, {3}), source_dev, 6, trial)
+        trace = propagate_vuip(source_dev, view, token, decisions.spread_horizons())
 
         # TTL bound under the default 6-hop configuration
         assert all(1 <= h <= 6 for h in trace.hops.values())
@@ -282,8 +284,9 @@ def test_criterion_04_protocol_invariants():
         # TTL monotonicity with coupled draws
         previous: set[str] = set()
         for ttl in range(1, 7):
-            t = make_token(profile(source_user, {3}), trial, 0, source_dev, ttl)
-            reached = set(propagate_vuip(source_dev, view, t, decisions).records)
+            t = token_for(profile(source_user, {3}), source_dev, ttl, trial)
+            reached = set(propagate_vuip(source_dev, view, t,
+                                         decisions.spread_horizons()).records)
             assert previous <= reached
             previous = reached
 
@@ -302,7 +305,7 @@ def test_criterion_05_similarity_gate():
         "u3": profile("u3", {3, 4, 6}),     # cosine 1
     }
     assert cosine_similarity(profiles["u0"], profiles["u1"]) == 2.0 / 3.0
-    decisions = AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)), 0, 0)
+    decisions = AuthorizationMap(DrawTable(0, 0), AuthorizationPolicy((1.0,), (1.0,)))
     base_edges = graph.edges()
 
     out4 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
@@ -343,7 +346,7 @@ def test_criterion_05_similarity_gate():
         profiles = {u: profile(u, {rnd.randrange(3), 3} if rnd.random() < 0.7
                                else {rnd.randrange(10, 14)}) for u in users}
         decisions = AuthorizationMap(
-            AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6)), trial, 0)
+            DrawTable(trial, 0), AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6)))
         sources = [u for u in users if 3 in profiles[u].held]
         base_edges = graph.edges()
         out = run_cior_round(sources, graph, RelationshipKind, profiles,
@@ -507,8 +510,8 @@ def test_criterion_08_giant_component():
             continue
         friend_edges = [(a, b) for a, b in scn.friendships.edges()
                         if a in holders and b in holders]
-        decisions = AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)),
-                                     trial, 0)
+        decisions = AuthorizationMap(DrawTable(trial, 0),
+                                     AuthorizationPolicy((1.0,), (1.0,)))
         base_edges = scn.siot.edges()
         established = run_cior_round(sorted(holders), scn.siot, RelationshipKind,
                                      scn.profiles, decisions, interest=3)

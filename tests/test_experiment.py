@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_devices, mobile, profile
+from siotsim import experiment, humangraph
 from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 load_config, result_csv_text, run_campaign,
                                 run_source, select_sources)
 from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
                                 ReachContext)
+from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import RelationshipKind, SIoTGraph
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
@@ -24,7 +27,7 @@ def scenario_without_siot_edges(users, friend_pairs, holders):
 
 
 def full_auth(seed=0, replicate=0):
-    return AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)), seed, replicate)
+    return AuthorizationMap(DrawTable(seed, replicate), AuthorizationPolicy((1.0,), (1.0,)))
 
 
 def test_mode_invariants():
@@ -217,14 +220,63 @@ def test_campaign_csv_deterministic_and_seed_sensitive():
 
 
 def test_threads_do_not_change_results():
+    # the auth and hops sweeps give each replicate memos under two keys
     spec = SyntheticScenarioSpec(communities=2, nodes_per_community=5,
                                  cross_edges={RelationshipKind.POR: 1}, seed=13)
     scn = generate_scenario(spec)
-    cfg = ExperimentConfig(replicates=3, seed=1,
-                           auth_prob_per_hop=(0.9, 0.6, 0.4, 0.2))
-    sequential = result_csv_text(run_campaign(scn, cfg, threads=1))
-    parallel = result_csv_text(run_campaign(scn, cfg, threads=2))
-    assert sequential == parallel
+    base = ExperimentConfig(replicates=3, seed=1,
+                            auth_prob_per_hop=(0.9, 0.6, 0.4, 0.2))
+    for cfg in (base,
+                replace(base, sweep="auth",
+                        auth_values=((0.9, 0.6, 0.4, 0.2), (1.0, 0.5))),
+                replace(base, sweep="hops", hops_values=(2, 4))):
+        sequential = result_csv_text(run_campaign(scn, cfg, threads=1))
+        parallel = result_csv_text(run_campaign(scn, cfg, threads=2))
+        assert sequential == parallel
+        assert len({r.sweep_value for r in run_campaign(scn, cfg).runs}) == \
+            len(cfg.sweep_points())
+
+
+def test_each_friendship_pass_is_computed_once_per_key(monkeypatch):
+    """A friendship discovery pass depends only on (replicate, auth vector,
+    max_hops, launcher). Across modes and sweep points, including a key
+    that comes back after another, each key is computed once."""
+    scn = generate_scenario(SyntheticScenarioSpec(
+        communities=3, nodes_per_community=8, intra_friend_prob=0.3,
+        cross_edges={RelationshipKind.POR: 2, RelationshipKind.SOR: 1},
+        interest_prob=0.6, seed=21))
+    base = ExperimentConfig(replicates=2, seed=5,
+                            auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3))
+    key = {}
+    real_context = experiment.build_reach_context
+    real_discover = humangraph._discover_from
+    real_pass = humangraph._friendship_pass
+
+    def context(scenario, interest, mode, auth, max_hops, *args, **kwargs):
+        key["now"] = (auth.draws.replicate, auth.policy.auth_prob_per_hop, max_hops)
+        return real_context(scenario, interest, mode, auth, max_hops, *args, **kwargs)
+
+    def discover(ctx, start):
+        requested.add((key["now"], start))
+        return real_discover(ctx, start)
+
+    def friendship_pass(ctx, start):
+        computed.append((key["now"], start))
+        return real_pass(ctx, start)
+
+    monkeypatch.setattr(experiment, "build_reach_context", context)
+    monkeypatch.setattr(humangraph, "_discover_from", discover)
+    monkeypatch.setattr(humangraph, "_friendship_pass", friendship_pass)
+    for cfg in (replace(base, sweep="spread", spread_values=(1.0, 0.5, 0.2)),
+                replace(base, sweep="auth",
+                        auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8))),
+                replace(base, sweep="hops", hops_values=(2, 4, 2))):
+        requested: set = set()
+        computed: list = []
+        runs = run_campaign(scn, cfg).runs
+        assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(scn.holders(3))
+        assert len(computed) == len(requested)
+        assert set(computed) == requested
 
 
 # --- config files -----------------------------------------------------------

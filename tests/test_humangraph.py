@@ -4,22 +4,22 @@ import random
 
 import pytest
 
-from conftest import random_friend_graph, random_nonincreasing
+from conftest import bool_horizons, random_friend_graph, random_nonincreasing
 from conftest import make_devices, profile
 from oracles import oracle_giant_pct, oracle_reach
 from siotsim.experiment import Mode, build_reach_context, run_source
-from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
+from siotsim.humangraph import (DEFAULT_MAX_HOPS, UNBOUNDED, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
                                 ReachContext, cooperates, giant_component_pct,
                                 interest_reach)
+from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario
 from siotsim.siotgraph import SIoTGraph
 
 
 def bool_context(adjacency, holders, authorize, max_hops, extra=None):
     return ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
-                        frozenset(holders),
-                        lambda node, hop: authorize.get(node, False),
+                        frozenset(holders), bool_horizons(authorize, adjacency),
                         max_hops, extra)
 
 
@@ -31,11 +31,11 @@ def graph_of(*edges) -> FriendshipGraph:
 
 
 def all_yes(seed=0, replicate=0) -> AuthorizationMap:
-    return AuthorizationMap(AuthorizationPolicy((1.0,), (1.0,)), seed, replicate)
+    return AuthorizationMap(DrawTable(seed, replicate), AuthorizationPolicy((1.0,), (1.0,)))
 
 
 def all_no(seed=0, replicate=0) -> AuthorizationMap:
-    return AuthorizationMap(AuthorizationPolicy((0.0,), (0.0,)), seed, replicate)
+    return AuthorizationMap(DrawTable(seed, replicate), AuthorizationPolicy((0.0,), (0.0,)))
 
 
 def reach(source, graph, auth, holders, max_hops=4):
@@ -86,13 +86,43 @@ def test_degenerate_policies():
 def test_decisions_deterministic_per_seed_replicate():
     g = random_friend_graph(random.Random(3), 20, 0.2)
     policy = AuthorizationPolicy((0.8, 0.5, 0.3), (0.7, 0.4))
-    first = AuthorizationMap(policy, seed=11, replicate=2)
-    second = AuthorizationMap(policy, seed=11, replicate=2)
-    other = AuthorizationMap(policy, seed=11, replicate=3)
+    first = AuthorizationMap(DrawTable(11, 2), policy)
+    second = AuthorizationMap(DrawTable(11, 2), policy)
+    other = AuthorizationMap(DrawTable(11, 3), policy)
     booleans = lambda m: [(u, h, m.authorizes(u, h), m.forwards(u, h))
                           for u in sorted(g.nodes) for h in (1, 2, 3)]
     assert booleans(first) == booleans(second)
     assert booleans(first) != booleans(other)
+
+
+def test_hop_horizons_equal_the_per_hop_comparison():
+    # cooperation is a prefix of hops: `hop <= horizon` must agree with the
+    # reference comparison at every hop, past the end of the vector too
+    rnd = random.Random(8128)
+    nodes = [f"n{i}" for i in range(8)]
+    ties = 0
+    for _ in range(300):
+        draws = DrawTable(rnd.randrange(10_000), rnd.randrange(4))
+        # 0.0, 1.0, repeated entries and entries equal to a node's own draw
+        pool = [0.0, 1.0, rnd.random(), rnd.random(),
+                draws.auth[rnd.choice(nodes)], draws.spread[rnd.choice(nodes)]]
+        vectors = [tuple(sorted(rnd.choices(pool, k=rnd.randrange(1, 6)), reverse=True))
+                   for _ in range(2)]
+        policy = AuthorizationPolicy(*vectors)
+        decisions = AuthorizationMap(draws, policy)
+        auth_horizon, spread_horizon = decisions.auth_horizons(), decisions.spread_horizons()
+        for node in nodes:
+            for draw, vec, horizon, prob_at in (
+                    (draws.auth[node], policy.auth_prob_per_hop,
+                     auth_horizon[node], policy.auth_at),
+                    (draws.spread[node], policy.spread_prob_per_hop,
+                     spread_horizon[node], policy.spread_at)):
+                ties += draw in vec
+                assert horizon == UNBOUNDED or 0 <= horizon < len(vec)
+                for hop in range(1, len(vec) + 4):
+                    assert (hop <= horizon) == cooperates(draw, prob_at(hop)), \
+                        (draw, vec, hop, horizon)
+    assert ties > 100  # a draw equal to an entry does not cooperate at it
 
 
 # --- discovery fixtures ---------------------------------------------------------
@@ -195,8 +225,8 @@ def test_direct_and_indirect_disjoint_subsets_of_holders():
         g = random_friend_graph(rnd, 14, 0.25)
         users = sorted(g.nodes)
         holders = {u for u in users if rnd.random() < 0.6}
-        auth = AuthorizationMap(AuthorizationPolicy(
-            random_nonincreasing(rnd, 3), (1.0,)), rnd.randrange(99), 0)
+        policy = AuthorizationPolicy(random_nonincreasing(rnd, 3), (1.0,))
+        auth = AuthorizationMap(DrawTable(rnd.randrange(99), 0), policy)
         source = rnd.choice(users)
         holders.add(source)
         direct, best = reach(source, g, auth, holders, max_hops=3)
@@ -285,8 +315,8 @@ def test_hop_counts_shrink_when_policy_rises():
         low_vec = random_nonincreasing(rnd, 3)
         high_vec = tuple(min(1.0, v + 0.3) for v in low_vec)
         seed = rnd.randrange(1000)
-        low = AuthorizationMap(AuthorizationPolicy(low_vec, (1.0,)), seed, 0)
-        high = AuthorizationMap(AuthorizationPolicy(high_vec, (1.0,)), seed, 0)
+        low = AuthorizationMap(DrawTable(seed, 0), AuthorizationPolicy(low_vec, (1.0,)))
+        high = AuthorizationMap(DrawTable(seed, 0), AuthorizationPolicy(high_vec, (1.0,)))
         _, best_low = reach(source, g, low, holders)
         _, best_high = reach(source, g, high, holders)
         assert set(best_low) <= set(best_high)

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from conftest import (FixedDecisions, cior_pairs, make_devices, mobile,
-                      profile, random_device_graph, random_nonincreasing)
+from conftest import (cior_pairs, fixed_horizon, make_devices, mobile,
+                      profile, random_device_graph, random_nonincreasing,
+                      token_for)
 from oracles import oracle_flood
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
-                              evaluate_candidates, make_token, propagate_vuip,
-                              run_cior_round)
+                              evaluate_candidates, propagate_vuip, run_cior_round)
 from siotsim.interests import cosine_similarity
+from siotsim.rng import DrawTable
 from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
 
 
@@ -31,7 +32,7 @@ def full_view(g: SIoTGraph):
 
 
 def anon_token(ttl=6, held=(3,)) -> VuipToken:
-    return make_token(profile("src", set(held)), 0, 0, "src-dev", ttl)
+    return token_for(profile("src", set(held)), "src-dev", ttl)
 
 
 def test_token_payload_must_be_anonymous():
@@ -44,7 +45,7 @@ def test_token_payload_must_be_anonymous():
 def test_chain_respects_ttl_of_six():
     g = chain_graph(8)
     trace = propagate_vuip(mobile("u0"), full_view(g), anon_token(ttl=6),
-                           FixedDecisions())
+                           fixed_horizon())
     mobile_hops = {h: trace.hops[h] for h in trace.hops if ":mobile" in h}
     assert mobile_hops == {mobile(f"u{i}"): i for i in range(1, 7)}
     assert mobile("u7") not in trace.hops
@@ -54,21 +55,21 @@ def test_chain_respects_ttl_of_six():
 def test_ttl_one_reaches_only_first_neighbors():
     g = chain_graph(4)
     trace = propagate_vuip(mobile("u0"), full_view(g), anon_token(ttl=1),
-                           FixedDecisions())
+                           fixed_horizon())
     assert set(trace.records) == {mobile("u1"), "u0:fixed"}
 
 
 def test_source_always_sends_even_when_nobody_forwards():
     g = chain_graph(4)
     trace = propagate_vuip(mobile("u0"), full_view(g), anon_token(ttl=6),
-                           FixedDecisions(forward=False))
+                           fixed_horizon(False))
     assert set(trace.records) == {mobile("u1"), "u0:fixed"}
 
 
 def test_isolated_source_produces_empty_trace():
     g = SIoTGraph(make_devices(["solo"]))
     trace = propagate_vuip(mobile("solo"), full_view(g), anon_token(),
-                           FixedDecisions())
+                           fixed_horizon())
     assert trace.records == {}
 
 
@@ -79,7 +80,7 @@ def test_each_device_receives_once():
     for a, b in [("u0", "u1"), ("u0", "u2"), ("u1", "u3"), ("u2", "u3")]:
         g.add_edge(mobile(a), mobile(b), RelationshipKind.SOR)
     trace = propagate_vuip(mobile("u0"), full_view(g), anon_token(),
-                           FixedDecisions())
+                           fixed_horizon())
     assert len(trace.records) == len(set(trace.records))
     assert trace.hops[mobile("u3")] == 2
     # the previous hop of u3 is deterministic: the smaller neighbor id
@@ -91,8 +92,8 @@ def test_evaluate_similarity_and_interest_gate():
     profiles = {"u0": profile("u0", {3, 4, 6}),
                 "u1": profile("u1", {4, 6, 7}),   # sim 2/3, holds nothing target
                 "u2": profile("u2", {9})}         # disjoint
-    token = make_token(profiles["u0"], 0, 0, mobile("u0"))
-    trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
+    token = token_for(profiles["u0"], mobile("u0"))
+    trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
 
     # u1 holds 4, so interest 4 passes and interest 3 fails
     assert evaluate_candidates(trace, g, profiles, token, interest=4) == \
@@ -103,8 +104,8 @@ def test_evaluate_similarity_and_interest_gate():
 def test_evaluate_identical_profile_requests():
     g = chain_graph(2)
     profiles = {"u0": profile("u0", {3}), "u1": profile("u1", {3})}
-    token = make_token(profiles["u0"], 0, 0, mobile("u0"))
-    trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
+    token = token_for(profiles["u0"], mobile("u0"))
+    trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     assert evaluate_candidates(trace, g, profiles, token, interest=3) == \
         ["u1:fixed", mobile("u1")]
 
@@ -112,8 +113,8 @@ def test_evaluate_identical_profile_requests():
 def test_evaluate_boundary_inclusive_at_exactly_half():
     g = chain_graph(2)
     profiles = {"u0": profile("u0", {1, 2}), "u1": profile("u1", {2, 3})}
-    token = make_token(profiles["u0"], 0, 0, mobile("u0"))
-    trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
+    token = token_for(profiles["u0"], mobile("u0"))
+    trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     assert evaluate_candidates(trace, g, profiles, token, interest=2) == \
         ["u1:fixed", mobile("u1")]
 
@@ -121,8 +122,8 @@ def test_evaluate_boundary_inclusive_at_exactly_half():
 def test_source_own_devices_never_request():
     g = chain_graph(2)
     profiles = {"u0": profile("u0", {3}), "u1": profile("u1", {3})}
-    token = make_token(profiles["u0"], 0, 0, mobile("u0"))
-    trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
+    token = token_for(profiles["u0"], mobile("u0"))
+    trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     assert "u0:fixed" in trace.records  # reached via the owner edge
     assert "u0:fixed" not in evaluate_candidates(trace, g, profiles, token,
                                                  interest=3)
@@ -131,8 +132,8 @@ def test_source_own_devices_never_request():
 def test_evaluate_once_marks_every_receiver():
     g = chain_graph(5)
     profiles = {f"u{i}": profile(f"u{i}", {3}) for i in range(5)}
-    token = make_token(profiles["u0"], 0, 0, mobile("u0"))
-    trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
+    token = token_for(profiles["u0"], mobile("u0"))
+    trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     requests = evaluate_candidates(trace, g, profiles, token, interest=3)
     # every receiver is evaluated once: each one not owned by u0 requests
     # exactly once
@@ -144,8 +145,8 @@ def test_evaluate_once_marks_every_receiver():
 def test_backpropagate_walk_lengths():
     g = chain_graph(5)
     profiles = {f"u{i}": profile(f"u{i}", {3}) for i in range(5)}
-    token = make_token(profiles["u0"], 0, 0, mobile("u0"))
-    trace = propagate_vuip(mobile("u0"), full_view(g), token, FixedDecisions())
+    token = token_for(profiles["u0"], mobile("u0"))
+    trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
 
     edge3 = backpropagate(mobile("u3"), trace, g, profiles)
     assert edge3.walk_length == 3
@@ -181,7 +182,7 @@ def two_cliques_with_bridge():
 
 def decisions(policy=None, seed=0, replicate=0) -> AuthorizationMap:
     policy = policy or AuthorizationPolicy((1.0,), (1.0,))
-    return AuthorizationMap(policy, seed, replicate)
+    return AuthorizationMap(DrawTable(seed, replicate), policy)
 
 
 def test_round_with_no_similar_pairs_leaves_graph_unchanged():
@@ -270,9 +271,9 @@ def test_anonymity_audit_on_randomized_propagations():
         users = sorted({d.owner for d in g.devices.values()})
         source = rnd.choice(users)
         policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 4))
-        token = make_token(profile(source, {3}), 0, 0, mobile(source))
+        token = token_for(profile(source, {3}), mobile(source))
         trace = propagate_vuip(mobile(source), full_view(g), token,
-                               decisions(policy, seed=rnd.randrange(99)))
+                               decisions(policy, seed=rnd.randrange(99)).spread_horizons())
         assert_anonymity(trace, g)
         assert all(h <= 6 for h in trace.hops.values())
         assert set(trace.hops) == set(trace.records)
@@ -288,9 +289,10 @@ def test_ttl_monotonicity_with_coupled_draws():
         shared = decisions(policy, seed=rnd.randrange(99))
         reached_prev: set[str] = set()
         for ttl in range(1, 7):
-            token = make_token(profile(source, {3}), shared.seed,
-                               shared.replicate, mobile(source), ttl)
-            trace = propagate_vuip(mobile(source), full_view(g), token, shared)
+            token = token_for(profile(source, {3}), mobile(source), ttl,
+                              shared.draws.seed, shared.draws.replicate)
+            trace = propagate_vuip(mobile(source), full_view(g), token,
+                                   shared.spread_horizons())
             reached = set(trace.records)
             assert reached_prev <= reached
             reached_prev = reached
@@ -340,8 +342,9 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
             view = g.select_kinds(kinds)
             assert g.select_kinds(kinds | {RelationshipKind.CIOR}) is view
             for user in users:
-                token = make_token(profile(user, {3}), trial, 0, mobile(user), ttl)
-                trace = propagate_vuip(mobile(user), view, token, shared)
+                token = token_for(profile(user, {3}), mobile(user), ttl, trial)
+                trace = propagate_vuip(mobile(user), view, token,
+                                       shared.spread_horizons())
                 assert trace.hops == oracle_flood(g, kinds, mobile(user), shared, ttl)
                 assert set(trace.records) == set(trace.hops)
 
