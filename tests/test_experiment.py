@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import replace
 
@@ -277,6 +278,54 @@ def test_each_friendship_pass_is_computed_once_per_key(monkeypatch):
         assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(scn.holders(3))
         assert len(computed) == len(requested)
         assert set(computed) == requested
+
+
+def sharing_scenario():
+    return generate_scenario(SyntheticScenarioSpec(
+        communities=3, nodes_per_community=8, intra_friend_prob=0.3,
+        cross_edges={RelationshipKind.POR: 2, RelationshipKind.SOR: 1},
+        interest_prob=0.6, seed=21))
+
+
+def test_sharing_passes_across_points_is_invisible():
+    """A campaign whose pass keys interleave (A, B, A) returns the same runs,
+    in the same order, as running each point as its own one-point campaign
+    and labelling its runs with the point."""
+    scn = sharing_scenario()
+    base = ExperimentConfig(replicates=2, seed=5,
+                            auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3),
+                            spread_prob_per_hop=(0.8, 0.6))
+    for cfg in (replace(base, sweep="auth",
+                        auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8))),
+                replace(base, sweep="hops", hops_values=(2, 4, 2))):
+        alone = []
+        for point in cfg.sweep_points():
+            one = replace(cfg, sweep="none", max_hops=point.max_hops,
+                          auth_prob_per_hop=point.policy.auth_prob_per_hop)
+            alone.append([replace(run, sweep_var=point.var, sweep_value=point.value)
+                          for run in run_campaign(scn, one).runs])
+        expected = [run for r in range(cfg.replicates) for runs in alone
+                    for run in runs if run.replicate == r]
+        assert run_campaign(scn, cfg).runs == expected
+
+
+def test_a_campaign_leaves_no_cyclic_garbage():
+    """Passes, memos and contexts are freed by reference counting as soon
+    as they are dropped, not kept alive in a cycle until the collector
+    runs."""
+    scn = sharing_scenario()
+    base = ExperimentConfig(replicates=2, seed=5,
+                            auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3))
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in (replace(base, sweep="spread", spread_values=(1.0, 0.5, 0.2)),
+                    replace(base, sweep="auth",
+                            auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8)))):
+            run_campaign(scn, cfg)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- config files -----------------------------------------------------------
