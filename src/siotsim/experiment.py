@@ -5,10 +5,11 @@ and hop budgets, with coupled randomness across modes and sweep points.
 The coupling also shares work. Each replicate has one draw table
 (`rng.DrawTable`) that every sweep point and mode reads. Friendship
 discovery passes depend only on the replicate, the auth vector, `max_hops`
-and the launcher, so both modes and every point with the same auth vector
-and `max_hops` share them, and friendships-mode runs are computed once per
-such pair and relabelled for the other points. Sharing is keyed on inputs
-only, never on results."""
+and the launcher, so a replicate runs the points with the same auth vector
+and `max_hops` as one group. The group keeps one memo of passes for both
+modes of all its points, computes its friendships-mode runs once and
+relabels them for its other points, and drops both when it ends. Results
+keep point order. Sharing is keyed on inputs only, never on results."""
 
 from __future__ import annotations
 
@@ -277,15 +278,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                         auth: AuthorizationMap, max_hops: int,
                         cior_edges: Sequence[CiorEdge] = (),
-                        passes: dict[str, dict[str, int]] | None = None,
-                        keep_passes: bool = True) -> ReachContext:
+                        passes: dict[str, dict[str, int]] | None = None) -> ReachContext:
     """Assemble the reachability context for one (mode, decisions) pair.
 
     In enhanced mode every node additionally sees, one hop away, the owners
     of devices linked to its own devices in the selected-kind view, plus
     the owners linked by the round's `cior_edges` that carry the interest.
-    `passes` and `keep_passes` share friendship passes with other contexts
-    of the same interest, auth vector and `max_hops` (see `ReachContext`)."""
+    `passes` shares friendship passes with other contexts of the same
+    interest, auth vector and `max_hops` (see `ReachContext`)."""
     holders = scenario.holders(interest)
     extra = None
     if mode.name == MODE_ENHANCED:
@@ -293,7 +293,7 @@ def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                 if mode.kinds else {})
         extra = _with_cior_contacts(base, scenario.siot, cior_edges, interest)
     return ReachContext.for_graph(scenario.friendships, holders, auth,
-                                  max_hops, extra, passes, keep_passes)
+                                  max_hops, extra, passes)
 
 
 def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]], siot: SIoTGraph,
@@ -365,62 +365,55 @@ def _pass_key(point: SweepPoint) -> tuple[tuple[float, ...], int]:
 
 def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                    sources: Sequence[str], replicate: int) -> list[SourceRun]:
-    """Every (sweep point, mode, source) run of one replicate.
+    """Every (sweep point, mode, source) run of one replicate, in point
+    order.
 
-    One draw table serves every point and mode. Friendship passes are
-    memoised per `_pass_key`, and the memo is dropped after the last context
-    that reads it. Friendships-mode runs depend on nothing else, so they are
-    computed once per key and relabelled for the other points."""
-    runs: list[SourceRun] = []
+    One draw table serves every point and mode. The points that share a
+    `_pass_key` form a group, run together: the group's friendship passes
+    are memoised in one `passes` dict that both modes of every member read,
+    and its friendships-mode runs, which depend on nothing else, are
+    computed at its first point and relabelled for the others. Both are
+    dropped when the group ends."""
     all_holders = sorted(scenario.holders(config.interest))
     draws = rng.DrawTable(config.seed, replicate)
     points = config.sweep_points()
-    last_use = {_pass_key(point): i for i, point in enumerate(points)}
-    # how many contexts read each key's passes: the friendships mode once,
-    # at the key's first point, and the enhanced mode at every point
-    readers: dict[tuple, int] = {}
-    for point in points:
-        key = _pass_key(point)
-        if key not in readers:
-            readers[key] = int(MODE_FRIENDSHIPS in config.modes)
-        readers[key] += MODE_ENHANCED in config.modes
-    passes: dict[tuple, dict[str, dict[str, int]]] = {}
-    friendship_runs: dict[tuple, list[SourceRun]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, point in enumerate(points):
-        key = _pass_key(point)
-        auth = AuthorizationMap(draws, point.policy)
-        for mode_name in config.modes:
-            mode = config.mode_for(mode_name, point)
-            if mode.name == MODE_FRIENDSHIPS and key in friendship_runs:
-                runs.extend(replace(run, sweep_var=point.var, sweep_value=point.value)
-                            for run in friendship_runs[key])
-                continue
-            readers[key] -= 1
-            cior_edges: list[CiorEdge] = []
-            if mode.name == MODE_ENHANCED and mode.cior and mode.kinds:
-                cior_edges = run_cior_round(
-                    all_holders, scenario.siot, mode.kinds, scenario.profiles,
-                    auth, config.interest, ttl=point.ttl,
-                    sim_threshold=config.sim_threshold,
-                    origin_device=config.origin_device)
-            context = build_reach_context(scenario, config.interest, mode, auth,
-                                          point.max_hops, cior_edges,
-                                          passes.setdefault(key, {}),
-                                          keep_passes=readers[key] > 0)
-            mode_runs = [run_source(
-                source, config.interest, mode, scenario, context,
-                include_isolated=config.include_isolated,
-                campaign=config.campaign, sweep_var=point.var,
-                sweep_value=point.value, replicate=replicate)
-                for source in sources]
-            if mode.name == MODE_FRIENDSHIPS:
-                friendship_runs[key] = mode_runs
-            runs.extend(mode_runs)
-        if readers[key] <= 0:
-            passes.pop(key, None)
-        if last_use[key] == i:
-            friendship_runs.pop(key, None)
-    return runs
+        groups.setdefault(_pass_key(point), []).append(i)
+    runs_at: list[list[SourceRun]] = [[] for _ in points]
+    for members in groups.values():
+        passes: dict[str, dict[str, int]] = {}
+        friendship_runs: list[SourceRun] | None = None
+        for i in members:
+            point = points[i]
+            auth = AuthorizationMap(draws, point.policy)
+            for mode_name in config.modes:
+                mode = config.mode_for(mode_name, point)
+                if mode.name == MODE_FRIENDSHIPS and friendship_runs is not None:
+                    runs_at[i].extend(
+                        replace(run, sweep_var=point.var, sweep_value=point.value)
+                        for run in friendship_runs)
+                    continue
+                cior_edges: list[CiorEdge] = []
+                if mode.name == MODE_ENHANCED and mode.cior and mode.kinds:
+                    cior_edges = run_cior_round(
+                        all_holders, scenario.siot, mode.kinds, scenario.profiles,
+                        auth, config.interest, ttl=point.ttl,
+                        sim_threshold=config.sim_threshold,
+                        origin_device=config.origin_device)
+                context = build_reach_context(scenario, config.interest, mode,
+                                              auth, point.max_hops, cior_edges,
+                                              passes)
+                mode_runs = [run_source(
+                    source, config.interest, mode, scenario, context,
+                    include_isolated=config.include_isolated,
+                    campaign=config.campaign, sweep_var=point.var,
+                    sweep_value=point.value, replicate=replicate)
+                    for source in sources]
+                if mode.name == MODE_FRIENDSHIPS:
+                    friendship_runs = mode_runs
+                runs_at[i].extend(mode_runs)
+    return [run for point_runs in runs_at for run in point_runs]
 
 
 def run_campaign(scenario: Scenario, config: ExperimentConfig,

@@ -191,9 +191,9 @@ class ReachContext:
     Discovery results do not depend on the original source, so they are
     memoized per launcher in `_memo`. The friendship passes they are built
     from are kept in `passes`, which contexts with the same adjacency,
-    holders, horizons and `max_hops` may share. A context adds the passes
-    it computes to `passes`. With `keep_passes` false, as for the last
-    context that reads them, it adds none and takes out each one it uses.
+    holders, horizons and `max_hops` may share. A context adds each pass it
+    computes to `passes` and never takes one out: the owner of the dict
+    decides how long the passes live.
     """
 
     adjacency: Mapping[str, tuple[str, ...]]
@@ -202,18 +202,16 @@ class ReachContext:
     max_hops: int = DEFAULT_MAX_HOPS
     extra_contacts: Mapping[str, tuple[str, ...]] | None = None
     passes: dict[str, dict[str, int]] = field(default_factory=dict)
-    keep_passes: bool = True
     _memo: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
                   extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
-                  passes: dict[str, dict[str, int]] | None = None,
-                  keep_passes: bool = True) -> "ReachContext":
+                  passes: dict[str, dict[str, int]] | None = None) -> "ReachContext":
         return ReachContext(graph.sorted_adjacency(), frozenset(holders),
                             auth.auth_horizons(), max_hops, extra_contacts,
-                            {} if passes is None else passes, keep_passes)
+                            {} if passes is None else passes)
 
 
 def _friendship_pass(ctx: ReachContext, start: str) -> dict[str, int]:
@@ -248,11 +246,9 @@ def _discover_from(ctx: ReachContext, start: str) -> dict[str, int]:
     cached = ctx._memo.get(start)
     if cached is not None:
         return cached
-    found = ctx.passes.get(start) if ctx.keep_passes else ctx.passes.pop(start, None)
+    found = ctx.passes.get(start)
     if found is None:
-        found = _friendship_pass(ctx, start)
-        if ctx.keep_passes:
-            ctx.passes[start] = found
+        found = ctx.passes[start] = _friendship_pass(ctx, start)
     if ctx.extra_contacts is not None:
         contacts = [v for v in ctx.extra_contacts.get(start, ())
                     if v != start and v in ctx.holders]
