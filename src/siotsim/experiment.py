@@ -154,9 +154,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mode: {mode!r}")
         if self.origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
             raise ValueError(f"unknown origin_device: {self.origin_device!r}")
-        if self.sources != "all":
-            if int(self.sources) < 1:
-                raise ValueError("sources sample must be >= 1")
+        if self.sources != "all" and not (self.sources.isdecimal()
+                                          and int(self.sources) >= 1):
+            raise ValueError("sources must be 'all' or an integer >= 1, "
+                             f"got {self.sources!r}")
         if self.ttl < 1 or self.max_hops < 1:
             raise ValueError("ttl and max_hops must be >= 1")
         if any(t < 1 for t in self.ttl_values) or any(h < 1 for h in self.hops_values):
@@ -254,7 +255,7 @@ _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat `key = value` experiment config file. Unknown keys are
-    fatal."""
+    fatal, and every error names the file."""
     kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -272,7 +273,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
                                  f"{value!r} ({exc})") from exc
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,

@@ -146,7 +146,8 @@ def load_poi_catalog(path: str | Path) -> PoiCatalog:
 
 def load_macro_categories(path: str | Path) -> dict[int, MacroCategory]:
     """Load macro-categories from CSV `macro_id,name,keyword`, one keyword
-    per row. Duplicate ids with conflicting names are fatal."""
+    per row. A malformed row, or an id defined twice with different names,
+    is an error naming the file and line."""
     names: dict[int, str] = {}
     keywords: dict[int, set[str]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -155,13 +156,15 @@ def load_macro_categories(path: str | Path) -> dict[int, MacroCategory]:
         if header != ["macro_id", "name", "keyword"]:
             raise ValueError(f"{path}: unexpected macro-category header {header}")
         for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed macro-category row {row}")
-            macro_id = int(row[0])
-            name, keyword = row[1], row[2]
+            try:
+                mid, name, keyword = row
+                macro_id = int(mid)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad macro-category row "
+                                 f"{row!r} ({exc})") from exc
             if macro_id in names and names[macro_id] != name:
-                raise ValueError(
-                    f"{path}: macro id {macro_id} defined twice with different names")
+                raise ValueError(f"{path}:{reader.line_num}: macro id {macro_id} "
+                                 "defined twice with different names")
             names[macro_id] = name
             keywords.setdefault(macro_id, set()).add(keyword)
     return {mid: MacroCategory(mid, names[mid], frozenset(kws))
@@ -262,6 +265,8 @@ def write_profiles_csv(profiles: Mapping[str, InterestDescriptor],
 
 
 def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
+    """Load a `write_profiles_csv` file. A malformed row, or a `held` flag
+    other than 0 or 1, is an error naming the file and line."""
     weights: dict[str, dict[int, int]] = {}
     held: dict[str, set[int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -269,9 +274,17 @@ def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
         header = next(reader, None)
         if header != PROFILE_HEADER:
             raise ValueError(f"{path}: unexpected profile header {header}")
-        for owner, mid, count, held_flag in reader:
-            weights.setdefault(owner, {})[int(mid)] = int(count)
+        for row in reader:
+            try:
+                owner, mid, count, held_flag = row
+                macro_id, weight = int(mid), int(count)
+                if held_flag not in ("0", "1"):
+                    raise ValueError("held flag must be 0 or 1")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad profile row "
+                                 f"{row!r} ({exc})") from exc
+            weights.setdefault(owner, {})[macro_id] = weight
             if held_flag == "1":
-                held.setdefault(owner, set()).add(int(mid))
+                held.setdefault(owner, set()).add(macro_id)
     return {owner: InterestDescriptor(owner, w, frozenset(held.get(owner, ())))
             for owner, w in weights.items()}

@@ -264,7 +264,12 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("friendships.tsv", "c00n000\tc00n001\tc00n002"),
     ("devices.csv", "c00n000:extra,c00n000"),
     ("devices.csv", "c00n000:extra,c00n000,fixed,m0,north,0.0"),
-], ids=["three-field-friendship", "short-device", "non-number-device"])
+    ("profiles.csv", "c00n000,3"),
+    ("profiles.csv", "c00n000,x,1,1"),
+    ("profiles.csv", "c00n000,7,two,1"),
+    ("profiles.csv", "c00n000,7,1,2"),
+], ids=["three-field-friendship", "short-device", "non-number-device",
+        "short-profile", "non-integer-macro-id", "non-integer-count", "held-flag-2"])
 def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
                                                            name, bad_row):
     scn = tmp_path / "scn"
@@ -281,6 +286,37 @@ def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
     assert rc == 2
     assert f"{path}:2:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("bad_row", ["x,Sweet Food,Donut", "3,Sweet Food"],
+                         ids=["non-integer-macro-id", "short-macro-row"])
+def test_ingest_names_the_file_and_line_of_a_bad_macro_row(tmp_path, capsys, bad_row):
+    files = write_trace_fixture(tmp_path)
+    macros = tmp_path / "macros.csv"
+    macros.write_text(f"macro_id,name,keyword\n3,Sweet Food,Donut\n{bad_row}\n",
+                      encoding="utf-8")
+    rc = run_cli(["ingest", "--checkins", files["checkins"],
+                  "--friendships", files["friendships"], "--poi", files["poi"],
+                  "--macros", macros, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert f"{macros}:3: bad macro-category row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sources = abc", "sources must be 'all' or an integer >= 1, got 'abc'"),
+    ("sources = 0", "sources must be 'all' or an integer >= 1, got '0'"),
+    ("replicates = 0", "replicates must be >= 1"),
+    ("sweep = auth", "sweep=auth needs auth_values"),
+], ids=["sources-not-a-number", "sources-zero", "no-replicates", "sweep-without-values"])
+def test_run_names_the_config_file_of_an_invalid_config(tmp_path, capsys, line, message):
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--out", scn]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
 def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):
