@@ -18,7 +18,7 @@ import csv
 import io
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, KeysView, Mapping, Sequence
+from typing import Any, Callable, Iterable, KeysView, Mapping, Sequence
 
 from . import rng
 from .humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
@@ -75,6 +75,25 @@ class SweepPoint:
     ttl: int
     kinds: frozenset[RelationshipKind]
     max_hops: int
+
+
+def _fmt(v: float) -> str:
+    return f"{v:g}"
+
+
+# each sweep variable's config field of values, and its point at one value
+# as a change to the base point
+_SWEEPS: dict[str, tuple[str, Callable[[SweepPoint, Any], SweepPoint]]] = {
+    "spread": ("spread_values", lambda p, v: replace(
+        p, value=_fmt(v), policy=replace(p.policy, spread_prob_per_hop=(v,)))),
+    "auth": ("auth_values", lambda p, vec: replace(
+        p, value=",".join(_fmt(x) for x in vec),
+        policy=replace(p.policy, auth_prob_per_hop=vec))),
+    "kinds": ("kind_sets", lambda p, kinds: replace(
+        p, value="+".join(sorted(k.value for k in kinds)), kinds=kinds)),
+    "ttl": ("ttl_values", lambda p, t: replace(p, value=str(t), ttl=t)),
+    "hops": ("hops_values", lambda p, h: replace(p, value=str(h), max_hops=h)),
+}
 
 
 def irn_percentage(reached_count: int, denominator: int) -> float:
@@ -147,7 +166,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.sweep not in ("none", "spread", "auth", "kinds", "ttl", "hops"):
+        if self.sweep != "none" and self.sweep not in _SWEEPS:
             raise ValueError(f"unknown sweep variable: {self.sweep!r}")
         for mode in self.modes:
             if mode not in (MODE_FRIENDSHIPS, MODE_ENHANCED):
@@ -165,51 +184,19 @@ class ExperimentConfig:
         self.sweep_points()  # validates probability vectors and sweep values
 
     def sweep_points(self) -> list[SweepPoint]:
-        base_policy = AuthorizationPolicy(self.auth_prob_per_hop,
-                                          self.spread_prob_per_hop)
+        policy = AuthorizationPolicy(self.auth_prob_per_hop, self.spread_prob_per_hop)
+        base = SweepPoint(self.sweep, "", policy, self.ttl, self.kinds, self.max_hops)
         if self.sweep == "none":
-            return [SweepPoint("none", "", base_policy, self.ttl, self.kinds,
-                               self.max_hops)]
-        if self.sweep == "spread":
-            if not self.spread_values:
-                raise ValueError("sweep=spread needs spread_values")
-            return [SweepPoint("spread", _fmt(v),
-                               replace(base_policy, spread_prob_per_hop=(v,)),
-                               self.ttl, self.kinds, self.max_hops)
-                    for v in self.spread_values]
-        if self.sweep == "auth":
-            if not self.auth_values:
-                raise ValueError("sweep=auth needs auth_values")
-            return [SweepPoint("auth", ",".join(_fmt(x) for x in vec),
-                               replace(base_policy, auth_prob_per_hop=vec),
-                               self.ttl, self.kinds, self.max_hops)
-                    for vec in self.auth_values]
-        if self.sweep == "kinds":
-            if not self.kind_sets:
-                raise ValueError("sweep=kinds needs kind_sets")
-            return [SweepPoint("kinds",
-                               "+".join(sorted(k.value for k in kinds)),
-                               base_policy, self.ttl, kinds, self.max_hops)
-                    for kinds in self.kind_sets]
-        if self.sweep == "ttl":
-            if not self.ttl_values:
-                raise ValueError("sweep=ttl needs ttl_values")
-            return [SweepPoint("ttl", str(t), base_policy, t, self.kinds,
-                               self.max_hops)
-                    for t in self.ttl_values]
-        if not self.hops_values:
-            raise ValueError("sweep=hops needs hops_values")
-        return [SweepPoint("hops", str(h), base_policy, self.ttl, self.kinds, h)
-                for h in self.hops_values]
+            return [base]
+        name, point_at = _SWEEPS[self.sweep]
+        if not getattr(self, name):
+            raise ValueError(f"sweep={self.sweep} needs {name}")
+        return [point_at(base, v) for v in getattr(self, name)]
 
     def mode_for(self, name: str, point: SweepPoint) -> Mode:
         if name == MODE_FRIENDSHIPS:
             return Mode.friendships()
         return Mode.enhanced(point.kinds, self.cior)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:g}"
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
@@ -370,14 +357,9 @@ def _pass_key(point: SweepPoint) -> tuple[tuple[float, ...], int]:
 def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                    sources: Sequence[str], replicate: int) -> list[SourceRun]:
     """Every (sweep point, mode, source) run of one replicate, in point
-    order.
-
-    One draw table serves every point and mode. The points that share a
-    `_pass_key` form a group, run together: the group's friendship passes
-    are memoised in one `passes` dict that both modes of every member read,
-    and its friendships-mode runs, which depend on nothing else, are
-    computed at its first point and relabelled for the others. Both are
-    dropped when the group ends."""
+    order. The points that share a `_pass_key` run as one group, which owns
+    its memo of friendship passes and its friendships-mode runs (computed
+    at its first point, relabelled for the others) until it ends."""
     all_holders = sorted(scenario.holders(config.interest))
     draws = rng.DrawTable(config.seed, replicate)
     points = config.sweep_points()
