@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import bool_horizons, random_friend_graph, random_nonincreasing
 from conftest import make_devices, profile
 from oracles import oracle_giant_pct, oracle_reach
+from siotsim import cli
 from siotsim.experiment import Mode, build_reach_context, run_source
 from siotsim.humangraph import (DEFAULT_MAX_HOPS, UNBOUNDED, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
                                 ReachContext, cooperates, giant_component_pct,
                                 interest_reach)
 from siotsim.rng import DrawTable
-from siotsim.scenario import Scenario
+from siotsim.scenario import Scenario, read_scenario_dir
 from siotsim.siotgraph import SIoTGraph
 
 
@@ -273,6 +276,148 @@ def test_reach_equals_fixed_point_oracle():
                                         max_hops, holders, extra)
         assert direct == o_direct
         assert best == o_best
+
+
+def horizon_context(adjacency, holders, horizon, max_hops, extra=None):
+    return ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
+                        frozenset(holders), horizon, max_hops, extra)
+
+
+def assert_reach_matches_oracle(source, adjacency, holders, horizon, max_hops,
+                                extra=None):
+    direct, best = interest_reach(source, horizon_context(
+        adjacency, holders, horizon, max_hops, extra))
+    o_direct, o_best = oracle_reach(source, adjacency, lambda n, h: h <= horizon[n],
+                                    max_hops, holders, extra)
+    assert direct == o_direct
+    assert best == o_best
+    return best
+
+
+def friend_hops(adjacency, source) -> dict[str, int]:
+    """Plain BFS distance from `source`, ignoring authorization."""
+    hops, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency.get(u, ()):
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return hops
+
+
+def dense_holder_fixture(rnd: random.Random):
+    """Mostly holders, joined here and there by chains of non-holders, with
+    random hop horizons and `max_hops` 1..4."""
+    g = random_friend_graph(rnd, rnd.randrange(4, 18), rnd.uniform(0.1, 0.45))
+    users = sorted(g.nodes)
+    share = rnd.uniform(0.85, 1.0)
+    holders = {u for u in users if rnd.random() < share}
+    source = rnd.choice(users)
+    holders.add(source)
+    adjacency = {u: set(g.neighbors(u)) for u in users}
+    for b in range(rnd.randrange(1, 4)):
+        a, c = rnd.sample(users, 2)
+        chain = [a, *(f"x{b}{i}" for i in range(rnd.randrange(1, 3))), c]
+        for p, q in zip(chain, chain[1:]):
+            adjacency.setdefault(p, set()).add(q)
+            adjacency.setdefault(q, set()).add(p)
+    horizon = {u: rnd.choice((0, 1, 2, 3, UNBOUNDED)) for u in adjacency}
+    return source, adjacency, holders, horizon, rnd.randrange(1, 5)
+
+
+def test_reach_equals_oracle_with_dense_holders_and_random_horizons():
+    rnd = random.Random(90210)
+    relaunched = 0
+    for _ in range(200):
+        source, adjacency, holders, horizon, max_hops = dense_holder_fixture(rnd)
+        best = assert_reach_matches_oracle(source, adjacency, holders, horizon,
+                                           max_hops)
+        relaunched += any(h > max_hops for h in best.values())
+    assert relaunched > 20  # relaunches carry reach past one pass's budget
+
+
+def test_reach_equals_oracle_with_clique_extra_contacts():
+    # device-layer cliques (as POR gives) that hold non-holders too, and put
+    # the source one hop from nodes it also reaches as friends at hop >= 2
+    rnd = random.Random(4711)
+    far_friends = 0
+    for _ in range(200):
+        source, adjacency, holders, horizon, max_hops = dense_holder_fixture(rnd)
+        nodes = sorted(adjacency)
+        holders -= set(rnd.sample(nodes, rnd.randrange(0, 3))) - {source}
+        cliques = [rnd.sample(nodes, rnd.randrange(2, min(6, len(nodes)) + 1))
+                   for _ in range(rnd.randrange(1, 4))]
+        far = sorted(n for n, h in friend_hops(adjacency, source).items() if h >= 2)
+        if far:
+            cliques.append([source, *rnd.sample(far, min(2, len(far)))])
+        extra: dict[str, set[str]] = {}
+        for clique in cliques:
+            for u in clique:
+                extra.setdefault(u, set()).update(v for v in clique if v != u)
+        extra_contacts = {u: tuple(sorted(vs)) for u, vs in extra.items()}
+        assert_reach_matches_oracle(source, adjacency, holders, horizon, max_hops,
+                                    extra_contacts)
+        far_friends += any(n in holders for n in extra.get(source, ()) if n in far)
+    assert far_friends > 20
+
+
+def test_a_holder_relaunches_past_the_launchers_hop_budget():
+    # s - m - h - x - t with a budget of 2 hops: s's pass ends at h, whose
+    # relaunch reaches t at 4 cumulative hops
+    adjacency = {"s": {"m"}, "m": {"s", "h"}, "h": {"m", "x"},
+                 "x": {"h", "t"}, "t": {"x"}}
+    horizon = dict.fromkeys(adjacency, UNBOUNDED)
+    best = assert_reach_matches_oracle("s", adjacency, {"s", "h", "t"}, horizon, 2)
+    assert best == {"h": 2, "t": 4}
+
+
+def test_a_bridge_expands_when_a_second_launcher_reaches_it_sooner():
+    # s reaches the non-holder m at hop 2, past m's horizon of 1, so s's own
+    # pass stops there; h, at hop 1, reaches m at hop 1 and sees t through it
+    adjacency = {"s": {"n", "h"}, "n": {"s", "m"}, "h": {"s", "m"},
+                 "m": {"n", "h", "t"}, "t": {"m"}}
+    horizon = dict.fromkeys(adjacency, UNBOUNDED) | {"m": 1}
+    best = assert_reach_matches_oracle("s", adjacency, {"s", "h", "t"}, horizon, 4)
+    assert best == {"h": 1, "t": 3}
+
+
+def test_reach_equals_oracle_on_a_generated_trace(tmp_path, monkeypatch):
+    # the bench's trace regime: owner contacts from same-model (POR)
+    # cliques, and most users holding the interest
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen_trace = importlib.import_module("gen_trace")
+    inputs = tmp_path / "inputs"
+    gen_trace.generate(gen_trace.TraceSpec(users=60, pois=36, days=6), 3, inputs)
+    assert cli.main(["ingest", "--checkins", str(inputs / gen_trace.CHECKINS_FILE),
+                     "--friendships", str(inputs / gen_trace.FRIENDSHIPS_FILE),
+                     "--poi", str(inputs / gen_trace.POI_FILE),
+                     "--out", str(tmp_path / "ingest")]) == 0
+    assert cli.main(["build-graph", "--ingest", str(tmp_path / "ingest"),
+                     "--models", str(inputs / gen_trace.MODELS_FILE),
+                     "--seed", "3", "--out", str(tmp_path / "scenario")]) == 0
+    scn = read_scenario_dir(tmp_path / "scenario")
+    interest = max(range(1, 10), key=lambda i: len(scn.holders(i)))
+    holders = scn.holders(interest)
+    assert len(holders) > len(scn.friendships.nodes) // 2
+    adjacency = {u: set(vs) for u, vs in scn.friendships.sorted_adjacency().items()}
+    widest_clique = 0
+    for probs in ((1.0, 0.9, 0.8, 0.7), (0.8, 0.6, 0.4, 0.2)):
+        auth = AuthorizationMap(DrawTable(3, 0), AuthorizationPolicy(probs))
+        for mode in (Mode.friendships(), Mode.enhanced(cior=False)):
+            ctx = build_reach_context(scn, interest, mode, auth, DEFAULT_MAX_HOPS)
+            if ctx.extra_contacts is not None:
+                widest_clique = max(map(len, ctx.extra_contacts.values()))
+            for source in sorted(holders)[::9]:
+                direct, best = interest_reach(source, ctx)
+                o_direct, o_best = oracle_reach(source, adjacency, auth.authorizes,
+                                                DEFAULT_MAX_HOPS, holders,
+                                                ctx.extra_contacts)
+                assert direct == o_direct
+                assert best == o_best
+    assert widest_clique > 10
 
 
 def test_monotone_dominance_under_edge_addition_and_decision_flip():
