@@ -265,8 +265,9 @@ def write_profiles_csv(profiles: Mapping[str, InterestDescriptor],
 
 
 def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
-    """Load a `write_profiles_csv` file. A malformed row, or a `held` flag
-    other than 0 or 1, is an error naming the file and line."""
+    """Load a `write_profiles_csv` file. A malformed row, a negative count,
+    a `held` flag other than 0 or 1, or a second row for the same (owner,
+    macro_id) is an error naming the file and line."""
     weights: dict[str, dict[int, int]] = {}
     held: dict[str, set[int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -278,8 +279,12 @@ def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
             try:
                 owner, mid, count, held_flag = row
                 macro_id, weight = int(mid), int(count)
+                if weight < 0:
+                    raise ValueError("negative count")
                 if held_flag not in ("0", "1"):
                     raise ValueError("held flag must be 0 or 1")
+                if macro_id in weights.get(owner, ()):
+                    raise ValueError(f"second row for macro_id {macro_id}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad profile row "
                                  f"{row!r} ({exc})") from exc

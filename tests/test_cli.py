@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -268,10 +271,14 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("profiles.csv", "c00n000,x,1,1"),
     ("profiles.csv", "c00n000,7,two,1"),
     ("profiles.csv", "c00n000,7,1,2"),
+    ("profiles.csv", "c00n000,7,-1,1"),
+    ("profiles.csv", "c00n000,9,2,1\nc00n000,9,5,0"),
 ], ids=["three-field-friendship", "short-device", "non-number-device",
-        "short-profile", "non-integer-macro-id", "non-integer-count", "held-flag-2"])
+        "short-profile", "non-integer-macro-id", "non-integer-count", "held-flag-2",
+        "negative-count", "duplicate-macro-id"])
 def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
                                                            name, bad_row):
+    # `bad_row` goes in after the header; its last line is the bad one
     scn = tmp_path / "scn"
     assert run_cli(["synth", "--communities", 2, "--nodes", 3, "--seed", 1,
                     "--out", scn]) == 0
@@ -284,7 +291,7 @@ def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
     capsys.readouterr()
     rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
     assert rc == 2
-    assert f"{path}:2:" in capsys.readouterr().err
+    assert f"{path}:{1 + len(bad_row.splitlines())}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
@@ -317,6 +324,34 @@ def test_run_names_the_config_file_of_an_invalid_config(tmp_path, capsys, line, 
     rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
     assert rc == 2
     assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """`synth` and `run`, each in a new process under two hash seeds, write
+    the same bytes: no output takes its order from iterating a set."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 2\nsweep = hops\nhops_values = 2, 4\n"
+                   "auth_prob_per_hop = 0.9, 0.7, 0.5\nspread_prob_per_hop = 0.8\n",
+                   encoding="utf-8")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        base = tmp_path / f"hash{hash_seed}"
+        for stage in (["synth", "--communities", "4", "--nodes", "12",
+                       "--intra-prob", "0.3", "--cross", "POR=4,SOR=3",
+                       "--interest-prob", "0.8", "--noise-interests", "1",
+                       "--seed", "7", "--out", str(base / "scenario")],
+                      ["run", "--config", str(cfg), "--scenario", str(base / "scenario"),
+                       "--out", str(base / "results")]):
+            proc = subprocess.run([sys.executable, "-m", "siotsim.cli", *stage],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({p.relative_to(base): p.read_bytes()
+                        for p in sorted(base.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) > 5
+    assert outputs[0] == outputs[1]
 
 
 def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):
