@@ -9,7 +9,6 @@ the community of an interest is the fixed point of that relaunch process.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -177,6 +176,10 @@ class AuthorizationMap:
         return rng.LazyDict(lambda entity: _horizon(self.forwards, entity, hops))
 
 
+# A pass's holders by hop: layer k - 1 holds those first seen at hop k.
+Layers = tuple[frozenset[str], ...]
+
+
 @dataclass
 class ReachContext:
     """Shared state for reachability runs over one fixed configuration.
@@ -188,12 +191,16 @@ class ReachContext:
     `extra_contacts` optionally adds each node's own device-layer contacts
     (one hop, no authorization needed).
 
-    Discovery results do not depend on the original source, so they are
-    memoized per launcher in `_memo`. The friendship passes they are built
-    from are kept in `passes`, which contexts with the same adjacency,
-    holders, horizons and `max_hops` may share. A context adds each pass it
-    computes to `passes` and never takes one out: the owner of the dict
-    decides how long the passes live.
+    A relaunch pass of a launcher holds, by hop, the holders its discovery
+    pass sees when the pass stops at each holder instead of expanding it
+    (`interest_reach` says why that loses nothing). Relaunch passes do not
+    depend on the original source, so they are memoized per launcher in
+    `_memo`. The friendship parts they are built from are kept in `passes`
+    under (launcher, False), beside each source's full friendship pass
+    under (source, True). Contexts with the same adjacency, holders,
+    horizons and `max_hops` may share `passes`. A context adds each pass it
+    computes and never takes one out: the owner of the dict decides how
+    long the passes live.
     """
 
     adjacency: Mapping[str, tuple[str, ...]]
@@ -201,63 +208,75 @@ class ReachContext:
     horizon: Mapping[str, int]
     max_hops: int = DEFAULT_MAX_HOPS
     extra_contacts: Mapping[str, tuple[str, ...]] | None = None
-    passes: dict[str, dict[str, int]] = field(default_factory=dict)
-    _memo: dict[str, dict[str, int]] = field(default_factory=dict)
+    passes: dict[tuple[str, bool], Layers] = field(default_factory=dict)
+    _memo: dict[str, Layers] = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
                   extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
-                  passes: dict[str, dict[str, int]] | None = None) -> "ReachContext":
+                  passes: dict[tuple[str, bool], Layers] | None = None) -> "ReachContext":
         return ReachContext(graph.sorted_adjacency(), frozenset(holders),
                             auth.auth_horizons(), max_hops, extra_contacts,
                             {} if passes is None else passes)
 
 
-def _friendship_pass(ctx: ReachContext, start: str) -> dict[str, int]:
-    """The friendship part of a discovery pass launched by `start`:
-    interested nodes it can see through friendships, mapped to their hop
-    distance from `start`.
+def _hop_layers(ctx: ReachContext, start: str, expand_holders: bool) -> Layers:
+    """The holders a friendship search launched by `start` sees, by hop.
 
     The launcher always uses its own contact list; any other node reached
-    at hop k expands only if k is within its authorization horizon.
-    """
-    adjacency, horizon = ctx.adjacency, ctx.horizon
-    hops: dict[str, int] = {start: 0}
-    frontier = [start]
-    hop = 0
-    while frontier and hop < ctx.max_hops:
-        nxt: list[str] = []
-        for u in frontier:
-            if hop and hop > horizon[u]:  # hop 0 is the launcher
-                continue
-            for v in adjacency.get(u, ()):
-                if v not in hops:
-                    hops[v] = hop + 1
-                    nxt.append(v)
-        frontier = nxt
-        hop += 1
-    return {n: h for n, h in hops.items() if n != start and n in ctx.holders}
+    at hop k expands only if k is within its authorization horizon and,
+    unless `expand_holders` is set, it does not hold the interest."""
+    adjacency, horizon, holders = ctx.adjacency, ctx.horizon, ctx.holders
+    seen = {start}
+    expanding = [start]
+    layers = []
+    for hop in range(1, ctx.max_hops + 1):
+        reached: set[str] = set()
+        for u in expanding:
+            reached.update(adjacency.get(u, ()))
+        reached -= seen
+        if not reached:
+            break
+        seen |= reached
+        found = holders.intersection(reached)
+        layers.append(found)
+        if hop < ctx.max_hops:
+            if not expand_holders:
+                reached -= found
+            expanding = [u for u in reached if hop <= horizon[u]]
+    return tuple(layers)
 
 
-def _discover_from(ctx: ReachContext, start: str) -> dict[str, int]:
-    """One discovery pass launched by `start`: the friendship pass, with the
-    launcher's device-layer contacts, when present, visible at hop 1."""
+def _friendship_pass(ctx: ReachContext, start: str) -> Layers:
+    """The friendship part of `start`'s relaunch pass: its hop layers,
+    stopping at holders."""
+    return _hop_layers(ctx, start, expand_holders=False)
+
+
+def _device_contacts(ctx: ReachContext, start: str) -> frozenset[str]:
+    """The holders among the launcher's device-layer contacts."""
+    contacts = ctx.extra_contacts.get(start) if ctx.extra_contacts else None
+    if not contacts:
+        return frozenset()
+    found = ctx.holders.intersection(contacts)
+    return found - {start} if start in found else found
+
+
+def _discover_from(ctx: ReachContext, start: str) -> Layers:
+    """The relaunch pass of `start`: the friendship pass, with the
+    launcher's device-layer contacts, when present, added at hop 1."""
     cached = ctx._memo.get(start)
     if cached is not None:
         return cached
-    found = ctx.passes.get(start)
-    if found is None:
-        found = ctx.passes[start] = _friendship_pass(ctx, start)
-    if ctx.extra_contacts is not None:
-        contacts = [v for v in ctx.extra_contacts.get(start, ())
-                    if v != start and v in ctx.holders]
-        if contacts:
-            found = dict(found)
-            for v in contacts:
-                found[v] = 1
-    ctx._memo[start] = found
-    return found
+    layers = ctx.passes.get((start, False))
+    if layers is None:
+        layers = ctx.passes[start, False] = _friendship_pass(ctx, start)
+    contacts = _device_contacts(ctx, start)
+    if contacts:
+        layers = (contacts.union(*layers[:1]),) + layers[1:]
+    ctx._memo[start] = layers
+    return layers
 
 
 def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict[str, int]]:
@@ -266,29 +285,56 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
     Returns (direct, best): `direct` maps the interested nodes found by the
     source's own discovery pass to their hop distance; `best` maps every
     interested node reached after relaunches to its minimum cumulative hop
-    distance. Minimality follows from running a shortest-path search over
-    relaunchers, whose pass results are independent of the original source.
+    distance, the fixed point of the relaunch process.
+
+    The search relaunches each reached holder through its relaunch pass,
+    which stops at every holder it reaches. That loses nothing: a holder h
+    seen at hop k relaunches with hop 1 again and a fresh budget of
+    `max_hops`, so a node its launcher would see through h at hop k + j is
+    reached through h's relaunch within j more hops. h's pass sees each
+    node on that way k hops sooner than the launcher's did, a horizon that
+    admits a hop admits every earlier one, and a holder further on the way
+    relaunches in turn. So the fixed point over relaunch passes is the
+    fixed point over full discovery passes.
+
+    Every hop count is a small integer, so the search settles one level of
+    cumulative hops at a time (Dial's bucket search). A holder settled at
+    level d sends its layer k to level d + k. A level's bucket is the union
+    of the layers sent to it, cut to the holders not settled yet; each
+    layer is cut as it is added, so a clique of device contacts that is
+    mostly settled costs little. The bucket's nodes enter `best` in sorted
+    order, so `best` does not depend on the order of set iteration.
     """
     if source not in ctx.adjacency and (
             ctx.extra_contacts is None or source not in ctx.extra_contacts):
         raise ValueError(f"unknown source node: {source!r}")
-    direct = dict(_discover_from(ctx, source))
-    best: dict[str, int] = dict(direct)
-    heap: list[tuple[int, str]] = [(h, n) for n, h in direct.items()]
-    heapq.heapify(heap)
-    settled: set[str] = set()
-    while heap:
-        h, r = heapq.heappop(heap)
-        if r in settled or h > best.get(r, h):
-            continue
-        settled.add(r)
-        for n, k in _discover_from(ctx, r).items():
-            if n == source:
-                continue
-            cand = h + k
-            if cand < best.get(n, cand + 1):
-                best[n] = cand
-                heapq.heappush(heap, (cand, n))
+    full = ctx.passes.get((source, True))
+    if full is None:
+        full = ctx.passes[source, True] = _hop_layers(ctx, source, expand_holders=True)
+    direct = {n: hop for hop, layer in enumerate(full, 1) for n in sorted(layer)}
+    direct.update(dict.fromkeys(sorted(_device_contacts(ctx, source)), 1))
+    remaining = set(ctx.holders)  # not settled yet
+    remaining.discard(source)
+    best: dict[str, int] = {}
+    incoming: dict[int, list[frozenset[str]]] = {}  # level -> layers sent to it
+    level, settled = 0, [source]
+    while True:
+        for r in settled:
+            for hop, layer in enumerate(_discover_from(ctx, r), level + 1):
+                if layer:
+                    incoming.setdefault(hop, []).append(layer)
+        if not incoming:
+            break
+        level = min(incoming)
+        bucket: set[str] = set()
+        for layer in incoming.pop(level):
+            found = remaining & layer
+            remaining -= found
+            bucket |= found
+        settled = sorted(bucket)
+        best.update(dict.fromkeys(settled, level))
+        if not remaining:
+            break
     return direct, best
 
 
