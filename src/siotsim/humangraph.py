@@ -298,8 +298,9 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
     fixed point over full discovery passes.
 
     Every hop count is a small integer, so the search settles one level of
-    cumulative hops at a time (Dial's bucket search). A holder settled at
-    level d sends its layer k to level d + k. A level's bucket is the union
+    cumulative hops at a time (Dial's bucket search). It starts from the
+    source's own full pass, and a holder settled at level d then sends
+    layer k of its relaunch pass to level d + k. A level's bucket is the union
     of the layers sent to it, cut to the holders not settled yet; each
     layer is cut as it is added, so a clique of device contacts that is
     mostly settled costs little. The bucket's nodes enter `best` in sorted
@@ -311,30 +312,33 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
     full = ctx.passes.get((source, True))
     if full is None:
         full = ctx.passes[source, True] = _hop_layers(ctx, source, expand_holders=True)
+    contacts = _device_contacts(ctx, source)
     direct = {n: hop for hop, layer in enumerate(full, 1) for n in sorted(layer)}
-    direct.update(dict.fromkeys(sorted(_device_contacts(ctx, source)), 1))
+    direct.update(dict.fromkeys(sorted(contacts), 1))
     remaining = set(ctx.holders)  # not settled yet
     remaining.discard(source)
     best: dict[str, int] = {}
-    incoming: dict[int, list[frozenset[str]]] = {}  # level -> layers sent to it
-    level, settled = 0, [source]
-    while True:
-        for r in settled:
-            for hop, layer in enumerate(_discover_from(ctx, r), level + 1):
-                if layer:
-                    incoming.setdefault(hop, []).append(layer)
-        if not incoming:
-            break
+    # level -> the layers sent to it, first those of the source's own pass
+    incoming = {hop: [layer] for hop, layer in enumerate(full, 1) if layer}
+    if contacts:
+        incoming.setdefault(1, []).append(contacts)
+    while incoming and remaining:
         level = min(incoming)
         bucket: set[str] = set()
         for layer in incoming.pop(level):
-            found = remaining & layer
-            remaining -= found
-            bucket |= found
+            if not remaining.isdisjoint(layer):
+                found = remaining & layer
+                remaining -= found
+                bucket |= found
+        if not bucket:
+            continue
         settled = sorted(bucket)
         best.update(dict.fromkeys(settled, level))
-        if not remaining:
-            break
+        if remaining:
+            for r in settled:
+                for hop, layer in enumerate(_discover_from(ctx, r), level + 1):
+                    if layer:
+                        incoming.setdefault(hop, []).append(layer)
     return direct, best
 
 

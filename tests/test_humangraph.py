@@ -291,6 +291,9 @@ def assert_reach_matches_oracle(source, adjacency, holders, horizon, max_hops,
                                     max_hops, holders, extra)
     assert direct == o_direct
     assert best == o_best
+    # filled level by level, each level in sorted order, never in the
+    # order in which a set iterates
+    assert list(best) == sorted(best, key=lambda n: (best[n], n))
     return best
 
 
