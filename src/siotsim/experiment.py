@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, KeysView, Mapping, Sequence
 
 from . import rng
 from .humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
-                         AuthorizationPolicy, Layers, ReachContext,
+                         AuthorizationPolicy, PassMemo, ReachContext,
                          interest_reach)
 from .interests import DEFAULT_SIMILARITY_THRESHOLD
 from .protocol import (DEFAULT_TTL, ORIGIN_BOTH, ORIGIN_MOBILE, CiorEdge,
@@ -270,7 +270,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                         auth: AuthorizationMap, max_hops: int,
                         cior_edges: Sequence[CiorEdge] = (),
-                        passes: dict[tuple[str, bool], Layers] | None = None) -> ReachContext:
+                        passes: PassMemo | None = None) -> ReachContext:
     """Assemble the reachability context for one (mode, decisions) pair.
 
     In enhanced mode every node additionally sees, one hop away, the owners
@@ -369,7 +369,7 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
         groups.setdefault(_pass_key(point), []).append(i)
     runs_at: list[list[SourceRun]] = [[] for _ in points]
     for members in groups.values():
-        passes: dict[tuple[str, bool], Layers] = {}
+        passes: PassMemo = {}
         friendship_runs: list[SourceRun] | None = None
         for i in members:
             point = points[i]

@@ -178,6 +178,8 @@ class AuthorizationMap:
 
 # A pass's holders by hop: layer k - 1 holds those first seen at hop k.
 Layers = tuple[frozenset[str], ...]
+# Friendship passes by (launcher, expand_holders); see `ReachContext`.
+PassMemo = dict[tuple[str, bool], Layers]
 
 
 @dataclass
@@ -208,14 +210,14 @@ class ReachContext:
     horizon: Mapping[str, int]
     max_hops: int = DEFAULT_MAX_HOPS
     extra_contacts: Mapping[str, tuple[str, ...]] | None = None
-    passes: dict[tuple[str, bool], Layers] = field(default_factory=dict)
+    passes: PassMemo = field(default_factory=dict)
     _memo: dict[str, Layers] = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
                   extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
-                  passes: dict[tuple[str, bool], Layers] | None = None) -> "ReachContext":
+                  passes: PassMemo | None = None) -> "ReachContext":
         return ReachContext(graph.sorted_adjacency(), frozenset(holders),
                             auth.auth_horizons(), max_hops, extra_contacts,
                             {} if passes is None else passes)
@@ -256,11 +258,9 @@ def _friendship_pass(ctx: ReachContext, start: str) -> Layers:
 
 def _device_contacts(ctx: ReachContext, start: str) -> frozenset[str]:
     """The holders among the launcher's device-layer contacts."""
-    contacts = ctx.extra_contacts.get(start) if ctx.extra_contacts else None
-    if not contacts:
+    if ctx.extra_contacts is None:
         return frozenset()
-    found = ctx.holders.intersection(contacts)
-    return found - {start} if start in found else found
+    return ctx.holders.intersection(ctx.extra_contacts.get(start, ())) - {start}
 
 
 def _discover_from(ctx: ReachContext, start: str) -> Layers:
