@@ -70,6 +70,13 @@ def oracle_clor(devices, radius_m: float) -> list[tuple[str, str]]:
     return sorted(pairs)
 
 
+def oracle_nearest_poi(pois, point: GeoPoint, radius_m: float):
+    """All-pairs scan of the PoIs: the smallest (distance, poi_id) within
+    `radius_m` meters of `point`, boundary inclusive, or None."""
+    hits = [(haversine_m(point, p.location), p.poi_id) for p in pois]
+    return min((h for h in hits if h[0] <= radius_m), default=None)
+
+
 def oracle_discover(start, adjacency, authorizes, max_hops, holders, extra=None):
     """Single discovery pass by per-hop frontier sweeps."""
     hops = {start: 0}

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import checkin, corpus_of, profile
-from siotsim.geo import GeoPoint
+from conftest import checkin, corpus_of, profile, scatter_points
+from oracles import oracle_nearest_poi
+from siotsim.geo import GeoPoint, haversine_m
 from siotsim.interests import (InterestDescriptor, PoI, PoiCatalog,
                                assign_colocation_interests, build_profiles,
                                cosine_similarity, default_macro_categories,
                                keyword_index,
                                load_macro_categories, load_poi_catalog,
                                read_profiles_csv, write_profiles_csv)
-from siotsim.trace import detect_colocations
+from siotsim.trace import detect_colocations, filter_active_users, parse_checkins
 
 SWEET_FOOD = {"Pastelaria", "Ice Cream", "Yogurt", "Donut", "Dessert"}
 ITALIAN_FOOD = {"Meatball", "Wine", "Pizza", "Ice Cream"}
@@ -89,6 +92,51 @@ def test_equidistant_pois_tie_break_on_smaller_id():
                           PoI("p1", GeoPoint(0.0, 9.9995), "Donut")])
     out = assign_colocation_interests(colocs, catalog, default_macro_categories())
     assert out[0].poi_id == "p1"
+
+
+def _matches_oracle(catalog, queries, radius_m) -> int:
+    """Check every query against the all-pairs oracle; return the hits."""
+    hits = 0
+    for q in queries:
+        # the vectorised formula differs from haversine_m by up to a few
+        # nanometres at the antimeridian, so a PoI one radius away may fall
+        # on either side of it
+        if any(d > 0.0 and abs(d - radius_m) <= 1e-6
+               for d in (haversine_m(q, p.location) for p in catalog.pois)):
+            continue
+        expected = oracle_nearest_poi(catalog.pois, q, radius_m)
+        got = catalog.nearest_in_range(q, radius_m)
+        if expected is None:
+            assert got is None, q
+        else:
+            assert got[0].poi_id == expected[1], q
+            assert got[1] == pytest.approx(expected[0], rel=0.0, abs=1e-6), q
+        hits += expected is not None
+    return hits
+
+
+@pytest.mark.parametrize("radius_m", [0.0, 10.0, 250.0, 5000.0])
+def test_nearest_in_range_matches_the_oracle(radius_m):
+    # PoIs at the antimeridian, at and beside both poles, repeated exactly
+    # (ties go to the smaller poi_id) or one radius apart; ids are dealt
+    # out of order so that catalog order is not insertion order
+    rnd = random.Random(f"poi/{radius_m}")
+    points = scatter_points(rnd, 300, radius_m)
+    ids = [f"p{i:03d}" for i in range(200)]
+    rnd.shuffle(ids)
+    catalog = PoiCatalog(PoI(pid, loc, "Donut") for pid, loc in zip(ids, points))
+    hits = _matches_oracle(catalog, points, radius_m)
+    assert len(points) // 2 < hits < len(points)
+
+
+def test_nearest_in_range_matches_the_oracle_on_a_generated_trace(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen_trace = importlib.import_module("gen_trace")
+    gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), 0, tmp_path)
+    corpus = filter_active_users(parse_checkins(tmp_path / gen_trace.CHECKINS_FILE))
+    colocs = detect_colocations(corpus)
+    catalog = load_poi_catalog(tmp_path / gen_trace.POI_FILE)
+    assert _matches_oracle(catalog, [c.location for c in colocs], 250.0) > 100
 
 
 def test_unmatched_keyword_yields_no_assignment():
