@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -102,6 +103,13 @@ class CellIndex:
         row = math.floor(p.lat / self._row_deg)
         n = self._cells(row)
         return row, math.floor((p.lon + 180.0) * n / 360.0) % n
+
+    def bucket(self, points: Iterable[GeoPoint]) -> dict[tuple[int, int], list[int]]:
+        """The positions of `points`, in order, in each cell holding any."""
+        members: dict[tuple[int, int], list[int]] = {}
+        for i, p in enumerate(points):
+            members.setdefault(self.cell(p), []).append(i)
+        return members
 
     def near(self, p: GeoPoint) -> list[tuple[int, int]]:
         """The distinct cells that can hold a point within the radius of

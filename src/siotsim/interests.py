@@ -11,9 +11,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .geo import EARTH_RADIUS_M, GeoPoint
+from .geo import CellIndex, GeoPoint, haversine_m
 from .trace import CoLocation
 
 log = logging.getLogger(__name__)
@@ -93,31 +91,40 @@ class InterestAssignment:
 class PoiCatalog:
     """PoI collection supporting exact nearest-in-range queries.
 
-    Entries are kept sorted by poi_id so distance ties resolve to the
-    smaller identifier; distances are computed with the vectorized
-    haversine formula against the whole catalog.
+    Entries are kept sorted by poi_id. A query takes its candidates from
+    the cells of a `CellIndex`, built once per radius, tests them with
+    `haversine_m` and returns the nearest PoI within the radius, boundary
+    inclusive; a distance tie goes to the smaller poi_id.
     """
 
     def __init__(self, pois: Iterable[PoI]):
         self.pois = sorted(pois, key=lambda p: p.poi_id)
-        self._lat = np.radians(np.array([p.location.lat for p in self.pois]))
-        self._lon = np.radians(np.array([p.location.lon for p in self.pois]))
+        self._grids: dict[float, tuple[CellIndex, dict[tuple[int, int], list[int]]]] = {}
 
     def __len__(self) -> int:
         return len(self.pois)
 
+    def _grid(self, radius_m: float) -> tuple[CellIndex, dict[tuple[int, int], list[int]]]:
+        """The cell index for `radius_m` and the catalog positions in each
+        of its cells."""
+        found = self._grids.get(radius_m)
+        if found is None:
+            grid = CellIndex(radius_m)
+            found = self._grids[radius_m] = (grid, grid.bucket(p.location for p in self.pois))
+        return found
+
     def nearest_in_range(self, point: GeoPoint, radius_m: float) -> tuple[PoI, float] | None:
-        if not self.pois:
+        grid, members = self._grid(radius_m)
+        best = None
+        for key in grid.near(point):
+            for i in members.get(key, ()):
+                d = haversine_m(point, self.pois[i].location)
+                # positions follow poi_id, so (d, i) breaks ties on it
+                if d <= radius_m and (best is None or (d, i) < best):
+                    best = (d, i)
+        if best is None:
             return None
-        lat = math.radians(point.lat)
-        lon = math.radians(point.lon)
-        h = (np.sin((self._lat - lat) / 2.0) ** 2
-             + math.cos(lat) * np.cos(self._lat) * np.sin((self._lon - lon) / 2.0) ** 2)
-        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-        idx = int(np.argmin(d))  # first occurrence wins ties: smallest poi_id
-        if d[idx] <= radius_m:
-            return self.pois[idx], float(d[idx])
-        return None
+        return self.pois[best[1]], best[0]
 
 
 def load_poi_catalog(path: str | Path) -> PoiCatalog:

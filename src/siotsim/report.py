@@ -8,11 +8,11 @@ import io
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -41,16 +41,40 @@ def _series_label(run, series_keys: Sequence[str]) -> str:
     return "|".join(parts)
 
 
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """The float sum of `xs` in numpy's pairwise order, so that means and
+    deviations keep numpy's bits: under 8 items left to right; up to 128
+    in 8 interleaved accumulators, combined in pairs, then the tail;
+    above that, the two halves split at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, xs[j:m:8]) for j in range(8)]
+        return reduce(add, xs[m:],
+                      ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _mean(xs: Sequence[float]) -> float:
+    return _pairwise_sum(xs) / len(xs)
+
+
 def _aggregate(values_by_replicate: dict[int, list[float]]) -> tuple[float, float | None]:
     """Average sources within each replicate, then replicates; the
-    confidence half-width is computed over the replicate means and is
-    absent (not zero) for a single replicate."""
-    means = [float(np.mean(vs)) for _, vs in sorted(values_by_replicate.items())]
-    y = float(np.mean(means))
+    confidence half-width is 1.96 sample standard deviations of the
+    replicate means over the square root of their number, and is absent
+    (not zero) for a single replicate. Every sum is `_pairwise_sum`, so
+    the values equal numpy's `mean` and `std(ddof=1)` bit for bit."""
+    means = [_mean(vs) for _, vs in sorted(values_by_replicate.items())]
+    y = _mean(means)
     if len(means) < 2:
         return y, None
-    ci = Z_95 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
-    return y, ci
+    std = math.sqrt(_pairwise_sum([(m - y) * (m - y) for m in means]) / (len(means) - 1))
+    return y, Z_95 * std / math.sqrt(len(means))
 
 
 def mean_irn_pct(runs: Iterable, x_key: str = "sweep_value",
@@ -160,11 +184,11 @@ def mean_hops_comparison(runs_with: Iterable, runs_without: Iterable) -> HopComp
     pairs = []
     for source in sorted(per_source):
         ws, os_ = zip(*per_source[source])
-        pairs.append((source, float(np.mean(ws)), float(np.mean(os_))))
+        pairs.append((source, _mean(ws), _mean(os_)))
     if not pairs:
         return HopComparison((), None)
-    total_with = float(np.mean([p[1] for p in pairs]))
-    total_without = float(np.mean([p[2] for p in pairs]))
+    total_with = _mean([p[1] for p in pairs])
+    total_without = _mean([p[2] for p in pairs])
     ratio = total_with / total_without if total_without > 0 else None
     return HopComparison(tuple(pairs), ratio)
 

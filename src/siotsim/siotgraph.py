@@ -154,9 +154,7 @@ def establish_clor(devices: Mapping[str, Device],
     fixed = sorted((d for d in devices.values() if d.kind == FIXED),
                    key=lambda d: d.device_id)
     grid = CellIndex(radius_m)
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, d in enumerate(fixed):
-        members.setdefault(grid.cell(d.location), []).append(i)
+    members = grid.bucket(d.location for d in fixed)
     pairs: list[tuple[str, str]] = []
     for i, x in enumerate(fixed):
         near = sorted(j for key in grid.near(x.location)

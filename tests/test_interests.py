@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 import random
 from pathlib import Path
 
@@ -98,19 +99,9 @@ def _matches_oracle(catalog, queries, radius_m) -> int:
     """Check every query against the all-pairs oracle; return the hits."""
     hits = 0
     for q in queries:
-        # the vectorised formula differs from haversine_m by up to a few
-        # nanometres at the antimeridian, so a PoI one radius away may fall
-        # on either side of it
-        if any(d > 0.0 and abs(d - radius_m) <= 1e-6
-               for d in (haversine_m(q, p.location) for p in catalog.pois)):
-            continue
         expected = oracle_nearest_poi(catalog.pois, q, radius_m)
         got = catalog.nearest_in_range(q, radius_m)
-        if expected is None:
-            assert got is None, q
-        else:
-            assert got[0].poi_id == expected[1], q
-            assert got[1] == pytest.approx(expected[0], rel=0.0, abs=1e-6), q
+        assert (None if got is None else (got[1], got[0].poi_id)) == expected, q
         hits += expected is not None
     return hits
 
@@ -127,6 +118,18 @@ def test_nearest_in_range_matches_the_oracle(radius_m):
     catalog = PoiCatalog(PoI(pid, loc, "Donut") for pid, loc in zip(ids, points))
     hits = _matches_oracle(catalog, points, radius_m)
     assert len(points) // 2 < hits < len(points)
+
+
+def test_nearest_in_range_is_inclusive_at_exactly_the_distance():
+    # across the antimeridian, beside a pole and on mid-latitude ground
+    for a, b in (((12.0, 179.9999), (12.0, -179.9998)), ((89.999, 10.0), (89.999, -170.0)),
+                 ((38.7, -9.14), (38.7012, -9.1391))):
+        point, poi = GeoPoint(*a), PoI("p1", GeoPoint(*b), "Donut")
+        catalog = PoiCatalog([poi, PoI("p0", GeoPoint(-a[0], 0.0), "Donut")])
+        d = haversine_m(point, poi.location)
+        assert catalog.nearest_in_range(point, d) == (poi, d)
+        assert catalog.nearest_in_range(point, math.nextafter(d, 0.0)) is None
+        assert catalog.nearest_in_range(point, 2.0 * d) == (poi, d)
 
 
 def test_nearest_in_range_matches_the_oracle_on_a_generated_trace(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Source layout checks: every module-level function and class in
-`src/siotsim` is used by the program itself, not only by its tests, every
-name the bench tracer wraps exists, and the tracer's counts work on a real
-pipeline."""
+`src/siotsim` is used by the program itself, not only by its tests, no
+pipeline stage imports numpy, every name the bench tracer wraps exists,
+and the tracer's counts work on a real pipeline."""
 
 from __future__ import annotations
 
@@ -52,6 +52,43 @@ def unused_definitions() -> list[str]:
 
 def test_every_module_level_definition_is_used_by_the_package():
     assert unused_definitions() == []
+
+
+# Runs every CLI stage in one fresh interpreter, then names the heavy
+# modules any of them imported.
+_ALL_STAGES = """
+import sys
+from pathlib import Path
+import gen_trace
+from siotsim import cli
+
+tmp = Path(sys.argv[1])
+gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), 0, tmp / "in")
+stages = [
+    ["synth", "--out", tmp / "synth"],
+    ["ingest", "--checkins", tmp / "in" / gen_trace.CHECKINS_FILE,
+     "--friendships", tmp / "in" / gen_trace.FRIENDSHIPS_FILE,
+     "--poi", tmp / "in" / gen_trace.POI_FILE, "--out", tmp / "ingest"],
+    ["build-graph", "--ingest", tmp / "ingest",
+     "--models", tmp / "in" / gen_trace.MODELS_FILE, "--out", tmp / "scenario"],
+    ["run", "--scenario", tmp / "synth", "--out", tmp / "results"],
+    ["report", "--results", tmp / "results" / "results.csv", "--out", tmp / "report"],
+]
+for stage in stages:
+    assert cli.main([str(a) for a in stage]) == 0, stage
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_no_stage_imports_numpy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "bench"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ALL_STAGES, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "report" / "irn_series.csv").is_file()
 
 
 def test_every_name_the_bench_tracer_wraps_resolves():

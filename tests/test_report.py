@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 import pytest
 
-from siotsim.report import (MetricSeries, emit_csv, emit_plot_data,
+from siotsim.report import (Z_95, MetricSeries, _aggregate, emit_csv, emit_plot_data,
                             irn_by_hop, mean_hops_comparison, mean_irn_pct,
                             plot_data_text)
 
@@ -81,6 +82,54 @@ def test_aggregation_permutation_invariant():
     shuffled = list(runs)
     rnd.shuffle(shuffled)
     assert mean_irn_pct(runs) == mean_irn_pct(shuffled)
+
+
+def _random_floats(rnd: random.Random, n: int) -> list[float]:
+    scale = 10.0 ** rnd.randint(-6, 6)
+    return [rnd.uniform(0.0, 100.0) if rnd.random() < 0.5 else rnd.expovariate(1.0) * scale
+            for _ in range(n)]
+
+
+def test_aggregate_matches_numpy_bitwise():
+    # 1-300 items run all three branches of the pairwise sum: under 8,
+    # up to 128 and split in halves
+    np = pytest.importorskip("numpy")
+    rnd = random.Random(8128)
+    for _ in range(100):
+        by_rep = {r: _random_floats(rnd, rnd.randint(1, 300))
+                  for r in range(rnd.choice((1, 2, 7, 8, 9, 129, 300)))}
+        y, ci = _aggregate(by_rep)
+        means = [float(np.mean(by_rep[r])) for r in sorted(by_rep)]
+        assert y == float(np.mean(means))
+        if len(means) < 2:
+            assert ci is None
+        else:
+            assert ci == Z_95 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
+
+    # the per-source pairs (1-12 replicates) and their means (1-150 sources)
+    for _ in range(20):
+        with_runs, without_runs = [], []
+        for s in range(rnd.randint(1, 150)):
+            for r in range(rnd.randint(1, 12)):
+                nodes = [f"n{k}" for k in range(rnd.randint(1, 20))]
+                with_runs.append(reach({n: rnd.randint(1, 6) for n in nodes}, 20,
+                                       source=f"s{s:03d}", replicate=r))
+                without_runs.append(reach({n: rnd.randint(1, 9) for n in nodes}, 20,
+                                          source=f"s{s:03d}", replicate=r))
+        cmpres = mean_hops_comparison(with_runs, without_runs)
+        expected = []
+        for run_w, run_o in zip(with_runs, without_runs):
+            w = sum(run_w.hops.values()) / len(run_w.hops)
+            o = sum(run_o.hops.values()) / len(run_o.hops)
+            if expected and expected[-1][0] == run_w.source:
+                expected[-1][1].append(w)
+                expected[-1][2].append(o)
+            else:
+                expected.append((run_w.source, [w], [o]))
+        pairs = tuple((s, float(np.mean(ws)), float(np.mean(os_))) for s, ws, os_ in expected)
+        assert cmpres.pairs == pairs
+        assert cmpres.ratio == (float(np.mean([p[1] for p in pairs]))
+                                / float(np.mean([p[2] for p in pairs])))
 
 
 def test_groups_split_by_series_keys():
