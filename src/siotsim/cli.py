@@ -49,8 +49,8 @@ def _load_config(parser: argparse.ArgumentParser,
 
 
 def _threshold(kind: type, positive: bool = True):
-    """argparse type for a threshold flag: a `kind` that is > 0, or >= 0
-    when not `positive`."""
+    """argparse type for a threshold or count flag: a `kind` that is > 0,
+    or >= 0 when not `positive`."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -188,8 +188,8 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap; never changes results")
+    common.add_argument("--threads", type=_threshold(int), default=1,
+                        help="worker cap, at least 1; never changes results")
     common.add_argument("--out", default="out", help="output directory")
 
     parser = argparse.ArgumentParser(

@@ -407,11 +407,16 @@ def run_campaign(scenario: Scenario, config: ExperimentConfig,
                  threads: int = 1) -> ExperimentResult:
     """Run the full campaign: every (sweep point, mode, replicate, source)
     combination. Replicates use independent decision draws; results are
-    deterministic for a fixed seed regardless of `threads`."""
+    deterministic for a fixed seed regardless of `threads`. At most
+    `threads` replicates, and never more than there are, run at once in
+    worker processes."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     sources = select_sources(scenario, config)
     result = ExperimentResult(config.campaign)
-    if threads > 1 and config.replicates > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, config.replicates)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_replicate, scenario, config, sources, r)
                        for r in range(config.replicates)]
             for fut in futures:

@@ -535,6 +535,14 @@ def test_explicit_zero_poi_radius_is_not_replaced_by_the_default(tmp_path):
     assert ",1\n" not in (outs["zero"] / "profiles.csv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("command", ["ingest", "build-graph", "synth", "run", "report"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    assert run_cli([command, "--threads", value, "--out", tmp_path / "out"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_is_accepted_only_where_it_is_read(tmp_path):
     files = write_trace_fixture(tmp_path)
     assert run_cli(["ingest", "--checkins", files["checkins"],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import random
 from dataclasses import replace
@@ -218,6 +219,40 @@ def test_campaign_csv_deterministic_and_seed_sensitive():
     others = [result_csv_text(run_campaign(scn, dataclasses.replace(cfg, seed=s)))
               for s in range(8, 14)]
     assert any(other != first for other in others)
+
+
+def test_worker_pool_is_capped_at_the_replicate_count(monkeypatch):
+    # a stand-in pool that runs each task in this process and records its size
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    scn = generate_scenario(SyntheticScenarioSpec(communities=2, nodes_per_community=5,
+                                                  seed=13))
+    cfg = ExperimentConfig(replicates=2, seed=1)
+    pooled = result_csv_text(run_campaign(scn, cfg, threads=64))
+    assert sizes == [2]
+    assert pooled == result_csv_text(run_campaign(scn, cfg, threads=1))
+    assert sizes == [2]
+    run_campaign(scn, replace(cfg, replicates=1), threads=64)
+    assert sizes == [2]
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            run_campaign(scn, cfg, threads=threads)
 
 
 def test_threads_do_not_change_results():
