@@ -153,27 +153,46 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
 
     Every source user's origin device(s) propagate in turn over the
     selected-kind view of the base graph, which the round leaves unchanged.
-    Token ids come from the decisions' draw table, and each owner's
-    anonymised payload is built once. Deterministic for a fixed decision
-    map.
+    A device floods only if its component in the view (`SIoTView.components`)
+    holds an owner, other than the source owner, who holds `interest`; the
+    holders of each component are listed once per round. Skipping the
+    other floods changes no edge: a flood never leaves its component, and
+    `evaluate_candidates` turns away the source owner's devices and every
+    owner without the interest. Token ids and forwarding horizons are
+    keyed draws, so a skipped flood changes no other. A token id is drawn,
+    and each owner's anonymised payload built once, only for floods that
+    start. Deterministic for a fixed decision map.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
     view = graph.select_kinds(kinds)
+    components = view.components()
+    component_holders: dict[frozenset[str], frozenset[str]] = {}
     horizon = decisions.spread_horizons()
     established: list[CiorEdge] = []
     for user in sorted(set(sources)):
         own = profiles.get(user)
         if own is None or not own.held:
             continue
-        payload = own.anonymized()
+        origins = []
         for dev in graph.owner_devices.get(user, ()):
-            if origin_device == ORIGIN_MOBILE and graph.devices[dev].kind != MOBILE:
+            owners = components.get(dev)
+            if owners is None or (origin_device == ORIGIN_MOBILE
+                                  and graph.devices[dev].kind != MOBILE):
                 continue
+            held = component_holders.get(owners)
+            if held is None:
+                held = component_holders[owners] = frozenset(
+                    o for o in owners if interest in profiles.get(o, _NO_PROFILE).held)
+            if held - {user}:
+                origins.append(dev)
+        if not origins:
+            continue
+        payload = own.anonymized()
+        for dev in origins:
             token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
             trace = propagate_vuip(dev, view, token, horizon)
             for requester in evaluate_candidates(trace, graph, profiles, token,
                                                  interest, sim_threshold):
                 established.append(backpropagate(requester, trace, graph, profiles))
     return established
-

@@ -254,9 +254,9 @@ class SIoTView:
     """Read-only view of a SIoTGraph exposing only edges carrying at least
     one selected kind.
 
-    The sorted neighbour tuples and the owner projection are built on first
-    use and shared by every caller; they must not be mutated. Adding an
-    edge to the graph drops them."""
+    The sorted neighbour tuples, the owner projection and the components
+    are built on first use and shared by every caller; they must not be
+    mutated. Adding an edge to the graph drops them."""
 
     def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind]):
         self.graph = graph
@@ -268,15 +268,21 @@ class SIoTView:
     def _clear(self) -> None:
         self._neighbors: dict[str, tuple[str, ...]] | None = None
         self._contacts: dict[str, tuple[str, ...]] | None = None
+        self._components: dict[str, frozenset[str]] | None = None
 
     def edges(self) -> list[SIoTEdge]:
         return [e for e in self.graph.edges() if e.kinds & self.kinds]
 
     def neighbors(self, device: str) -> tuple[str, ...]:
+        if self._neighbors is None:  # checked here to keep the flood's calls flat
+            self._adjacency()
+        return self._neighbors.get(device, ())
+
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
         if self._neighbors is None:
             self._neighbors = _sorted_adjacency(
                 (e.device_a, e.device_b) for e in self.edges())
-        return self._neighbors.get(device, ())
+        return self._neighbors
 
     def owner_contacts(self) -> dict[str, tuple[str, ...]]:
         """Owner-level projection: for each user, the owners of devices
@@ -287,6 +293,41 @@ class SIoTView:
                 (owner[e.device_a], owner[e.device_b]) for e in self.edges()
                 if owner[e.device_a] != owner[e.device_b])
         return self._contacts
+
+    def components(self) -> dict[str, frozenset[str]]:
+        """Map each device to the owners of the devices in its connected
+        component of the view.
+
+        Only components with at least two owners are stored: a device that
+        is missing is isolated or linked only to its own owner's devices.
+        Every device of a component maps to the same frozenset object.
+        Built once, in O(devices + edges), from the neighbour tuples, and
+        dropped when an edge is added to the graph."""
+        if self._components is None:
+            adjacency = self._adjacency()
+            devices = self.graph.devices
+            self._components = components = {}
+            # Each walk has its own visited set, and a walked device is found
+            # again in `components` or in its owner's `alone`: no set spans
+            # the whole view, which would raise the peak memory of a run.
+            for owned in self.graph.owner_devices.values():
+                alone: set[str] = set()  # in a component of this owner only
+                for root in owned:
+                    if root in components or root in alone:
+                        continue
+                    seen = {root}
+                    members = [root]
+                    for dev in members:  # grows while it is walked: a BFS
+                        for neighbor in adjacency.get(dev, ()):
+                            if neighbor not in seen:
+                                seen.add(neighbor)
+                                members.append(neighbor)
+                    owners = frozenset(devices[d].owner for d in members)
+                    if len(owners) > 1:
+                        components.update(dict.fromkeys(members, owners))
+                    else:
+                        alone.update(members)
+        return self._components
 
 
 def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:

@@ -192,3 +192,30 @@ def oracle_flood(graph, kinds, source_device, decisions, ttl) -> dict:
         level = nxt
     del hops[source_device]
     return hops
+
+
+def oracle_components(view) -> dict:
+    """Each device's connected component in `view`, as the frozenset of
+    its devices' owners, for components with at least two owners. Plain BFS
+    over the view's edge list."""
+    adjacency: dict = {}
+    for e in view.edges():
+        adjacency.setdefault(e.device_a, set()).add(e.device_b)
+        adjacency.setdefault(e.device_b, set()).add(e.device_a)
+    out = {}
+    unseen = set(adjacency)
+    while unseen:
+        root = unseen.pop()
+        component = {root}
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for v in adjacency[u]:
+                if v not in component:
+                    component.add(v)
+                    queue.append(v)
+        unseen -= component
+        owners = frozenset(view.graph.devices[d].owner for d in component)
+        if len(owners) > 1:
+            out.update(dict.fromkeys(component, owners))
+    return out

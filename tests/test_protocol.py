@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from conftest import (cior_pairs, fixed_horizon, make_devices, mobile,
+from conftest import (cior_pairs, fixed, fixed_horizon, make_devices, mobile,
                       profile, random_device_graph, random_nonincreasing,
                       token_for)
-from oracles import oracle_flood
+from oracles import oracle_components, oracle_flood
+from siotsim import protocol
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
                               evaluate_candidates, propagate_vuip, run_cior_round)
 from siotsim.interests import cosine_similarity
 from siotsim.rng import DrawTable
-from siotsim.siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph
+from siotsim.siotgraph import BASE_KINDS, MOBILE, RelationshipKind, SIoTGraph
 
 
 def chain_graph(n: int) -> SIoTGraph:
@@ -353,3 +354,102 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
             assert sorted((e.source_device, e.requester_device, e.interests)
                           for e in out) == expected
             assert g.edges() == base_edges  # base graph untouched
+
+
+def sparse_device_graph(rnd: random.Random, n_users: int) -> SIoTGraph:
+    """Devices of `n_users` owners with few links. Some owners have no OOR
+    edge, so some devices are isolated and some components are one owner's
+    OOR pair; rare cross edges join the rest into mixed components."""
+    users = [f"u{i:03d}" for i in range(n_users)]
+    g = SIoTGraph(make_devices(users))
+    for u in users:
+        if rnd.random() < 0.7:
+            g.add_edge(mobile(u), fixed(u), RelationshipKind.OOR)
+    ids = sorted(g.devices)
+    p = rnd.uniform(0.0, 2.0 / len(ids))
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if g.devices[ids[i]].owner != g.devices[ids[j]].owner and rnd.random() < p:
+                g.add_edge(ids[i], ids[j], rnd.choice(
+                    [RelationshipKind.POR, RelationshipKind.SOR, RelationshipKind.CLOR]))
+    return g
+
+
+def random_rounds(seed: int, count: int):
+    """(graph, sources, kinds, profiles, decisions, ttl, origin_device) of
+    `count` random rounds for interest 3: sparse device graphs, owners
+    with and without a profile or interest 3, every kind subset, TTL 1-6,
+    non-increasing spread vectors and both origin settings."""
+    rnd = random.Random(seed)
+    subsets = list(kind_subsets())
+    for trial in range(count):
+        g = sparse_device_graph(rnd, rnd.randrange(3, 16))
+        users = sorted(g.owner_devices)
+        profiles = {u: profile(u, set(rnd.sample(range(2, 7), rnd.randrange(1, 4))))
+                    for u in users if rnd.random() < 0.85}
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, rnd.randrange(1, 7)))
+        yield (g, users, rnd.choice(subsets), profiles, decisions(policy, seed=trial),
+               rnd.randrange(1, 7), rnd.choice(["mobile", "both"]))
+
+
+def origin_devices(graph, user, origin_device):
+    return [dev for dev in graph.owner_devices[user]
+            if origin_device == "both" or graph.devices[dev].kind == MOBILE]
+
+
+def flooding_round(sources, graph, kinds, profiles, decision_map, interest, ttl,
+                   origin_device):
+    """The round with no flood skipped: every origin device of every source
+    with a profile floods, and each request is walked back."""
+    view = graph.select_kinds(kinds)
+    horizon = decision_map.spread_horizons()
+    out = []
+    for user in sorted(set(sources)):
+        own = profiles.get(user)
+        if own is None or not own.held:
+            continue
+        for dev in origin_devices(graph, user, origin_device):
+            token = VuipToken(decision_map.draws.tokens[dev], own.anonymized(), ttl)
+            trace = propagate_vuip(dev, view, token, horizon)
+            for requester in evaluate_candidates(trace, graph, profiles, token, interest):
+                out.append(backpropagate(requester, trace, graph, profiles))
+    return out
+
+
+def test_round_equals_flooding_from_every_origin_device():
+    seen = {"no component": 0, "no other holder": 0, "other holder": 0}
+    for g, users, kinds, profiles, shared, ttl, origin in random_rounds(1313, 150):
+        components = oracle_components(g.select_kinds(kinds))
+        holders = {u for u, p in profiles.items() if 3 in p.held}
+        for user in users:
+            for dev in origin_devices(g, user, origin):
+                if dev not in components:
+                    seen["no component"] += 1
+                elif components[dev] & holders - {user}:
+                    seen["other holder"] += 1
+                else:
+                    seen["no other holder"] += 1
+        out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
+                             origin_device=origin)
+        assert out == flooding_round(users, g, kinds, profiles, shared, 3, ttl, origin)
+    assert min(seen.values()) > 50, seen
+
+
+def test_only_floods_that_can_request_start(monkeypatch):
+    started = []
+
+    def recording_flood(source_device, *args):
+        started.append(source_device)
+        return propagate_vuip(source_device, *args)
+
+    monkeypatch.setattr(protocol, "propagate_vuip", recording_flood)
+    for g, users, kinds, profiles, shared, ttl, origin in random_rounds(1414, 60):
+        components = oracle_components(g.select_kinds(kinds))
+        holders = {u for u, p in profiles.items() if 3 in p.held}
+        expected = [dev for user in users if user in profiles
+                    for dev in origin_devices(g, user, origin)
+                    if components.get(dev, frozenset()) & holders - {user}]
+        started.clear()
+        run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
+                       origin_device=origin)
+        assert started == expected

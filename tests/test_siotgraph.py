@@ -7,10 +7,10 @@ import re
 import pytest
 
 from conftest import checkin, corpus_of, fixed, make_devices, mobile, scatter_points
-from oracles import oracle_clor, oracle_por_count
+from oracles import oracle_clor, oracle_components, oracle_por_count
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
-from siotsim.siotgraph import (FIXED, MOBILE, Device, RelationshipKind,
-                               SIoTGraph, build_siot_graph,
+from siotsim.siotgraph import (BASE_KINDS, FIXED, MOBILE, Device,
+                               RelationshipKind, SIoTGraph, build_siot_graph,
                                default_model_catalog, establish_clor,
                                establish_oor, establish_por, establish_sor,
                                instantiate_devices, parse_kind,
@@ -227,6 +227,42 @@ def test_owner_contacts_projection_skips_same_owner():
     g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     contacts = g.select_kinds(set(RelationshipKind)).owner_contacts()
     assert contacts == {"a": ("b",), "b": ("a",)}
+
+
+def test_components_follow_added_edges():
+    # a-b and c-d are two-owner components, f is one owner's OOR pair and
+    # e has no edge at all
+    g = SIoTGraph(make_devices(["a", "b", "c", "d", "e", "f"]))
+    for user in "abcdf":
+        g.add_edge(mobile(user), fixed(user), RelationshipKind.OOR)
+    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+    g.add_edge(mobile("c"), mobile("d"), RelationshipKind.SOR)
+    view = g.select_kinds(BASE_KINDS)
+    before = view.components()
+    assert before == oracle_components(view)
+    assert before[fixed("a")] == {"a", "b"} and before[fixed("c")] == {"c", "d"}
+    assert {id(before[d]) for d in (mobile("a"), fixed("a"), mobile("b"), fixed("b"))} \
+        == {id(before[mobile("a")])}
+    assert not {mobile("e"), fixed("e"), mobile("f"), fixed("f")} & before.keys()
+
+    g.add_edge(fixed("b"), fixed("c"), RelationshipKind.CLOR)
+    after = view.components()
+    assert after == oracle_components(view)
+    merged = {device for user in "abcd" for device in (mobile(user), fixed(user))}
+    assert after.keys() == merged
+    assert {id(after[d]) for d in merged} == {id(after[fixed("b")])}
+    assert after[fixed("b")] == {"a", "b", "c", "d"}
+
+    # read after every added edge of a random graph
+    rnd = random.Random(77)
+    g = SIoTGraph(make_devices([f"u{i}" for i in range(12)]))
+    ids = sorted(g.devices)
+    for _ in range(30):
+        a, b = rnd.sample(ids, 2)
+        g.add_edge(a, b, rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value)))
+        for kinds in ({RelationshipKind.SOR}, BASE_KINDS):
+            view = g.select_kinds(kinds)
+            assert view.components() == oracle_components(view)
 
 
 def test_build_siot_graph_composes_all_rules():
