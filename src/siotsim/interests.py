@@ -128,26 +128,21 @@ class PoiCatalog:
 
 
 def load_poi_catalog(path: str | Path) -> PoiCatalog:
-    """Load a PoI catalog from CSV `poi_id,lat,lon,keyword`. Entries with
-    invalid coordinates are skipped with a warning."""
+    """Load a PoI catalog from CSV `poi_id,lat,lon,keyword`. A malformed
+    row or invalid coordinates are an error naming the file and line."""
     pois: list[PoI] = []
-    skipped = 0
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["poi_id", "lat", "lon", "keyword"]:
             raise ValueError(f"{path}: unexpected PoI header {header}")
         for row in reader:
-            if len(row) != 4:
-                skipped += 1
-                continue
-            poi_id, lat, lon, keyword = row
             try:
+                poi_id, lat, lon, keyword = row
                 pois.append(PoI(poi_id, GeoPoint(float(lat), float(lon)), keyword))
-            except ValueError:
-                skipped += 1
-    if skipped:
-        log.warning("load_poi_catalog: skipped %d invalid rows in %s", skipped, path)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad PoI row "
+                                 f"{row!r} ({exc})") from exc
     return PoiCatalog(pois)
 
 

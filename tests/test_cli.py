@@ -309,6 +309,20 @@ def test_ingest_names_the_file_and_line_of_a_bad_macro_row(tmp_path, capsys, bad
     assert f"{macros}:3: bad macro-category row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["poi-2,10.0,Donut", "poi-2,95.0,10.0,Donut",
+                                     "poi-2,10.0,east,Donut"],
+                         ids=["short-poi-row", "latitude-out-of-range", "non-number-lon"])
+def test_ingest_names_the_file_and_line_of_a_bad_poi_row(tmp_path, capsys, bad_row):
+    files = write_trace_fixture(tmp_path)
+    poi = files["poi"]
+    poi.write_text(poi.read_text(encoding="utf-8") + bad_row + "\n", encoding="utf-8")
+    rc = run_cli(["ingest", "--checkins", files["checkins"],
+                  "--friendships", files["friendships"], "--poi", poi,
+                  "--out", tmp_path / "out"])
+    assert rc == 2
+    assert f"{poi}:3: bad PoI row" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, message", [
     ("sources = abc", "sources must be 'all' or an integer >= 1, got 'abc'"),
     ("sources = 0", "sources must be 'all' or an integer >= 1, got '0'"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -44,12 +45,12 @@ def test_load_macro_categories_rejects_conflicting_redefinition(tmp_path):
         load_macro_categories(path)
 
 
-def test_load_poi_catalog_skips_invalid_rows(tmp_path):
+def test_load_poi_catalog_rejects_invalid_rows(tmp_path):
     path = tmp_path / "poi.csv"
     path.write_text("poi_id,lat,lon,keyword\np1,10,10,Donut\np2,999,10,Donut\n",
                     encoding="utf-8")
-    catalog = load_poi_catalog(path)
-    assert len(catalog) == 1
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: bad PoI row"):
+        load_poi_catalog(path)
 
 
 def test_empty_poi_catalog_assigns_nothing(tmp_path):
