@@ -178,6 +178,8 @@ class ExperimentConfig:
                                           and int(self.sources) >= 1):
             raise ValueError("sources must be 'all' or an integer >= 1, "
                              f"got {self.sources!r}")
+        if not 0.0 <= self.sim_threshold <= 1.0:  # also turns away NaN
+            raise ValueError(f"sim_threshold must be in [0, 1], got {self.sim_threshold}")
         if self.ttl < 1 or self.max_hops < 1:
             raise ValueError("ttl and max_hops must be >= 1")
         if any(t < 1 for t in self.ttl_values) or any(h < 1 for h in self.hops_values):

@@ -146,3 +146,29 @@ def random_device_graph(rnd: random.Random, n_users: int,
                                    RelationshipKind.CLOR])
                 graph.add_edge(ids[i], ids[j], kind)
     return graph
+
+
+def clique_device_graph(rnd: random.Random, n_users: int, models: int = 3) -> SIoTGraph:
+    """Devices of `n_users` owners, each with a model out of `models`, so
+    that same-model (POR) cliques are dense; most owners have an OOR edge,
+    and a few random SOR and C-LOR edges join devices of other owners."""
+    from siotsim.siotgraph import RelationshipKind, establish_por
+    devices = {}
+    for i in range(n_users):
+        user = f"u{i:03d}"
+        for kind in (MOBILE, FIXED):
+            did = device_id(user, kind)
+            devices[did] = Device(did, user, kind, f"m{rnd.randrange(models)}",
+                                  GeoPoint(0.0, 0.001 * i) if kind == FIXED else None)
+    graph = SIoTGraph(devices)
+    for a, b in establish_por(devices):
+        graph.add_edge(a, b, RelationshipKind.POR)
+    for user, owned in graph.owner_devices.items():
+        if rnd.random() < 0.8:
+            graph.add_edge(owned[0], owned[1], RelationshipKind.OOR)
+    ids = sorted(devices)
+    for _ in range(rnd.randrange(0, n_users)):
+        a, b = rnd.sample(ids, 2)
+        if devices[a].owner != devices[b].owner:
+            graph.add_edge(a, b, rnd.choice([RelationshipKind.SOR, RelationshipKind.CLOR]))
+    return graph

@@ -8,8 +8,11 @@ internals they verify.
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 from siotsim.geo import GeoPoint, haversine_m
-from siotsim.siotgraph import FIXED
+from siotsim.siotgraph import FIXED, MOBILE
 from siotsim.trace import CoLocation, TraceCorpus
 
 BIG = 1 << 30
@@ -219,3 +222,62 @@ def oracle_components(view) -> dict:
         if len(owners) > 1:
             out.update(dict.fromkeys(component, owners))
     return out
+
+
+def oracle_relay_table(graph, kinds, source_device, horizon, ttl) -> list:
+    """(receiver, previous hop, hop) of a token flood, in the order the
+    receivers are recorded: a FIFO breadth-first search over sorted
+    neighbour tuples built from the raw edge list.
+
+    The source always sends; any other holder at hop h forwards iff
+    0 < h < ttl and h <= horizon[holder]. Each neighbour is taken in
+    sorted order and recorded once, from the first holder that reaches it."""
+    kinds = set(kinds)
+    neighbours: dict = {}
+    for e in graph.edges():
+        if e.kinds & kinds:
+            neighbours.setdefault(e.device_a, set()).add(e.device_b)
+            neighbours.setdefault(e.device_b, set()).add(e.device_a)
+    neighbours = {d: tuple(sorted(vs)) for d, vs in neighbours.items()}
+    table: dict = {}
+    queue = deque([(source_device, 0)])
+    while queue:
+        holder, hop = queue.popleft()
+        if hop >= ttl or (hop and hop > horizon[holder]):
+            continue
+        for n in neighbours.get(holder, ()):
+            if n != source_device and n not in table:
+                table[n] = (holder, hop + 1)
+                queue.append((n, hop + 1))
+    return [(n, prev, hop) for n, (prev, hop) in table.items()]
+
+
+def _held_cosine(a: frozenset, b: frozenset) -> float:
+    if not a or not b:
+        return 0.0
+    return len(a & b) / math.sqrt(len(a) * len(b))
+
+
+def oracle_cior_pairs(sources, graph, kinds, profiles, decisions, interest, ttl,
+                      sim_threshold=0.5, origin_device="mobile") -> set:
+    """Owner pairs (a, b), a < b, that a C-IOR round links: each origin
+    device of each source with a non-empty profile floods (`oracle_flood`),
+    and a receiver's owner links to the source iff it is another owner who
+    holds `interest` and whose profile has cosine similarity at least
+    `sim_threshold` to the source's. The similarity gate is a table over
+    all pairs of profiles."""
+    gate = {(u, v): _held_cosine(p.held, q.held) >= sim_threshold
+            for u, p in profiles.items() for v, q in profiles.items()}
+    pairs = set()
+    for user in set(sources):
+        if user not in profiles or not profiles[user].held:
+            continue
+        for dev in graph.devices.values():
+            if dev.owner != user or (origin_device != "both" and dev.kind != MOBILE):
+                continue
+            for receiver in oracle_flood(graph, kinds, dev.device_id, decisions, ttl):
+                owner = graph.devices[receiver].owner
+                if (owner != user and owner in profiles
+                        and interest in profiles[owner].held and gate[(owner, user)]):
+                    pairs.add((min(user, owner), max(user, owner)))
+    return pairs

@@ -328,7 +328,11 @@ def test_ingest_names_the_file_and_line_of_a_bad_poi_row(tmp_path, capsys, bad_r
     ("sources = 0", "sources must be 'all' or an integer >= 1, got '0'"),
     ("replicates = 0", "replicates must be >= 1"),
     ("sweep = auth", "sweep=auth needs auth_values"),
-], ids=["sources-not-a-number", "sources-zero", "no-replicates", "sweep-without-values"])
+    ("sim_threshold = nan", "sim_threshold must be in [0, 1], got nan"),
+    ("sim_threshold = -0.1", "sim_threshold must be in [0, 1], got -0.1"),
+    ("sim_threshold = 1.5", "sim_threshold must be in [0, 1], got 1.5"),
+], ids=["sources-not-a-number", "sources-zero", "no-replicates", "sweep-without-values",
+        "nan-sim-threshold", "negative-sim-threshold", "sim-threshold-above-one"])
 def test_run_names_the_config_file_of_an_invalid_config(tmp_path, capsys, line, message):
     scn = tmp_path / "scn"
     assert run_cli(["synth", "--out", scn]) == 0

@@ -5,15 +5,16 @@ import random
 
 import pytest
 
-from conftest import (cior_pairs, fixed, fixed_horizon, make_devices, mobile,
-                      profile, random_device_graph, random_nonincreasing,
-                      token_for)
-from oracles import oracle_components, oracle_flood
+from conftest import (cior_pairs, clique_device_graph, fixed, fixed_horizon,
+                      make_devices, mobile, profile, random_device_graph,
+                      random_nonincreasing, token_for)
+from oracles import (oracle_cior_pairs, oracle_components, oracle_flood,
+                     oracle_relay_table)
 from siotsim import protocol
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
                               evaluate_candidates, propagate_vuip, run_cior_round)
-from siotsim.interests import cosine_similarity
+from siotsim.interests import InterestDescriptor, cosine_similarity
 from siotsim.rng import DrawTable
 from siotsim.siotgraph import BASE_KINDS, MOBILE, RelationshipKind, SIoTGraph
 
@@ -453,3 +454,64 @@ def test_only_floods_that_can_request_start(monkeypatch):
         run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
                        origin_device=origin)
         assert started == expected
+
+
+def test_flood_equals_the_relay_table_oracle_item_for_item():
+    """The relay table of every flood holds the oracle's (receiver,
+    previous hop, hop) items in the oracle's order, over dense POR cliques,
+    every kind subset, TTL 1-6 and random horizons, also after an edge is
+    added to the graph between two floods from the same device."""
+    rnd = random.Random(1515)
+    subsets = list(kind_subsets())
+    compared = grown = 0
+    for trial in range(60):
+        g = clique_device_graph(rnd, rnd.randrange(4, 16))
+        kinds = rnd.choice(subsets)
+        view = g.select_kinds(kinds)
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, rnd.randrange(1, 7)))
+        horizon = decisions(policy, seed=trial).spread_horizons()
+        ids = sorted(g.devices)
+        for flood in range(4):
+            source = rnd.choice(ids)
+            for step in range(2):
+                ttl = rnd.randrange(1, 7)
+                token = VuipToken(f"t{flood}", InterestDescriptor.empty(), ttl)
+                trace = propagate_vuip(source, view, token, horizon)
+                assert [(r, p, trace.hops[r]) for r, p in trace.records.items()] == \
+                    oracle_relay_table(g, kinds, source, horizon, ttl)
+                compared += 1
+                others = [d for d in ids if d != source and d not in view.neighbors(source)]
+                if step == 0 and others:
+                    g.add_edge(source, rnd.choice(others), rnd.choice(sorted(kinds, key=str)))
+                    grown += 1
+    assert compared == 480 and grown > 200
+
+
+def test_round_pairs_equal_the_pair_oracle():
+    """The owner pairs a round links equal `oracle_cior_pairs` on sparse
+    graphs and on dense POR cliques, for random source sets, every kind
+    subset, TTL 1-6, similarity thresholds from 0 to 1 and both origin
+    settings."""
+    rnd = random.Random(1616)
+    subsets = list(kind_subsets())
+    linked = 0
+    for trial in range(120):
+        g = (clique_device_graph(rnd, rnd.randrange(3, 14)) if trial % 2
+             else sparse_device_graph(rnd, rnd.randrange(3, 16)))
+        users = sorted(g.owner_devices)
+        profiles = {u: profile(u, set(rnd.sample(range(2, 6), rnd.randrange(1, 4))))
+                    for u in users if rnd.random() < 0.85}
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, rnd.randrange(1, 7)))
+        shared = decisions(policy, seed=trial)
+        kinds, ttl = rnd.choice(subsets), rnd.randrange(1, 7)
+        threshold = rnd.choice([0.0, 0.5, 2.0 / 3.0, 1.0])
+        origin = rnd.choice(["mobile", "both"])
+        sources = rnd.sample(users, rnd.randrange(1, len(users) + 1))
+        out = run_cior_round(sources, g, kinds, profiles, shared, 3, ttl=ttl,
+                             sim_threshold=threshold, origin_device=origin)
+        pairs = {tuple(sorted((g.devices[e.source_device].owner,
+                               g.devices[e.requester_device].owner))) for e in out}
+        assert pairs == oracle_cior_pairs(sources, g, kinds, profiles, shared, 3, ttl,
+                                          threshold, origin)
+        linked += len(pairs)
+    assert linked > 150
