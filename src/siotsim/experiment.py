@@ -25,10 +25,10 @@ from .humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                          AuthorizationPolicy, PassMemo, ReachContext,
                          interest_reach)
 from .interests import DEFAULT_SIMILARITY_THRESHOLD
-from .protocol import (DEFAULT_TTL, ORIGIN_BOTH, ORIGIN_MOBILE, CiorEdge,
+from .protocol import (DEFAULT_TTL, ORIGIN_BOTH, ORIGIN_MOBILE, RoundMemo,
                        run_cior_round)
 from .scenario import Scenario
-from .siotgraph import BASE_KINDS, RelationshipKind, SIoTGraph, parse_kind
+from .siotgraph import BASE_KINDS, RelationshipKind, parse_kind
 
 MODE_FRIENDSHIPS = "friendships"
 MODE_ENHANCED = "enhanced"
@@ -271,13 +271,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                         auth: AuthorizationMap, max_hops: int,
-                        cior_edges: Sequence[CiorEdge] = (),
+                        cior_pairs: Iterable[tuple[str, str]] = (),
                         passes: PassMemo | None = None) -> ReachContext:
     """Assemble the reachability context for one (mode, decisions) pair.
 
     In enhanced mode every node additionally sees, one hop away, the owners
     of devices linked to its own devices in the selected-kind view, plus
-    the owners linked by the round's `cior_edges` that carry the interest.
+    its partners in the owner pairs `cior_pairs` of a C-IOR round.
     `passes` shares friendship passes with other contexts of the same
     interest, auth vector and `max_hops` (see `ReachContext`)."""
     holders = scenario.holders(interest)
@@ -285,25 +285,20 @@ def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
     if mode.name == MODE_ENHANCED:
         base = (scenario.siot.select_kinds(mode.kinds).owner_contacts()
                 if mode.kinds else {})
-        extra = _with_cior_contacts(base, scenario.siot, cior_edges, interest)
+        extra = _with_cior_contacts(base, cior_pairs)
     return ReachContext.for_graph(scenario.friendships, holders, auth,
                                   max_hops, extra, passes)
 
 
-def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]], siot: SIoTGraph,
-                        cior_edges: Sequence[CiorEdge], interest: int,
+def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]],
+                        cior_pairs: Iterable[tuple[str, str]],
                         ) -> Mapping[str, tuple[str, ...]]:
-    """`contacts` plus the owner pairs of the edges carrying `interest`, as
-    a new mapping; `contacts` itself is left as it is."""
+    """`contacts` plus the owner pairs, as a new mapping; `contacts` itself
+    is left as it is."""
     added: dict[str, set[str]] = {}
-    for edge in cior_edges:
-        if interest not in edge.interests:
-            continue
-        oa = siot.devices[edge.source_device].owner
-        ob = siot.devices[edge.requester_device].owner
-        if oa != ob:
-            added.setdefault(oa, set()).add(ob)
-            added.setdefault(ob, set()).add(oa)
+    for a, b in cior_pairs:
+        added.setdefault(a, set()).add(b)
+        added.setdefault(b, set()).add(a)
     if not added:
         return contacts
     merged = dict(contacts)
@@ -358,11 +353,13 @@ def _pass_key(point: SweepPoint) -> tuple[tuple[float, ...], int]:
 
 
 def _run_replicate(scenario: Scenario, config: ExperimentConfig,
-                   sources: Sequence[str], replicate: int) -> list[SourceRun]:
+                   sources: Sequence[str], replicate: int,
+                   rounds: RoundMemo) -> list[SourceRun]:
     """Every (sweep point, mode, source) run of one replicate, in point
     order. The points that share a `_pass_key` run as one group, which owns
     its memo of friendship passes and its friendships-mode runs (computed
-    at its first point, relabelled for the others) until it ends."""
+    at its first point, relabelled for the others) until it ends. `rounds`
+    is the campaign's memo of C-IOR plans and gates."""
     all_holders = sorted(scenario.holders(config.interest))
     draws = rng.DrawTable(config.seed, replicate)
     points = config.sweep_points()
@@ -383,15 +380,15 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                         replace(run, sweep_var=point.var, sweep_value=point.value)
                         for run in friendship_runs)
                     continue
-                cior_edges: list[CiorEdge] = []
+                cior_pairs: set[tuple[str, str]] = set()
                 if mode.name == MODE_ENHANCED and mode.cior and mode.kinds:
-                    cior_edges = run_cior_round(
+                    cior_pairs = run_cior_round(
                         all_holders, scenario.siot, mode.kinds, scenario.profiles,
                         auth, config.interest, ttl=point.ttl,
                         sim_threshold=config.sim_threshold,
-                        origin_device=config.origin_device)
+                        origin_device=config.origin_device, memo=rounds)
                 context = build_reach_context(scenario, config.interest, mode,
-                                              auth, point.max_hops, cior_edges,
+                                              auth, point.max_hops, cior_pairs,
                                               passes)
                 mode_runs = [run_source(
                     source, config.interest, mode, scenario, context,
@@ -411,21 +408,23 @@ def run_campaign(scenario: Scenario, config: ExperimentConfig,
     combination. Replicates use independent decision draws; results are
     deterministic for a fixed seed regardless of `threads`. At most
     `threads` replicates, and never more than there are, run at once in
-    worker processes."""
+    worker processes. The C-IOR rounds share one `RoundMemo`; each worker
+    task fills its own copy."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     sources = select_sources(scenario, config)
     result = ExperimentResult(config.campaign)
+    rounds = RoundMemo()
     workers = min(threads, config.replicates)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_replicate, scenario, config, sources, r)
+            futures = [pool.submit(_run_replicate, scenario, config, sources, r, rounds)
                        for r in range(config.replicates)]
             for fut in futures:
                 result.runs.extend(fut.result())
     else:
         for r in range(config.replicates):
-            result.runs.extend(_run_replicate(scenario, config, sources, r))
+            result.runs.extend(_run_replicate(scenario, config, sources, r, rounds))
     return result
 
 

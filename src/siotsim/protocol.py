@@ -10,9 +10,8 @@ request arrives and the direct co-interest edge is created.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .humangraph import AuthorizationMap
 from .interests import (DEFAULT_SIMILARITY_THRESHOLD, InterestDescriptor,
@@ -55,12 +54,30 @@ class PropagationTrace:
         return sorted(self.records)
 
 
-@dataclass(frozen=True)
-class CiorEdge:
-    source_device: str
-    requester_device: str
-    interests: frozenset[int]
+class Walk(NamedTuple):
+    """A request walked back to the source: the owner pair it links, in
+    sorted order, and the length of the walk."""
+
+    owners: tuple[str, str]
     walk_length: int
+
+
+@dataclass
+class RoundMemo:
+    """What every C-IOR round of one campaign shares. A campaign fixes the
+    graph, the sources, the profiles, the interest, the similarity
+    threshold and the origin setting, so a memo must serve one campaign
+    only; it holds no draw, so replicates and sweep points share it.
+
+    `plans` maps a kind set to the floods its view can start: (source
+    owner, origin devices, anonymised payload) in source order. `gates`
+    maps a source owner to `candidate_owners` of its payload, filled on
+    the owner's first flood."""
+
+    plans: dict[frozenset[RelationshipKind],
+                list[tuple[str, tuple[str, ...], InterestDescriptor]]] = field(
+                    default_factory=dict)
+    gates: dict[str, frozenset[str]] = field(default_factory=dict)
 
 
 def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
@@ -72,104 +89,99 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
     where it received the token is within its forwarding horizon, read
     from `horizon` (see `AuthorizationMap.spread_horizons`). Each device
     receives and evaluates a token at most once.
+
+    The search runs level by level over the neighbour bitmasks of the
+    source's component (`SIoTView.flood_masks`). Bits follow sorted device
+    ids, so a holder records its new neighbours in sorted order, and a
+    receiver's previous hop is the first holder of the level before that
+    reaches it.
     """
     if token.ttl < 1:
         raise ValueError("propagation needs ttl >= 1")
     if source_device not in view.graph.devices:
         raise ValueError(f"unknown source device: {source_device!r}")
     trace = PropagationTrace(token.token_id, source_device)
-    queue: deque[tuple[str, int]] = deque([(source_device, 0)])
-    while queue:
-        holder, hop = queue.popleft()
-        if hop >= token.ttl:
-            continue
-        if hop and hop > horizon[holder]:  # hop 0 is the source
-            continue
-        for neighbor in view.neighbors(holder):
-            if neighbor in trace.records or neighbor == source_device:
+    component = view.flood_masks(source_device)
+    if component is None:
+        return trace
+    bit_of, ids, masks = component
+    records, hops = trace.records, trace.hops
+    frontier = [bit_of[source_device]]
+    seen = 1 << frontier[0]
+    for hop in range(token.ttl):
+        reached = []
+        for bit in frontier:
+            holder = ids[bit]
+            if hop and hop > horizon[holder]:  # hop 0 is the source
                 continue
-            trace.records[neighbor] = holder
-            trace.hops[neighbor] = hop + 1
-            queue.append((neighbor, hop + 1))
+            fresh = masks[bit] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                receiver = low.bit_length() - 1
+                records[ids[receiver]] = holder
+                hops[ids[receiver]] = hop + 1
+                reached.append(receiver)
+        if not reached:
+            break
+        frontier = reached
     return trace
 
 
-def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
-                        profiles: Mapping[str, InterestDescriptor],
-                        token: VuipToken, interest: int,
-                        sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-                        ) -> list[str]:
-    """Return the ids of the receiving devices that request a co-interest
-    link, in receiver order.
+def candidate_owners(source_owner: str, payload: InterestDescriptor,
+                     profiles: Mapping[str, InterestDescriptor], interest: int,
+                     sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
+                     ) -> frozenset[str]:
+    """The owners whose receiving devices request a link to a flood of
+    `payload`: every owner other than `source_owner` who holds `interest`
+    and whose profile's cosine similarity to the payload reaches
+    `sim_threshold` (inclusive)."""
+    return frozenset(owner for owner, own in profiles.items()
+                     if owner != source_owner and interest in own.held
+                     and cosine_similarity(own, payload) >= sim_threshold)
 
-    A receiver requests iff the cosine similarity between its owner's
-    profile and the token payload reaches `sim_threshold` (inclusive) and
-    its owner holds `interest`. The source owner's own devices never
-    request.
-    """
-    source_owner = graph.devices[trace.source_device].owner
-    requests: list[str] = []
-    for holder in trace.receivers():
-        owner = graph.devices[holder].owner
-        if owner == source_owner:
-            continue
-        own = profiles.get(owner, _NO_PROFILE)
-        if cosine_similarity(own, token.payload) < sim_threshold:
-            continue
-        if interest not in own.held:
-            continue
-        requests.append(holder)
-    return requests
+
+def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
+                        candidates: Container[str]) -> list[str]:
+    """Return the ids of the receiving devices that request a co-interest
+    link, in receiver order: those whose owner is in `candidates` (see
+    `candidate_owners`)."""
+    devices = graph.devices
+    return [d for d in trace.receivers() if devices[d].owner in candidates]
 
 
 def backpropagate(requester: str, trace: PropagationTrace,
-                  graph: SIoTGraph,
-                  profiles: Mapping[str, InterestDescriptor]) -> CiorEdge:
-    """Return the edge a request establishes back along the relay chain to
-    the source, annotated with the shared interests of the two owners.
+                  graph: SIoTGraph) -> Walk:
+    """Walk a request back along the relay chain to the source and return
+    the owner pair it links.
 
     The flood is breadth-first, so every relay entry points one hop closer
     to the source and the walk back takes as many steps as the requester's
     hop."""
     if requester not in trace.records:
         raise RuntimeError(f"no relay chain for {requester!r}")
-    source_owner = graph.devices[trace.source_device].owner
-    requester_owner = graph.devices[requester].owner
-    shared = (profiles.get(source_owner, _NO_PROFILE).held
-              & profiles.get(requester_owner, _NO_PROFILE).held)
-    return CiorEdge(trace.source_device, requester, frozenset(shared),
-                    trace.hops[requester])
+    a = graph.devices[trace.source_device].owner
+    b = graph.devices[requester].owner
+    return Walk((a, b) if a < b else (b, a), trace.hops[requester])
 
 
-def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
-                   kinds: Iterable[RelationshipKind],
-                   profiles: Mapping[str, InterestDescriptor],
-                   decisions: AuthorizationMap, interest: int,
-                   ttl: int = DEFAULT_TTL,
-                   sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-                   origin_device: str = ORIGIN_MOBILE) -> list[CiorEdge]:
-    """Run one full establishment round and return the established
-    co-interest edges, one per request, in source order.
+def _startable(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
+               profiles: Mapping[str, InterestDescriptor], interest: int,
+               origin_device: str,
+               ) -> list[tuple[str, tuple[str, ...], InterestDescriptor]]:
+    """The floods of a round over `view` that can request, as
+    `RoundMemo.plans` holds them.
 
-    Every source user's origin device(s) propagate in turn over the
-    selected-kind view of the base graph, which the round leaves unchanged.
-    A device floods only if its component in the view (`SIoTView.components`)
-    holds an owner, other than the source owner, who holds `interest`; the
-    holders of each component are listed once per round. Skipping the
-    other floods changes no edge: a flood never leaves its component, and
-    `evaluate_candidates` turns away the source owner's devices and every
-    owner without the interest. Token ids and forwarding horizons are
-    keyed draws, so a skipped flood changes no other. A token id is drawn,
-    and each owner's anonymised payload built once, only for floods that
-    start. Deterministic for a fixed decision map.
-    """
-    if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
-        raise ValueError(f"bad origin_device: {origin_device!r}")
-    view = graph.select_kinds(kinds)
+    A device floods only if its component in the view
+    (`SIoTView.components`) holds an owner, other than the source owner,
+    who holds `interest`; the holders of each component are listed once.
+    Skipping the other floods changes no pair: a flood never leaves its
+    component, and `candidate_owners` holds neither the source owner nor
+    an owner without the interest."""
     components = view.components()
     component_holders: dict[frozenset[str], frozenset[str]] = {}
-    horizon = decisions.spread_horizons()
-    established: list[CiorEdge] = []
+    plan = []
     for user in sorted(set(sources)):
         own = profiles.get(user)
         if own is None or not own.held:
@@ -186,13 +198,51 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
                     o for o in owners if interest in profiles.get(o, _NO_PROFILE).held)
             if held - {user}:
                 origins.append(dev)
-        if not origins:
-            continue
-        payload = own.anonymized()
+        if origins:
+            plan.append((user, tuple(origins), own.anonymized()))
+    return plan
+
+
+def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
+                   kinds: Iterable[RelationshipKind],
+                   profiles: Mapping[str, InterestDescriptor],
+                   decisions: AuthorizationMap, interest: int,
+                   ttl: int = DEFAULT_TTL,
+                   sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
+                   origin_device: str = ORIGIN_MOBILE,
+                   memo: RoundMemo | None = None) -> set[tuple[str, str]]:
+    """Run one full establishment round and return the owner pairs (a, b),
+    a < b, that its requests link.
+
+    Every source user's origin device(s) propagate in turn over the
+    selected-kind view of the base graph, which the round leaves unchanged.
+    Only the floods that can request start (see `_startable`); token ids
+    and forwarding horizons are keyed draws, so a skipped flood changes no
+    other. A receiver requests iff its owner is a candidate of the source
+    owner (`candidate_owners`), and each request is walked back.
+    `memo` shares the plan of each kind set and the gate of each source
+    owner with the other rounds of one campaign (see `RoundMemo`).
+    Deterministic for a fixed decision map.
+    """
+    if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
+        raise ValueError(f"bad origin_device: {origin_device!r}")
+    if memo is None:
+        memo = RoundMemo()
+    view = graph.select_kinds(kinds)
+    plan = memo.plans.get(view.kinds)
+    if plan is None:
+        plan = memo.plans[view.kinds] = _startable(sources, graph, view, profiles,
+                                                   interest, origin_device)
+    horizon = decisions.spread_horizons()
+    pairs: set[tuple[str, str]] = set()
+    for user, origins, payload in plan:
+        candidates = memo.gates.get(user)
+        if candidates is None:
+            candidates = memo.gates[user] = candidate_owners(
+                user, payload, profiles, interest, sim_threshold)
         for dev in origins:
             token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
             trace = propagate_vuip(dev, view, token, horizon)
-            for requester in evaluate_candidates(trace, graph, profiles, token,
-                                                 interest, sim_threshold):
-                established.append(backpropagate(requester, trace, graph, profiles))
-    return established
+            for requester in evaluate_candidates(trace, graph, candidates):
+                pairs.add(backpropagate(requester, trace, graph).owners)
+    return pairs

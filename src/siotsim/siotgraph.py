@@ -254,9 +254,9 @@ class SIoTView:
     """Read-only view of a SIoTGraph exposing only edges carrying at least
     one selected kind.
 
-    The sorted neighbour tuples, the owner projection and the components
-    are built on first use and shared by every caller; they must not be
-    mutated. Adding an edge to the graph drops them."""
+    The sorted neighbour tuples, the owner projection, the components and
+    the flood bitmasks are built on first use and shared by every caller;
+    they must not be mutated. Adding an edge to the graph drops them."""
 
     def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind]):
         self.graph = graph
@@ -269,20 +269,47 @@ class SIoTView:
         self._neighbors: dict[str, tuple[str, ...]] | None = None
         self._contacts: dict[str, tuple[str, ...]] | None = None
         self._components: dict[str, frozenset[str]] | None = None
+        self._masks: dict[str, tuple[dict[str, int], list[str], list[int]]] = {}
 
     def edges(self) -> list[SIoTEdge]:
         return [e for e in self.graph.edges() if e.kinds & self.kinds]
 
     def neighbors(self, device: str) -> tuple[str, ...]:
-        if self._neighbors is None:  # checked here to keep the flood's calls flat
-            self._adjacency()
-        return self._neighbors.get(device, ())
+        return self._adjacency().get(device, ())
 
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         if self._neighbors is None:
             self._neighbors = _sorted_adjacency(
                 (e.device_a, e.device_b) for e in self.edges())
         return self._neighbors
+
+    def flood_masks(self, device: str,
+                    ) -> tuple[dict[str, int], list[str], list[int]] | None:
+        """The neighbour bitmasks of the device's connected component in
+        the view, or None for a device without a neighbour: the bit of each
+        device, the device at each bit and the neighbour mask of each bit.
+        Bits follow the sorted ids of the component's devices.
+
+        Built for a component when a flood first starts in it, shared by
+        all its devices, and dropped when an edge is added to the graph."""
+        found = self._masks.get(device)
+        if found is None:
+            adjacency = self._adjacency()
+            if device not in adjacency:
+                return None
+            members = {device}
+            stack = [device]
+            while stack:
+                for neighbor in adjacency[stack.pop()]:
+                    if neighbor not in members:
+                        members.add(neighbor)
+                        stack.append(neighbor)
+            ids = sorted(members)
+            bit_of = {d: i for i, d in enumerate(ids)}
+            masks = [sum(1 << bit_of[n] for n in adjacency[d]) for d in ids]
+            found = (bit_of, ids, masks)
+            self._masks.update(dict.fromkeys(ids, found))
+        return found
 
     def owner_contacts(self) -> dict[str, tuple[str, ...]]:
         """Owner-level projection: for each user, the owners of devices

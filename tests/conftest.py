@@ -60,11 +60,6 @@ def profile(owner: str, held) -> InterestDescriptor:
     return InterestDescriptor.from_counts(owner, {m: 1 for m in held}, 1)
 
 
-def cior_pairs(edges) -> set[tuple[str, str]]:
-    """Canonical device pairs of established co-interest edges."""
-    return {tuple(sorted((e.source_device, e.requester_device))) for e in edges}
-
-
 def checkin(user: str, ts: float, lat: float, lon: float, place="p") -> CheckIn:
     return CheckIn(user, ts, GeoPoint(lat, lon), place)
 

@@ -13,9 +13,9 @@ import math
 import random
 import time
 
-from conftest import (bool_horizons, checkin, cior_pairs, corpus_of,
-                      make_devices, mobile, profile, random_device_graph,
-                      random_friend_graph, random_nonincreasing, token_for)
+from conftest import (bool_horizons, checkin, corpus_of, make_devices, mobile,
+                      profile, random_device_graph, random_friend_graph,
+                      random_nonincreasing, token_for)
 from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
                      oracle_reach)
 from siotsim import cli
@@ -25,8 +25,7 @@ from siotsim.humangraph import (AuthorizationMap, AuthorizationPolicy,
                                 ReachContext, giant_component_pct,
                                 interest_reach)
 from siotsim.interests import cosine_similarity
-from siotsim.protocol import (CiorEdge, evaluate_candidates, propagate_vuip,
-                              run_cior_round)
+from siotsim.protocol import evaluate_candidates, propagate_vuip, run_cior_round
 from siotsim.report import irn_by_hop, mean_hops_comparison, mean_irn_pct
 from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario
@@ -109,17 +108,14 @@ def test_criterion_01_dominance_suite():
     assert elapsed < 30.0, f"dominance suite took {elapsed:.1f}s"
 
 
-def _raw_owner_contacts(graph: SIoTGraph, kinds, cior_edges, interest):
+def _raw_owner_contacts(graph: SIoTGraph, kinds, cior_pairs):
     """Owner projection re-derived from the raw edge lists (independent of
-    the view machinery): a device edge of a selected kind, or a C-IOR edge
-    of the round carrying the interest, links the two owners."""
-    pairs = [(e.device_a, e.device_b) for e in graph.edges() if e.kinds & kinds]
-    pairs += [(e.source_device, e.requester_device) for e in cior_edges
-              if interest in e.interests]
+    the view machinery): a device edge of a selected kind, or an owner pair
+    of the round, links the two owners."""
+    owner_pairs = [(graph.devices[e.device_a].owner, graph.devices[e.device_b].owner)
+                   for e in graph.edges() if e.kinds & kinds]
     contacts: dict[str, set[str]] = {}
-    for a, b in pairs:
-        oa = graph.devices[a].owner
-        ob = graph.devices[b].owner
+    for oa, ob in owner_pairs + list(cior_pairs):
         if oa != ob:
             contacts.setdefault(oa, set()).add(ob)
             contacts.setdefault(ob, set()).add(oa)
@@ -153,18 +149,17 @@ def test_criterion_02_reachability_oracle():
 
         if trial % 2 == 0:
             # device-layer fixture exercised through run_source, with the
-            # C-IOR links a round would return
+            # owner pairs a C-IOR round would return
             siot = random_device_graph(rnd, n, min(0.2, 4.0 / n))
-            links = []
+            links = set()
             for _ in range(rnd.randrange(0, 3)):
-                a, b = rnd.sample(sorted(siot.devices), 2)
-                if siot.devices[a].owner != siot.devices[b].owner:
-                    links.append(CiorEdge(a, b, frozenset({rnd.choice([3, 9])}), 1))
+                a, b = sorted(rnd.sample(users, 2))
+                links.add((a, b))
             kinds = frozenset(rnd.sample(sorted(RelationshipKind, key=lambda k: k.value),
                                          rnd.randrange(1, 6)))
             if RelationshipKind.CIOR not in kinds:
-                links = []
-            extra = _raw_owner_contacts(siot, kinds, links, 3)
+                links = set()
+            extra = _raw_owner_contacts(siot, kinds, links)
             ctx = ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
                                frozenset(holders), horizon, max_hops, extra)
             direct, best = interest_reach(source, ctx)
@@ -262,8 +257,8 @@ def test_criterion_04_protocol_invariants():
         # evaluate-once: every receiver has exactly one record and one
         # evaluation; every profile holds {3}, so each receiver not owned
         # by the source user requests exactly once
-        profiles = {u: profile(u, {3}) for u in users}
-        requests = evaluate_candidates(trace, graph, profiles, token, interest=3)
+        # with identical profiles, every other owner is a candidate
+        requests = evaluate_candidates(trace, graph, set(users) - {source_user})
         assert len(requests) == len(set(requests))
         assert set(requests) == {d for d in trace.records
                                  if graph.devices[d].owner != source_user}
@@ -310,15 +305,13 @@ def test_criterion_05_similarity_gate():
 
     out4 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=4)
-    assert cior_pairs(out4) == {(mobile("u0"), mobile("u1")),
-                                (mobile("u0"), mobile("u3"))}
-    assert {e.requester_device: e.interests for e in out4} == {
-        mobile("u1"): {4, 6}, mobile("u3"): {3, 4, 6}}
+    assert out4 == {("u0", "u1"), ("u0", "u3")}
+    assert all(4 in profiles[a].held and 4 in profiles[b].held for a, b in out4)
 
     out3 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=3)
     # u1 is similar but does not hold interest 3; u3 passes both gates
-    assert cior_pairs(out3) == {(mobile("u0"), mobile("u3"))}
+    assert out3 == {("u0", "u3")}
     assert graph.edges() == base_edges
 
     # boundary: cosine exactly 0.5 establishes (inclusive within 1e-12)
@@ -329,13 +322,13 @@ def test_criterion_05_similarity_gate():
     g2.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     out = run_cior_round(["a"], g2, RelationshipKind, boundary, decisions,
                          interest=2)
-    assert cior_pairs(out) == {(mobile("a"), mobile("b"))}
-    assert [e.interests for e in out] == [{2}]
+    assert out == {("a", "b")}
+    assert 2 in boundary["a"].held and 2 in boundary["b"].held
     # one representable step below the threshold must not establish
     below = run_cior_round(["a"], g2, RelationshipKind, boundary,
                            decisions, interest=2,
                            sim_threshold=math.nextafter(0.5, 1.0))
-    assert below == []
+    assert below == set()
     assert g2.kind_counts()[RelationshipKind.CIOR] == 0
 
     # randomized iff-check against an independent flood re-derivation
@@ -351,8 +344,7 @@ def test_criterion_05_similarity_gate():
         base_edges = graph.edges()
         out = run_cior_round(sources, graph, RelationshipKind, profiles,
                              decisions, interest=3, ttl=6)
-        actual = cior_pairs(out)
-        assert all(3 in e.interests for e in out)
+        assert all(3 in profiles[a].held and 3 in profiles[b].held for a, b in out)
         assert graph.edges() == base_edges
         expected = set()
         for src in sources:
@@ -366,9 +358,8 @@ def test_criterion_05_similarity_gate():
                     continue
                 if 3 not in own.held:
                     continue
-                a, b = sorted((mobile(src), dev))
-                expected.add((a, b))
-        assert actual == expected
+                expected.add((min(src, owner), max(src, owner)))
+        assert out == expected
 
 
 def two_community_bridged(seed=606, nodes=6):
@@ -516,13 +507,11 @@ def test_criterion_08_giant_component():
         established = run_cior_round(sorted(holders), scn.siot, RelationshipKind,
                                      scn.profiles, decisions, interest=3)
         assert scn.siot.edges() == base_edges
-        device_pairs = {(e.device_a, e.device_b) for e in
-                        scn.siot.select_kinds(set(RelationshipKind)).edges()}
-        device_pairs |= cior_pairs(e for e in established if 3 in e.interests)
-        device_edges = set()
-        for a, b in device_pairs:
-            oa = scn.siot.devices[a].owner
-            ob = scn.siot.devices[b].owner
+        assert all(a in holders and b in holders for a, b in established)
+        device_edges = set(established)
+        for e in scn.siot.select_kinds(set(RelationshipKind)).edges():
+            oa = scn.siot.devices[e.device_a].owner
+            ob = scn.siot.devices[e.device_b].owner
             if oa != ob:
                 device_edges.add((min(oa, ob), max(oa, ob)))
         enhanced_edges = sorted(set(friend_edges) | device_edges)

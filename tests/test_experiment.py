@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import make_devices, mobile, profile
+from oracles import oracle_cior_pairs
 from siotsim import experiment, humangraph
 from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 load_config, result_csv_text, run_campaign,
@@ -17,7 +18,7 @@ from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                                 ReachContext)
 from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario
-from siotsim.siotgraph import RelationshipKind, SIoTGraph
+from siotsim.siotgraph import RelationshipKind, SIoTGraph, establish_por
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
 
 
@@ -477,3 +478,47 @@ def test_cached_views_and_adjacency_see_edges_added_later():
     friendships.add_node("d")
     ctx = ReachContext.for_graph(friendships, users, full_auth())
     assert ctx.adjacency["d"] == ()
+
+
+def clique_scenario() -> Scenario:
+    """Three communities whose devices share 4 models, so that POR forms
+    dense same-model cliques across them; SOR and C-LOR cross edges join
+    some owners, and noise interests spread the similarity of holders."""
+    scn = generate_scenario(SyntheticScenarioSpec(
+        communities=3, nodes_per_community=10, intra_friend_prob=0.3,
+        cross_edges={RelationshipKind.SOR: 4, RelationshipKind.CLOR: 2},
+        interest_prob=0.6, noise_interests=2, seed=41))
+    for a, b in establish_por(scn.siot.devices):
+        scn.siot.add_edge(a, b, RelationshipKind.POR)
+    return scn
+
+
+SPARSE = frozenset({RelationshipKind.OOR, RelationshipKind.SOR})
+CLIQUES = SPARSE | {RelationshipKind.POR}
+
+
+@pytest.mark.parametrize("sweep", [
+    dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE)),
+    dict(sweep="ttl", ttl_values=(1, 3, 6)),
+    dict(sweep="spread", spread_values=(1.0, 0.6, 0.2)),
+    dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE), origin_device="both"),
+], ids=["kinds", "ttl", "spread", "kinds-both-origins"])
+def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
+    """A campaign whose rounds share plans, gates and flood bitmasks writes
+    the bytes of one whose every round is `oracle_cior_pairs`, with one
+    worker or two; the rounds link owners that friendships alone do not."""
+    cfg = ExperimentConfig(replicates=2, seed=13, auth_prob_per_hop=(0.9, 0.6),
+                           spread_prob_per_hop=(0.8, 0.5), **sweep)
+
+    def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl,
+                     sim_threshold, origin_device, memo):
+        return oracle_cior_pairs(sources, graph, kinds, profiles, decisions,
+                                 interest, ttl, sim_threshold, origin_device)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "run_cior_round", oracle_round)
+        expected = result_csv_text(run_campaign(clique_scenario(), cfg))
+    without = result_csv_text(run_campaign(clique_scenario(), replace(cfg, cior=False)))
+    assert expected != without
+    for threads in (1, 2):
+        assert result_csv_text(run_campaign(clique_scenario(), cfg, threads)) == expected

@@ -112,7 +112,7 @@ def test_every_name_the_bench_tracer_wraps_resolves():
 def test_bench_tracer_counts_a_real_pipeline(tmp_path, monkeypatch):
     """`ingest -> build-graph -> run` through `bench/tracer.py`, each stage
     in its own process: every stage exits 0 and the dumps hold every count
-    the bench reports, including C-IOR requests."""
+    the bench reports, including C-IOR requests and their walks back."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     gen_trace = importlib.import_module("gen_trace")
     bench = importlib.import_module("run")
@@ -146,3 +146,4 @@ def test_bench_tracer_counts_a_real_pipeline(tmp_path, monkeypatch):
             counts[name] = counts.get(name, 0) + value
     assert [n for n in bench.LAYER_COUNTS if n not in counts] == []
     assert counts["protocol.requests"] > 0
+    assert counts["protocol.walk_length_sum"] > 0  # each request is walked back

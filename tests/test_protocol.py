@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from conftest import (cior_pairs, clique_device_graph, fixed, fixed_horizon,
-                      make_devices, mobile, profile, random_device_graph,
-                      random_nonincreasing, token_for)
+from conftest import (clique_device_graph, fixed, fixed_horizon, make_devices,
+                      mobile, profile, random_device_graph, random_nonincreasing,
+                      token_for)
 from oracles import (oracle_cior_pairs, oracle_components, oracle_flood,
                      oracle_relay_table)
 from siotsim import protocol
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
-                              evaluate_candidates, propagate_vuip, run_cior_round)
-from siotsim.interests import InterestDescriptor, cosine_similarity
+                              candidate_owners, evaluate_candidates, propagate_vuip,
+                              run_cior_round)
+from siotsim.interests import InterestDescriptor
 from siotsim.rng import DrawTable
 from siotsim.siotgraph import BASE_KINDS, MOBILE, RelationshipKind, SIoTGraph
 
@@ -98,9 +99,11 @@ def test_evaluate_similarity_and_interest_gate():
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
 
     # u1 holds 4, so interest 4 passes and interest 3 fails
-    assert evaluate_candidates(trace, g, profiles, token, interest=4) == \
-        ["u1:fixed", mobile("u1")]
-    assert evaluate_candidates(trace, g, profiles, token, interest=3) == []
+    assert candidate_owners("u0", token.payload, profiles, 4) == {"u1"}
+    assert evaluate_candidates(trace, g, candidate_owners(
+        "u0", token.payload, profiles, interest=4)) == ["u1:fixed", mobile("u1")]
+    assert evaluate_candidates(trace, g, candidate_owners(
+        "u0", token.payload, profiles, interest=3)) == []
 
 
 def test_evaluate_identical_profile_requests():
@@ -108,8 +111,8 @@ def test_evaluate_identical_profile_requests():
     profiles = {"u0": profile("u0", {3}), "u1": profile("u1", {3})}
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
-    assert evaluate_candidates(trace, g, profiles, token, interest=3) == \
-        ["u1:fixed", mobile("u1")]
+    assert evaluate_candidates(trace, g, candidate_owners(
+        "u0", token.payload, profiles, interest=3)) == ["u1:fixed", mobile("u1")]
 
 
 def test_evaluate_boundary_inclusive_at_exactly_half():
@@ -117,8 +120,8 @@ def test_evaluate_boundary_inclusive_at_exactly_half():
     profiles = {"u0": profile("u0", {1, 2}), "u1": profile("u1", {2, 3})}
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
-    assert evaluate_candidates(trace, g, profiles, token, interest=2) == \
-        ["u1:fixed", mobile("u1")]
+    assert evaluate_candidates(trace, g, candidate_owners(
+        "u0", token.payload, profiles, interest=2)) == ["u1:fixed", mobile("u1")]
 
 
 def test_source_own_devices_never_request():
@@ -127,8 +130,9 @@ def test_source_own_devices_never_request():
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     assert "u0:fixed" in trace.records  # reached via the owner edge
-    assert "u0:fixed" not in evaluate_candidates(trace, g, profiles, token,
-                                                 interest=3)
+    assert "u0" not in candidate_owners("u0", token.payload, profiles, 3)
+    assert "u0:fixed" not in evaluate_candidates(
+        trace, g, candidate_owners("u0", token.payload, profiles, interest=3))
 
 
 def test_evaluate_once_marks_every_receiver():
@@ -136,7 +140,8 @@ def test_evaluate_once_marks_every_receiver():
     profiles = {f"u{i}": profile(f"u{i}", {3}) for i in range(5)}
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
-    requests = evaluate_candidates(trace, g, profiles, token, interest=3)
+    requests = evaluate_candidates(
+        trace, g, candidate_owners("u0", token.payload, profiles, interest=3))
     # every receiver is evaluated once: each one not owned by u0 requests
     # exactly once
     assert len(requests) == len(set(requests))
@@ -150,15 +155,13 @@ def test_backpropagate_walk_lengths():
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
 
-    edge3 = backpropagate(mobile("u3"), trace, g, profiles)
-    assert edge3.walk_length == 3
-    assert (edge3.source_device, edge3.requester_device) == (mobile("u0"), mobile("u3"))
-    assert 3 in edge3.interests
+    walk3 = backpropagate(mobile("u3"), trace, g)
+    assert walk3.walk_length == 3
+    assert walk3.owners == ("u0", "u3")
 
-    edge1 = backpropagate(mobile("u1"), trace, g, profiles)
-    assert edge1.walk_length == 1
-    assert (edge1.source_device, edge1.requester_device) == (mobile("u0"), mobile("u1"))
-    assert 3 in edge1.interests
+    walk1 = backpropagate(mobile("u1"), trace, g)
+    assert walk1.walk_length == 1
+    assert walk1.owners == ("u0", "u1")
 
 
 def test_backpropagate_rejects_unknown_requester():
@@ -166,7 +169,7 @@ def test_backpropagate_rejects_unknown_requester():
     token = anon_token()
     trace = PropagationTrace(token.token_id, mobile("u0"))
     with pytest.raises(RuntimeError):
-        backpropagate(mobile("u2"), trace, g, {"u0": profile("u0", {3})})
+        backpropagate(mobile("u2"), trace, g)
 
 
 def two_cliques_with_bridge():
@@ -192,7 +195,7 @@ def test_round_with_no_similar_pairs_leaves_graph_unchanged():
     base_edges = g.edges()
     disjoint = {u: profile(u, {i}) for i, u in enumerate(sorted(users))}
     out = run_cior_round(users, g, RelationshipKind, disjoint, decisions(), 3)
-    assert out == []
+    assert out == set()
     assert g.edges() == base_edges
 
 
@@ -201,12 +204,10 @@ def test_round_bridges_two_cliques():
     base_edges = g.edges()
     out = run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3)
     assert out
-    owner = {d: dev.owner for d, dev in g.devices.items()}
-    cross = [e for e in out
-             if owner[e.source_device][0] != owner[e.requester_device][0]]
-    assert cross  # at least one co-interest edge spans the two communities
-    for e in out:
-        assert 3 in e.interests
+    cross = [(a, b) for a, b in out if a[0] != b[0]]
+    assert cross  # at least one co-interest link spans the two communities
+    for a, b in out:
+        assert a < b and 3 in profiles[a].held and 3 in profiles[b].held
     assert g.kind_counts()[RelationshipKind.CIOR] == 0  # base graph untouched
     assert g.edges() == base_edges
 
@@ -220,11 +221,10 @@ def test_round_can_originate_from_both_devices():
     profiles = {u: profile(u, {3}) for u in users}
     mobile_only = run_cior_round(users, g, RelationshipKind, profiles,
                                  decisions(), 3, origin_device="mobile")
-    assert cior_pairs(mobile_only) == set()
+    assert mobile_only == set()
     both = run_cior_round(users, g, RelationshipKind, profiles,
                           decisions(), 3, origin_device="both")
-    assert cior_pairs(both) == {("a:fixed", "b:fixed")}
-    assert all(e.interests == {3} for e in both)
+    assert both == {("a", "b")}
     assert g.edges() == base_edges
     with pytest.raises(ValueError):
         run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3,
@@ -243,7 +243,7 @@ def test_round_is_deterministic_and_seed_sensitive():
     other_edges = [run_cior_round(users, g, RelationshipKind, profiles,
                                   decisions(policy, seed=s), 3)
                    for s in range(2, 12)]
-    assert any(cior_pairs(edges) != cior_pairs(first) for edges in other_edges)
+    assert any(pairs != first for pairs in other_edges)
     assert g.edges() == base_edges
 
 
@@ -300,28 +300,6 @@ def test_ttl_monotonicity_with_coupled_draws():
             reached_prev = reached
 
 
-def oracle_round(sources, graph, kinds, profiles, decision_map, interest, ttl):
-    """(source device, requester device, shared interests) per request, from
-    the oracle flood and the similarity and holder gate."""
-    out = []
-    for user in sorted(set(sources)):
-        own = profiles.get(user)
-        if own is None or not own.held:
-            continue
-        src = mobile(user)
-        for dev in oracle_flood(graph, kinds, src, decision_map, ttl):
-            owner = graph.devices[dev].owner
-            theirs = profiles.get(owner)
-            if owner == user or theirs is None:
-                continue
-            if cosine_similarity(theirs, own.anonymized()) < 0.5:
-                continue
-            if interest not in theirs.held:
-                continue
-            out.append((src, dev, own.held & theirs.held))
-    return sorted(out, key=lambda r: (r[0], r[1]))
-
-
 def kind_subsets():
     base = sorted(BASE_KINDS, key=lambda k: k.value)
     for size in range(1, len(base) + 1):
@@ -351,9 +329,7 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
                 assert set(trace.records) == set(trace.hops)
 
             out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl)
-            expected = oracle_round(users, g, kinds, profiles, shared, 3, ttl)
-            assert sorted((e.source_device, e.requester_device, e.interests)
-                          for e in out) == expected
+            assert out == oracle_cior_pairs(users, g, kinds, profiles, shared, 3, ttl)
             assert g.edges() == base_edges  # base graph untouched
 
 
@@ -404,16 +380,17 @@ def flooding_round(sources, graph, kinds, profiles, decision_map, interest, ttl,
     with a profile floods, and each request is walked back."""
     view = graph.select_kinds(kinds)
     horizon = decision_map.spread_horizons()
-    out = []
+    out = set()
     for user in sorted(set(sources)):
         own = profiles.get(user)
         if own is None or not own.held:
             continue
+        candidates = candidate_owners(user, own.anonymized(), profiles, interest)
         for dev in origin_devices(graph, user, origin_device):
             token = VuipToken(decision_map.draws.tokens[dev], own.anonymized(), ttl)
             trace = propagate_vuip(dev, view, token, horizon)
-            for requester in evaluate_candidates(trace, graph, profiles, token, interest):
-                out.append(backpropagate(requester, trace, graph, profiles))
+            for requester in evaluate_candidates(trace, graph, candidates):
+                out.add(backpropagate(requester, trace, graph).owners)
     return out
 
 
@@ -509,9 +486,7 @@ def test_round_pairs_equal_the_pair_oracle():
         sources = rnd.sample(users, rnd.randrange(1, len(users) + 1))
         out = run_cior_round(sources, g, kinds, profiles, shared, 3, ttl=ttl,
                              sim_threshold=threshold, origin_device=origin)
-        pairs = {tuple(sorted((g.devices[e.source_device].owner,
-                               g.devices[e.requester_device].owner))) for e in out}
-        assert pairs == oracle_cior_pairs(sources, g, kinds, profiles, shared, 3, ttl,
-                                          threshold, origin)
-        linked += len(pairs)
+        assert out == oracle_cior_pairs(sources, g, kinds, profiles, shared, 3, ttl,
+                                        threshold, origin)
+        linked += len(out)
     assert linked > 150
