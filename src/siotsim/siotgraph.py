@@ -1,6 +1,6 @@
 """Device layer: device instantiation from users and typed social-object
 relationship edges (POR, C-LOR, OOR, SOR). Protocol-established C-IOR links
-are never stored here; a round returns them as a list of its own.
+are never stored here; a round returns them as a set of owner pairs.
 """
 
 from __future__ import annotations

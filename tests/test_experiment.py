@@ -506,9 +506,17 @@ CLIQUES = SPARSE | {RelationshipKind.POR}
 def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
     """A campaign whose rounds share plans, gates and flood bitmasks writes
     the bytes of one whose every round is `oracle_cior_pairs`, with one
-    worker or two; the rounds link owners that friendships alone do not."""
+    worker or two, and in one worker its rounds return the oracle's pairs
+    in turn; the rounds link owners that friendships alone do not."""
     cfg = ExperimentConfig(replicates=2, seed=13, auth_prob_per_hop=(0.9, 0.6),
                            spread_prob_per_hop=(0.8, 0.5), **sweep)
+    returned: dict[str, list] = {"oracle": [], "memo": []}
+
+    def recorded(name, run_round):
+        def run(*args, **kwargs):
+            returned[name].append(run_round(*args, **kwargs))
+            return returned[name][-1]
+        return run
 
     def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl,
                      sim_threshold, origin_device, memo):
@@ -516,9 +524,12 @@ def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
                                  interest, ttl, sim_threshold, origin_device)
 
     with monkeypatch.context() as m:
-        m.setattr(experiment, "run_cior_round", oracle_round)
+        m.setattr(experiment, "run_cior_round", recorded("oracle", oracle_round))
         expected = result_csv_text(run_campaign(clique_scenario(), cfg))
     without = result_csv_text(run_campaign(clique_scenario(), replace(cfg, cior=False)))
     assert expected != without
-    for threads in (1, 2):
+    monkeypatch.setattr(experiment, "run_cior_round",
+                        recorded("memo", experiment.run_cior_round))
+    for threads in (1, 2):  # two workers record in their own processes
         assert result_csv_text(run_campaign(clique_scenario(), cfg, threads)) == expected
+    assert returned["memo"] == returned["oracle"]
