@@ -64,15 +64,11 @@ class Walk(NamedTuple):
 
 @dataclass
 class RoundMemo:
-    """What every C-IOR round of one campaign shares. A campaign fixes the
-    graph, the sources, the profiles, the interest, the similarity
-    threshold and the origin setting, so a memo must serve one campaign
-    only; it holds no draw, so replicates and sweep points share it.
-
-    `plans` maps a kind set to the floods its view can start: (source
-    owner, origin devices, anonymised payload) in source order. `gates`
-    maps a source owner to `candidate_owners` of its payload, filled on
-    the owner's first flood."""
+    """What the C-IOR rounds of one campaign share; it holds no draw, so its
+    replicates and sweep points can. `plans` maps a kind set to the floods
+    its view can start, as (source owner, origin devices, anonymised
+    payload) in source order. `gates` maps a source owner to
+    `candidate_owners` of its payload, from the owner's first flood on."""
 
     plans: dict[frozenset[RelationshipKind],
                 list[tuple[str, tuple[str, ...], InterestDescriptor]]] = field(
@@ -90,11 +86,10 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
     from `horizon` (see `AuthorizationMap.spread_horizons`). Each device
     receives and evaluates a token at most once.
 
-    The search runs level by level over the neighbour bitmasks of the
-    source's component (`SIoTView.flood_masks`). Bits follow sorted device
-    ids, so a holder records its new neighbours in sorted order, and a
-    receiver's previous hop is the first holder of the level before that
-    reaches it.
+    The search runs level by level over the neighbour bitmasks of
+    `SIoTView.flood_masks`, whose bits follow sorted device ids: a holder
+    records its new neighbours in sorted order, as a breadth-first search
+    over sorted neighbour lists does.
     """
     if token.ttl < 1:
         raise ValueError("propagation needs ttl >= 1")
@@ -220,9 +215,9 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
     and forwarding horizons are keyed draws, so a skipped flood changes no
     other. A receiver requests iff its owner is a candidate of the source
     owner (`candidate_owners`), and each request is walked back.
-    `memo` shares the plan of each kind set and the gate of each source
-    owner with the other rounds of one campaign (see `RoundMemo`).
-    Deterministic for a fixed decision map.
+    `memo` shares plans and gates with the other rounds of one campaign,
+    whose graph, sources, profiles, interest, threshold and origin setting
+    are fixed. Deterministic for a fixed decision map.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
