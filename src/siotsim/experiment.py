@@ -359,7 +359,7 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
     order. The points that share a `_pass_key` run as one group, which owns
     its memo of friendship passes and its friendships-mode runs (computed
     at its first point, relabelled for the others) until it ends. `rounds`
-    is the campaign's memo of C-IOR plans and gates."""
+    is the campaign's memo of C-IOR plans."""
     all_holders = sorted(scenario.holders(config.interest))
     draws = rng.DrawTable(config.seed, replicate)
     points = config.sweep_points()
@@ -414,7 +414,7 @@ def run_campaign(scenario: Scenario, config: ExperimentConfig,
         raise ValueError(f"threads must be >= 1, got {threads}")
     sources = select_sources(scenario, config)
     result = ExperimentResult(config.campaign)
-    rounds = RoundMemo()
+    rounds: RoundMemo = {}
     workers = min(threads, config.replicates)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -62,18 +62,12 @@ class Walk(NamedTuple):
     walk_length: int
 
 
-@dataclass
-class RoundMemo:
-    """What the C-IOR rounds of one campaign share; it holds no draw, so its
-    replicates and sweep points can. `plans` maps a kind set to the floods
-    its view can start, as (source owner, origin devices, anonymised
-    payload) in source order. `gates` maps a source owner to
-    `candidate_owners` of its payload, from the owner's first flood on."""
-
-    plans: dict[frozenset[RelationshipKind],
-                list[tuple[str, tuple[str, ...], InterestDescriptor]]] = field(
-                    default_factory=dict)
-    gates: dict[str, frozenset[str]] = field(default_factory=dict)
+# What the C-IOR rounds of one campaign share: each kind set's plan, the
+# floods its view can start as (source owner, origin devices, anonymised
+# payload, candidate owners) in source order. It holds no draw, so the
+# campaign's replicates and sweep points can share it.
+RoundMemo = dict[frozenset[RelationshipKind],
+                 list[tuple[str, tuple[str, ...], InterestDescriptor, frozenset[str]]]]
 
 
 def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
@@ -161,19 +155,20 @@ def backpropagate(requester: str, trace: PropagationTrace,
     return Walk((a, b) if a < b else (b, a), trace.hops[requester])
 
 
-def _startable(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
-               profiles: Mapping[str, InterestDescriptor], interest: int,
-               origin_device: str,
-               ) -> list[tuple[str, tuple[str, ...], InterestDescriptor]]:
-    """The floods of a round over `view` that can request, as
-    `RoundMemo.plans` holds them.
+def _plan(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
+          profiles: Mapping[str, InterestDescriptor], interest: int,
+          sim_threshold: float, origin_device: str,
+          ) -> list[tuple[str, tuple[str, ...], InterestDescriptor, frozenset[str]]]:
+    """The floods of a round over `view` that can request, as a
+    `RoundMemo` entry holds them.
 
     A device floods only if its component in the view
     (`SIoTView.components`) holds an owner, other than the source owner,
     who holds `interest`; the holders of each component are listed once.
-    Skipping the other floods changes no pair: a flood never leaves its
-    component, and `candidate_owners` holds neither the source owner nor
-    an owner without the interest."""
+    A source's candidates are `candidate_owners` among the holders of its
+    flooding devices' components. Neither narrowing changes a pair: a
+    flood never leaves its component, and only a candidate other than the
+    source owner, who holds the interest, requests."""
     components = view.components()
     component_holders: dict[frozenset[str], frozenset[str]] = {}
     plan = []
@@ -182,6 +177,7 @@ def _startable(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
         if own is None or not own.held:
             continue
         origins = []
+        reachable: set[str] = set()
         for dev in graph.owner_devices.get(user, ()):
             owners = components.get(dev)
             if owners is None or (origin_device == ORIGIN_MOBILE
@@ -193,8 +189,12 @@ def _startable(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
                     o for o in owners if interest in profiles.get(o, _NO_PROFILE).held)
             if held - {user}:
                 origins.append(dev)
+                reachable |= held
         if origins:
-            plan.append((user, tuple(origins), own.anonymized()))
+            payload = own.anonymized()
+            plan.append((user, tuple(origins), payload, candidate_owners(
+                user, payload, {o: profiles[o] for o in reachable}, interest,
+                sim_threshold)))
     return plan
 
 
@@ -211,30 +211,26 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
 
     Every source user's origin device(s) propagate in turn over the
     selected-kind view of the base graph, which the round leaves unchanged.
-    Only the floods that can request start (see `_startable`); token ids
-    and forwarding horizons are keyed draws, so a skipped flood changes no
+    Only the floods that can request start (see `_plan`); token ids and
+    forwarding horizons are keyed draws, so a skipped flood changes no
     other. A receiver requests iff its owner is a candidate of the source
     owner (`candidate_owners`), and each request is walked back.
-    `memo` shares plans and gates with the other rounds of one campaign,
-    whose graph, sources, profiles, interest, threshold and origin setting
-    are fixed. Deterministic for a fixed decision map.
+    `memo` shares each kind set's plan with the other rounds of one
+    campaign, whose graph, sources, profiles, interest, threshold and
+    origin setting are fixed. Deterministic for a fixed decision map.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
     if memo is None:
-        memo = RoundMemo()
+        memo = {}
     view = graph.select_kinds(kinds)
-    plan = memo.plans.get(view.kinds)
+    plan = memo.get(view.kinds)
     if plan is None:
-        plan = memo.plans[view.kinds] = _startable(sources, graph, view, profiles,
-                                                   interest, origin_device)
+        plan = memo[view.kinds] = _plan(sources, graph, view, profiles, interest,
+                                        sim_threshold, origin_device)
     horizon = decisions.spread_horizons()
     pairs: set[tuple[str, str]] = set()
-    for user, origins, payload in plan:
-        candidates = memo.gates.get(user)
-        if candidates is None:
-            candidates = memo.gates[user] = candidate_owners(
-                user, payload, profiles, interest, sim_threshold)
+    for _, origins, payload, candidates in plan:
         for dev in origins:
             token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
             trace = propagate_vuip(dev, view, token, horizon)
