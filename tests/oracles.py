@@ -12,7 +12,7 @@ import math
 from collections import deque
 
 from siotsim.geo import GeoPoint, haversine_m
-from siotsim.siotgraph import FIXED, MOBILE
+from siotsim.siotgraph import FIXED, MOBILE, RelationshipKind
 from siotsim.trace import CoLocation, TraceCorpus
 
 BIG = 1 << 30
@@ -166,6 +166,36 @@ def oracle_por_count(models: list[str]) -> int:
         k = models.count(model)
         total += k * (k - 1) // 2
     return total
+
+
+def oracle_device_view(lines, devices, kinds) -> tuple[dict, dict, dict]:
+    """A device view straight from raw `device_a,device_b,kind` lines.
+
+    Returns each device's sorted tuple of neighbours over the pairs that
+    carry one of `kinds` (empty for a device without one); each owner's
+    sorted tuple of the other owners whose devices are linked to its own
+    (an owner without one is left out); and, for every kind, the number of
+    distinct device pairs that carry it over all lines. A line and its
+    reversed form name one pair, and a repeated line counts once."""
+    wanted = {kind.value for kind in kinds}
+    pair_kinds: dict = {}
+    for line in lines:
+        a, b, kind = line.split(",")
+        pair_kinds.setdefault(frozenset((a, b)), set()).add(kind)
+    linked = [tuple(pair) for pair, texts in pair_kinds.items() if texts & wanted]
+    neighbours = {d: tuple(sorted({y for x, y in linked if x == d}
+                                  | {x for x, y in linked if y == d}))
+                  for d in devices}
+    owner = {d: dev.owner for d, dev in devices.items()}
+    contacts = {}
+    for user in sorted(set(owner.values())):
+        others = {owner[n] for d in devices if owner[d] == user
+                  for n in neighbours[d]} - {user}
+        if others:
+            contacts[user] = tuple(sorted(others))
+    counts = {kind: sum(kind.value in texts for texts in pair_kinds.values())
+              for kind in RelationshipKind}
+    return neighbours, contacts, counts
 
 
 def oracle_flood(graph, kinds, source_device, decisions, ttl) -> dict:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import random
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -370,6 +371,41 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                         for p in sorted(base.rglob("*")) if p.is_file()})
     assert len(outputs[0]) > 5
     assert outputs[0] == outputs[1]
+
+
+def test_run_output_does_not_depend_on_input_line_order(tmp_path):
+    """`run` writes the same bytes when the lines of every scenario file are
+    shuffled (headers kept first) and half the device-edge and friendship
+    lines name their endpoints the other way round."""
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--communities", 6, "--nodes", 12, "--intra-prob", 0.3,
+                    "--cross", "POR=4,SOR=3,C-LOR=2", "--interest-prob", 0.6,
+                    "--noise-interests", 1, "--seed", 5, "--out", scn]) == 0
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    rnd = random.Random(21)
+    for name, headed, sep in (("friendships.tsv", False, "\t"), ("devices.csv", True, None),
+                              ("siot_graph.csv", False, ","), ("profiles.csv", True, None)):
+        lines = (scn / name).read_text(encoding="utf-8").splitlines()
+        head, body = (lines[:1], lines[1:]) if headed else ([], lines)
+        rnd.shuffle(body)
+        if sep:
+            for i in rnd.sample(range(len(body)), len(body) // 2):
+                a, b, *rest = body[i].split(sep)
+                body[i] = sep.join([b, a, *rest])
+        (shuffled / name).write_text("".join(line + "\n" for line in head + body),
+                                     encoding="utf-8")
+    assert read_all(shuffled) != read_all(scn)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 3\nseed = 2\nsweep = kinds\n"
+                   "kind_sets = OOR, SOR ; POR, OOR, C-LOR, SOR ; POR\n"
+                   "origin_device = both\nspread_prob_per_hop = 0.7\n", encoding="utf-8")
+    for base in (scn, shuffled):
+        assert run_cli(["run", "--config", cfg, "--scenario", base,
+                        "--out", tmp_path / f"{base.name}-run"]) == 0
+    outputs = read_all(tmp_path / "scn-run")
+    assert len(outputs) > 4
+    assert read_all(tmp_path / "shuffled-run") == outputs
 
 
 def test_ingest_lowers_activity_thresholds_by_flag(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -7,7 +8,8 @@ import re
 import pytest
 
 from conftest import checkin, corpus_of, fixed, make_devices, mobile, scatter_points
-from oracles import oracle_clor, oracle_components, oracle_por_count
+from oracles import (oracle_clor, oracle_components, oracle_device_view,
+                     oracle_por_count)
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
 from siotsim.siotgraph import (BASE_KINDS, FIXED, MOBILE, Device,
                                RelationshipKind, SIoTGraph, build_siot_graph,
@@ -296,6 +298,50 @@ def test_graph_export_roundtrip(tmp_path):
     g2 = read_siot_graph(graph_path, devices2)
     assert devices2 == devices
     assert g2.edges() == g.edges()
+
+
+BASE_KIND_SETS = [frozenset(kinds) for r in range(1, 5) for kinds in
+                  itertools.combinations(sorted(BASE_KINDS, key=lambda k: k.value), r)]
+
+
+def _random_edge_lines(rnd, ids) -> list[str]:
+    """Raw graph lines over `ids`: pairs carrying 1 to 4 kinds, some lines
+    repeated and about half with their endpoints reversed, shuffled."""
+    texts = sorted(kind.value for kind in BASE_KINDS)
+    lines = []
+    for _ in range(rnd.randrange(3, 30)):
+        a, b = rnd.sample(ids, 2)
+        for kind in rnd.sample(texts, rnd.choice((1, 1, 2, 3, 4))):
+            lines.append((a, b, kind) if rnd.random() < 0.5 else (b, a, kind))
+    lines += rnd.choices(lines, k=len(lines) // 3)
+    rnd.shuffle(lines)
+    return [",".join(line) for line in lines]
+
+
+def test_views_of_a_read_graph_match_the_raw_line_oracle(tmp_path):
+    def check(graph, lines):
+        for kinds in BASE_KIND_SETS:
+            neighbours, contacts, counts = oracle_device_view(lines, graph.devices, kinds)
+            view = graph.select_kinds(kinds)
+            assert {d: view.neighbors(d) for d in graph.devices} == neighbours, kinds
+            assert view.owner_contacts() == contacts, kinds
+            assert graph.kind_counts() == counts
+
+    assert len(set(BASE_KIND_SETS)) == 15
+    rnd = random.Random(1313)
+    path = tmp_path / "graph.csv"
+    for _ in range(25):
+        devices = make_devices([f"u{i}" for i in range(rnd.randrange(2, 9))])
+        ids = sorted(devices)
+        lines = _random_edge_lines(rnd, ids)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        graph = read_siot_graph(path, devices)
+        check(graph, lines)
+        # an edge added after every view has been read
+        a, b = rnd.sample(ids, 2)
+        kind = rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value))
+        graph.add_edge(a, b, kind)
+        check(graph, lines + [f"{a},{b},{kind.value}"])
 
 
 @pytest.mark.parametrize("bad_line", [
