@@ -115,11 +115,11 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     profiles_src = (ingest_dir / scenario.PROFILES_FILE).read_text(encoding="utf-8")
     (out / scenario.PROFILES_FILE).write_text(profiles_src, encoding="utf-8")
 
-    counts = graph.kind_counts()
-    lines = [f"devices {len(devices)}", f"edges {len(graph.edges())}"]
+    counts, edges = graph.kind_counts(), graph.edge_count()
+    lines = [f"devices {len(devices)}", f"edges {edges}"]
     lines += [f"{kind.value} {counts[kind]}" for kind in sg.RelationshipKind]
     (out / "stats.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"build-graph: {len(devices)} devices, {len(graph.edges())} edges -> {out}")
+    print(f"build-graph: {len(devices)} devices, {edges} edges -> {out}")
     return 0
 
 
@@ -149,7 +149,7 @@ def cmd_synth(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error(str(exc))
     scn = synth.generate_scenario(spec)
     scenario.write_scenario_dir(scn, args.out)
-    print(f"synth: {len(scn.users)} users, {len(scn.siot.edges())} device edges -> {args.out}")
+    print(f"synth: {len(scn.users)} users, {scn.siot.edge_count()} device edges -> {args.out}")
     return 0
 
 

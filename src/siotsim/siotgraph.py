@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -37,11 +38,19 @@ BASE_KINDS = frozenset({RelationshipKind.POR, RelationshipKind.CLOR,
                         RelationshipKind.OOR, RelationshipKind.SOR})
 
 
+_KIND_OF_TEXT = {kind.value: kind for kind in RelationshipKind}
+
+# One shared object per combination of base kinds: the graph stores each
+# edge's kinds as the entry here, so equal kind sets are one object.
+_KIND_SETS = {s: s for s in (frozenset(c) for r in range(1, len(BASE_KINDS) + 1)
+                             for c in itertools.combinations(BASE_KINDS, r))}
+
+
 def parse_kind(text: str) -> RelationshipKind:
-    for kind in RelationshipKind:
-        if kind.value == text:
-            return kind
-    raise ValueError(f"unknown relationship kind: {text!r}")
+    try:
+        return _KIND_OF_TEXT[text]
+    except KeyError:
+        raise ValueError(f"unknown relationship kind: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -199,11 +208,15 @@ def establish_sor(devices: Mapping[str, Device], colocations: Sequence[CoLocatio
 
 
 class SIoTGraph:
-    """Typed-edge device graph with owner indexing and kind-filtered views."""
+    """Typed-edge device graph with owner indexing and kind-filtered views.
+
+    Each device pair with an edge is stored once: its endpoints in sorted
+    order, as the device records' own id strings, map to the shared kind
+    set of `_KIND_SETS`."""
 
     def __init__(self, devices: Mapping[str, Device]):
         self.devices = dict(devices)
-        self._edges: dict[tuple[str, str], SIoTEdge] = {}
+        self._edges: dict[tuple[str, str], frozenset[RelationshipKind]] = {}
         self._views: dict[frozenset[RelationshipKind], SIoTView] = {}
         self.owner_devices: dict[str, list[str]] = {}
         for d in sorted(self.devices.values(), key=lambda d: d.device_id):
@@ -214,23 +227,27 @@ class SIoTGraph:
             raise ValueError("C-IOR links are not stored in the device graph")
         if a == b:
             raise ValueError(f"self-edge on device {a!r}")
-        if a not in self.devices or b not in self.devices:
+        dev_a, dev_b = self.devices.get(a), self.devices.get(b)
+        if dev_a is None or dev_b is None:
             raise ValueError(f"unknown device in edge ({a!r}, {b!r})")
-        if a > b:
-            a, b = b, a
-        old = self._edges.get((a, b))
-        kinds = frozenset({kind}) if old is None else old.kinds | {kind}
-        self._edges[(a, b)] = SIoTEdge(a, b, kinds)
+        pair = ((dev_a.device_id, dev_b.device_id) if a < b
+                else (dev_b.device_id, dev_a.device_id))
+        self._edges[pair] = _KIND_SETS[self._edges.get(pair, frozenset()) | {kind}]
         for view in self._views.values():
             view._clear()
 
     def edges(self) -> list[SIoTEdge]:
-        return [self._edges[k] for k in sorted(self._edges)]
+        """A record per edge, in endpoint order, built on each call."""
+        return [SIoTEdge(a, b, kinds) for (a, b), kinds in sorted(self._edges.items())]
+
+    def edge_count(self) -> int:
+        """The number of device pairs with an edge."""
+        return len(self._edges)
 
     def kind_counts(self) -> dict[RelationshipKind, int]:
         counts = {kind: 0 for kind in RelationshipKind}
-        for e in self._edges.values():
-            for kind in e.kinds:
+        for kinds in self._edges.values():
+            for kind in kinds:
                 counts[kind] += 1
         return counts
 
@@ -271,16 +288,17 @@ class SIoTView:
         self._components: dict[str, frozenset[str]] | None = None
         self._masks: dict[str, tuple[dict[str, int], list[str], list[int]]] = {}
 
-    def edges(self) -> list[SIoTEdge]:
-        return [e for e in self.graph.edges() if e.kinds & self.kinds]
+    def _pairs(self) -> Iterable[tuple[str, str]]:
+        """The stored device pairs that carry a selected kind."""
+        return (pair for pair, carried in self.graph._edges.items()
+                if not self.kinds.isdisjoint(carried))
 
     def neighbors(self, device: str) -> tuple[str, ...]:
         return self._adjacency().get(device, ())
 
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         if self._neighbors is None:
-            self._neighbors = _sorted_adjacency(
-                (e.device_a, e.device_b) for e in self.edges())
+            self._neighbors = _sorted_adjacency(self._pairs())
         return self._neighbors
 
     def flood_masks(self, device: str,
@@ -317,8 +335,7 @@ class SIoTView:
         if self._contacts is None:
             owner = {d: dev.owner for d, dev in self.graph.devices.items()}
             self._contacts = _sorted_adjacency(
-                (owner[e.device_a], owner[e.device_b]) for e in self.edges()
-                if owner[e.device_a] != owner[e.device_b])
+                (owner[a], owner[b]) for a, b in self._pairs() if owner[a] != owner[b])
         return self._contacts
 
     def components(self) -> dict[str, frozenset[str]]:
@@ -423,9 +440,9 @@ def write_siot_graph(graph: SIoTGraph, path: str | Path) -> None:
     """Line-oriented export `device_a,device_b,kind`, one line per edge
     kind."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for edge in graph.edges():
-            for kind in sorted(edge.kinds, key=lambda k: k.value):
-                fh.write(f"{edge.device_a},{edge.device_b},{kind.value}\n")
+        for (a, b), kinds in sorted(graph._edges.items()):
+            for kind in sorted(kinds, key=lambda k: k.value):
+                fh.write(f"{a},{b},{kind.value}\n")
 
 
 def read_siot_graph(path: str | Path, devices: Mapping[str, Device]) -> SIoTGraph:

@@ -230,9 +230,11 @@ def oracle_flood(graph, kinds, source_device, decisions, ttl) -> dict:
 def oracle_components(view) -> dict:
     """Each device's connected component in `view`, as the frozenset of
     its devices' owners, for components with at least two owners. Plain BFS
-    over the view's edge list."""
+    over the graph's edge list, filtered by the view's kinds."""
     adjacency: dict = {}
-    for e in view.edges():
+    for e in view.graph.edges():
+        if not e.kinds & view.kinds:
+            continue
         adjacency.setdefault(e.device_a, set()).add(e.device_b)
         adjacency.setdefault(e.device_b, set()).add(e.device_a)
     out = {}

@@ -509,7 +509,7 @@ def test_criterion_08_giant_component():
         assert scn.siot.edges() == base_edges
         assert all(a in holders and b in holders for a, b in established)
         device_edges = set(established)
-        for e in scn.siot.select_kinds(set(RelationshipKind)).edges():
+        for e in scn.siot.edges():  # every edge carries a base kind
             oa = scn.siot.devices[e.device_a].owner
             ob = scn.siot.devices[e.device_b].owner
             if oa != ob:

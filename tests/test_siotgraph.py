@@ -168,6 +168,11 @@ def test_sor_threshold_boundary():
     assert establish_sor(devices, colocs[:1], 1) == [(mobile("a"), mobile("b"))]
 
 
+def view_pairs(view) -> list[tuple[str, str]]:
+    """The view's device pairs, in endpoint order, read from its neighbours."""
+    return sorted((d, n) for d in view.graph.devices for n in view.neighbors(d) if d < n)
+
+
 def test_select_kinds_filtering():
     devices = make_devices(["a", "b"])
     g = SIoTGraph(devices)
@@ -176,12 +181,12 @@ def test_select_kinds_filtering():
     g.add_edge(fixed("a"), fixed("b"), RelationshipKind.SOR)
 
     por_only = g.select_kinds({RelationshipKind.POR})
-    assert [e.device_a for e in por_only.edges()] == [mobile("a")]
+    assert [a for a, _ in view_pairs(por_only)] == [mobile("a")]
     # multi-kind edge stays visible through either of its kinds
     sor_only = g.select_kinds({RelationshipKind.SOR})
-    assert len(sor_only.edges()) == 2
+    assert len(view_pairs(sor_only)) == 2
     everything = g.select_kinds(set(RelationshipKind))
-    assert everything.edges() == g.edges()
+    assert view_pairs(everything) == [(e.device_a, e.device_b) for e in g.edges()]
     with pytest.raises(ValueError):
         g.select_kinds(set())
 
@@ -216,7 +221,7 @@ def test_kind_monotonicity_of_views():
                set(RelationshipKind)]
     previous = None
     for kinds in subsets:
-        edges = {(e.device_a, e.device_b) for e in g.select_kinds(kinds).edges()}
+        edges = set(view_pairs(g.select_kinds(kinds)))
         if previous is not None:
             assert previous <= edges
         previous = edges
@@ -342,6 +347,26 @@ def test_views_of_a_read_graph_match_the_raw_line_oracle(tmp_path):
         kind = rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value))
         graph.add_edge(a, b, kind)
         check(graph, lines + [f"{a},{b},{kind.value}"])
+
+
+def test_a_read_graph_shares_its_kind_sets_and_device_ids(tmp_path):
+    """Edges with equal kinds hold one kind-set object, and all the edges of
+    a device hold one id string: the store keeps no object per edge."""
+    devices = make_devices([f"u{i}" for i in range(8)])
+    write_devices_csv(devices, tmp_path / "devices.csv")
+    rnd = random.Random(4)
+    lines = [line for _ in range(4) for line in _random_edge_lines(rnd, sorted(devices))]
+    path = tmp_path / "graph.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    edges = read_siot_graph(path, read_devices_csv(tmp_path / "devices.csv")).edges()
+    kind_sets: dict = {}
+    for e in edges:
+        kind_sets.setdefault(e.kinds, set()).add(id(e.kinds))
+    assert len(kind_sets) > 4
+    assert all(len(ids) == 1 for ids in kind_sets.values())
+    endpoints = [d for e in edges for d in (e.device_a, e.device_b)]
+    assert len(edges) > len(set(endpoints))
+    assert len({id(d) for d in endpoints}) == len(set(endpoints))
 
 
 @pytest.mark.parametrize("bad_line", [
