@@ -124,12 +124,19 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _parse_cross(text: str) -> dict:
+    """`--cross KIND=COUNT[,KIND=COUNT...]`, each kind at most once."""
     cross = {}
-    if not text:
-        return cross
-    for part in text.split(","):
-        kind_text, _, count = part.partition("=")
-        cross[sg.parse_kind(kind_text.strip())] = int(count)
+    for part in text.split(",") if text else ():
+        kind_text, eq, count = part.partition("=")
+        try:
+            kind = sg.parse_kind(kind_text.strip())
+            if not eq:
+                raise ValueError("expected KIND=COUNT")
+            if kind in cross:
+                raise ValueError(f"{kind.value} given twice")
+            cross[kind] = int(count)
+        except ValueError as exc:
+            raise ValueError(f"--cross: bad item {part!r}: {exc}") from None
     return cross
 
 

@@ -182,6 +182,10 @@ class ExperimentConfig:
             raise ValueError(f"sim_threshold must be in [0, 1], got {self.sim_threshold}")
         if self.ttl < 1 or self.max_hops < 1:
             raise ValueError("ttl and max_hops must be >= 1")
+        for kinds in (self.kinds, *self.kind_sets):
+            if not kinds - {RelationshipKind.CIOR}:
+                label = "+".join(sorted(k.value for k in kinds))
+                raise ValueError(f"kind set {label!r} holds no base kind")
         if any(t < 1 for t in self.ttl_values) or any(h < 1 for h in self.hops_values):
             raise ValueError("ttl_values and hops_values must be >= 1")
         self.sweep_points()  # validates probability vectors and sweep values

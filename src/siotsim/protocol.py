@@ -11,7 +11,7 @@ request arrives and the direct co-interest edge is created.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .humangraph import AuthorizationMap
 from .interests import (DEFAULT_SIMILARITY_THRESHOLD, InterestDescriptor,
@@ -49,9 +49,6 @@ class PropagationTrace:
     source_device: str
     records: dict[str, str] = field(default_factory=dict)  # receiver -> previous hop
     hops: dict[str, int] = field(default_factory=dict)
-
-    def receivers(self) -> list[str]:
-        return sorted(self.records)
 
 
 class Walk(NamedTuple):
@@ -132,12 +129,13 @@ def candidate_owners(source_owner: str, payload: InterestDescriptor,
 
 
 def evaluate_candidates(trace: PropagationTrace, graph: SIoTGraph,
-                        candidates: Container[str]) -> list[str]:
+                        candidates: Iterable[str]) -> list[str]:
     """Return the ids of the receiving devices that request a co-interest
-    link, in receiver order: those whose owner is in `candidates` (see
-    `candidate_owners`)."""
-    devices = graph.devices
-    return [d for d in trace.receivers() if devices[d].owner in candidates]
+    link, in receiver (sorted id) order: those whose owner is one of the
+    distinct `candidates` (see `candidate_owners`). Only the candidates'
+    devices are looked up in the relay table, not every receiver."""
+    records, owned = trace.records, graph.owner_devices
+    return sorted(d for o in candidates for d in owned.get(o, ()) if d in records)
 
 
 def backpropagate(requester: str, trace: PropagationTrace,
@@ -214,7 +212,9 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
     Only the floods that can request start (see `_plan`); token ids and
     forwarding horizons are keyed draws, so a skipped flood changes no
     other. A receiver requests iff its owner is a candidate of the source
-    owner (`candidate_owners`), and each request is walked back.
+    owner (`candidate_owners`) not yet paired with it in this round, and
+    only the first requesting device of each owner, in receiver order, is
+    walked back: a skipped request could only link a pair the round holds.
     `memo` shares each kind set's plan with the other rounds of one
     campaign, whose graph, sources, profiles, interest, threshold and
     origin setting are fixed. Deterministic for a fixed decision map.
@@ -230,10 +230,16 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
                                         sim_threshold, origin_device)
     horizon = decisions.spread_horizons()
     pairs: set[tuple[str, str]] = set()
-    for _, origins, payload, candidates in plan:
+    linked: dict[str, set[str]] = {}  # owner -> owners paired with it so far
+    for user, origins, payload, candidates in plan:
+        done = linked.setdefault(user, set())
         for dev in origins:
             token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
             trace = propagate_vuip(dev, view, token, horizon)
-            for requester in evaluate_candidates(trace, graph, candidates):
-                pairs.add(backpropagate(requester, trace, graph).owners)
+            for requester in evaluate_candidates(trace, graph, candidates - done):
+                owner = graph.devices[requester].owner
+                if owner not in done:
+                    pairs.add(backpropagate(requester, trace, graph).owners)
+                    done.add(owner)
+                    linked.setdefault(owner, set()).add(user)
     return pairs

@@ -139,6 +139,22 @@ def test_synth_exports_exactly_requested_cross_edges(tmp_path):
     assert cross[0].endswith("POR")
 
 
+@pytest.mark.parametrize("cross, message", [
+    ("POR=1,POR=2", "POR given twice"),
+    ("POR", "expected KIND=COUNT"),
+    ("POR=1,SOR", "expected KIND=COUNT"),
+    ("POR=x", "invalid literal"),
+    ("XYZ=1", "unknown relationship kind"),
+], ids=["repeated-kind", "no-count", "second-item-no-count", "non-integer-count",
+        "unknown-kind"])
+def test_synth_rejects_a_bad_cross_item_naming_the_flag(tmp_path, capsys, cross, message):
+    rc = run_cli(["synth", "--cross", cross, "--out", tmp_path / "scn"])
+    assert rc == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "--cross" in error and message in error
+    assert not (tmp_path / "scn").exists()
+
+
 def test_synth_same_seed_is_byte_identical(tmp_path):
     args = ["synth", "--communities", 2, "--nodes", 6, "--intra-prob", 0.5,
             "--cross", "SOR=2", "--noise-interests", 1]
@@ -332,8 +348,11 @@ def test_ingest_names_the_file_and_line_of_a_bad_poi_row(tmp_path, capsys, bad_r
     ("sim_threshold = nan", "sim_threshold must be in [0, 1], got nan"),
     ("sim_threshold = -0.1", "sim_threshold must be in [0, 1], got -0.1"),
     ("sim_threshold = 1.5", "sim_threshold must be in [0, 1], got 1.5"),
+    ("kinds = C-IOR", "kind set 'C-IOR' holds no base kind"),
+    ("sweep = kinds\nkind_sets = OOR ; C-IOR", "kind set 'C-IOR' holds no base kind"),
 ], ids=["sources-not-a-number", "sources-zero", "no-replicates", "sweep-without-values",
-        "nan-sim-threshold", "negative-sim-threshold", "sim-threshold-above-one"])
+        "nan-sim-threshold", "negative-sim-threshold", "sim-threshold-above-one",
+        "kinds-without-base-kind", "kind-set-without-base-kind"])
 def test_run_names_the_config_file_of_an_invalid_config(tmp_path, capsys, line, message):
     scn = tmp_path / "scn"
     assert run_cli(["synth", "--out", scn]) == 0

@@ -422,6 +422,19 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(kinds=frozenset({RelationshipKind.CIOR})),
+    dict(kinds=frozenset()),
+    dict(sweep="kinds", kind_sets=(frozenset({RelationshipKind.OOR}),
+                                   frozenset({RelationshipKind.CIOR}))),
+], ids=["kinds-cior-only", "kinds-empty", "kind-sets-entry-cior-only"])
+def test_a_kind_set_without_a_base_kind_is_rejected(kwargs):
+    with pytest.raises(ValueError, match="holds no base kind"):
+        ExperimentConfig(**kwargs)
+    # a mode stays permissive: criterion 2 builds one with explicit links
+    assert Mode.enhanced({RelationshipKind.CIOR}).kinds == frozenset()
+
+
 def test_sweep_points_require_values():
     with pytest.raises(ValueError):
         ExperimentConfig(sweep="spread").sweep_points()

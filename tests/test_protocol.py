@@ -490,3 +490,80 @@ def test_round_pairs_equal_the_pair_oracle():
                                         threshold, origin)
         linked += len(out)
     assert linked > 150
+
+
+def test_round_walks_back_one_request_per_owner_pair(monkeypatch):
+    """A round walks back exactly one request per owner pair it links, and
+    no flood evaluates an owner already paired with its source owner, on
+    sparse graphs and dense POR cliques, every kind subset and both origin
+    settings."""
+    walks: list[tuple[str, str]] = []
+    narrowed = 0
+
+    def counting_gate(trace, graph, candidates):
+        nonlocal narrowed
+        candidates = frozenset(candidates)
+        source = graph.devices[trace.source_device].owner
+        paired = {a if b == source else b for a, b in walks if source in (a, b)}
+        assert not candidates & paired, (source, candidates & paired)
+        narrowed += bool(paired)
+        return evaluate_candidates(trace, graph, candidates)
+
+    def counting_walk(requester, trace, graph):
+        walk = backpropagate(requester, trace, graph)
+        walks.append(walk.owners)
+        return walk
+
+    monkeypatch.setattr(protocol, "evaluate_candidates", counting_gate)
+    monkeypatch.setattr(protocol, "backpropagate", counting_walk)
+    rnd = random.Random(1717)
+    linked = 0
+    for trial in range(24):
+        g = (clique_device_graph(rnd, rnd.randrange(3, 12)) if trial % 2
+             else sparse_device_graph(rnd, rnd.randrange(3, 14)))
+        users = sorted(g.owner_devices)
+        profiles = {u: profile(u, set(rnd.sample(range(2, 6), rnd.randrange(1, 4))))
+                    for u in users if rnd.random() < 0.85}
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, rnd.randrange(1, 7)))
+        shared = decisions(policy, seed=trial)
+        origin = ["mobile", "both"][trial // 2 % 2]
+        for kinds in kind_subsets():
+            walks.clear()
+            ttl = rnd.randrange(1, 7)
+            out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
+                                 origin_device=origin)
+            assert len(walks) == len(out)
+            assert set(walks) == out
+            assert out == oracle_cior_pairs(users, g, kinds, profiles, shared, 3, ttl,
+                                            origin_device=origin)
+            linked += len(out)
+    assert linked > 300 and narrowed > 100, (linked, narrowed)
+
+
+def test_evaluate_candidates_equals_the_receiver_order_oracle():
+    """`evaluate_candidates` returns the receivers whose owner is a
+    candidate, in sorted receiver order, on random floods: candidate owners
+    with none, one or both devices reached, the source owner among the
+    candidates, and candidates that own no device."""
+    rnd = random.Random(1818)
+    subsets = list(kind_subsets())
+    reached_counts = {0: 0, 1: 0, 2: 0}
+    for trial in range(80):
+        g = (clique_device_graph(rnd, rnd.randrange(3, 12)) if trial % 2
+             else random_device_graph(rnd, rnd.randrange(3, 12), rnd.uniform(0.05, 0.3)))
+        users = sorted(g.owner_devices)
+        view = g.select_kinds(rnd.choice(subsets))
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, rnd.randrange(1, 7)))
+        horizon = decisions(policy, seed=trial).spread_horizons()
+        source = rnd.choice(sorted(g.devices))
+        token = VuipToken(f"t{trial}", InterestDescriptor.empty(), rnd.randrange(1, 7))
+        trace = propagate_vuip(source, view, token, horizon)
+        candidates = set(rnd.sample(users, rnd.randrange(0, len(users) + 1)))
+        candidates |= {g.devices[source].owner} if trial % 3 == 0 else set()
+        candidates |= {"nobody", "zz-ghost"} if trial % 4 == 0 else set()
+        for owner in candidates & set(users):
+            reached_counts[sum(d in trace.records for d in g.owner_devices[owner])] += 1
+        expected = [d for d in sorted(trace.records) if g.devices[d].owner in candidates]
+        assert evaluate_candidates(trace, g, candidates) == expected
+        assert evaluate_candidates(trace, g, frozenset(candidates)) == expected
+    assert min(reached_counts.values()) > 20, reached_counts
