@@ -6,10 +6,13 @@ The coupling also shares work. Each replicate has one draw table
 (`rng.DrawTable`) that every sweep point and mode reads. Friendship
 discovery passes depend only on the replicate, the auth vector, `max_hops`
 and the launcher, so a replicate runs the points with the same auth vector
-and `max_hops` as one group. The group keeps one memo of passes for both
-modes of all its points, computes its friendships-mode runs once and
-relabels them for its other points, and drops both when it ends. Results
-keep point order. Sharing is keyed on inputs only, never on results."""
+and `max_hops` as one group, with one memo of passes for both modes of all
+its points. Within a group a reach context depends only on the mode and
+the owner pairs of the point's C-IOR round, so the group computes the runs
+of each distinct (mode, pairs) once and relabels them for later points;
+it keeps them only while a later point has that mode. Results keep point
+order. Sharing is keyed on reach inputs only, never on results: the pairs
+are a round's output but an input of reach, and every round still runs."""
 
 from __future__ import annotations
 
@@ -361,9 +364,12 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                    rounds: RoundMemo) -> list[SourceRun]:
     """Every (sweep point, mode, source) run of one replicate, in point
     order. The points that share a `_pass_key` run as one group, which owns
-    its memo of friendship passes and its friendships-mode runs (computed
-    at its first point, relabelled for the others) until it ends. `rounds`
-    is the campaign's memo of C-IOR plans."""
+    its memo of friendship passes and its runs under (mode, C-IOR pairs):
+    friendships mode is (`Mode.friendships()`, no pairs). A point reuses the
+    runs of its key, relabelled. The pairs are compared, not hashed, so a
+    round's set is never copied, and the runs of a mode are dropped after
+    the group's last point with that mode. `rounds` is the campaign's memo
+    of C-IOR plans."""
     all_holders = sorted(scenario.holders(config.interest))
     draws = rng.DrawTable(config.seed, replicate)
     points = config.sweep_points()
@@ -373,17 +379,14 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
     runs_at: list[list[SourceRun]] = [[] for _ in points]
     for members in groups.values():
         passes: PassMemo = {}
-        friendship_runs: list[SourceRun] | None = None
-        for i in members:
+        memo: dict[Mode, list[tuple[set, list[SourceRun]]]] = {}
+        for n, i in enumerate(members):
             point = points[i]
             auth = AuthorizationMap(draws, point.policy)
+            later = {config.mode_for(name, points[j])
+                     for j in members[n + 1:] for name in config.modes}
             for mode_name in config.modes:
                 mode = config.mode_for(mode_name, point)
-                if mode.name == MODE_FRIENDSHIPS and friendship_runs is not None:
-                    runs_at[i].extend(
-                        replace(run, sweep_var=point.var, sweep_value=point.value)
-                        for run in friendship_runs)
-                    continue
                 cior_pairs: set[tuple[str, str]] = set()
                 if mode.name == MODE_ENHANCED and mode.cior and mode.kinds:
                     cior_pairs = run_cior_round(
@@ -391,6 +394,13 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                         auth, config.interest, ttl=point.ttl,
                         sim_threshold=config.sim_threshold,
                         origin_device=config.origin_device, memo=rounds)
+                kept = next((runs for pairs, runs in memo.get(mode, ())
+                             if pairs == cior_pairs), None)
+                if kept is not None:
+                    runs_at[i].extend(
+                        replace(run, sweep_var=point.var, sweep_value=point.value)
+                        for run in kept)
+                    continue
                 context = build_reach_context(scenario, config.interest, mode,
                                               auth, point.max_hops, cior_pairs,
                                               passes)
@@ -400,9 +410,10 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                     campaign=config.campaign, sweep_var=point.var,
                     sweep_value=point.value, replicate=replicate)
                     for source in sources]
-                if mode.name == MODE_FRIENDSHIPS:
-                    friendship_runs = mode_runs
+                if mode in later:
+                    memo.setdefault(mode, []).append((cior_pairs, mode_runs))
                 runs_at[i].extend(mode_runs)
+            memo = {m: entries for m, entries in memo.items() if m in later}
     return [run for point_runs in runs_at for run in point_runs]
 
 

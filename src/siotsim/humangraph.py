@@ -131,13 +131,16 @@ UNBOUNDED = sys.maxsize
 def _horizon(cooperates_at: Callable[[str, int], bool], entity: str,
              hops: int) -> int:
     """The hop horizon K of `entity` under a non-increasing vector of `hops`
-    probabilities: it cooperates at hops 1..K and at no later hop. K is the
-    number of leading hops at which it cooperates, or UNBOUNDED when it
-    cooperates at the last one, whose probability every later hop reuses."""
-    for hop in range(1, hops + 1):
+    probabilities: it cooperates at hops 1..K and at no later hop. K is
+    UNBOUNDED when it cooperates at the last hop, tested first: every later
+    hop reuses its probability and no earlier one is lower. Otherwise K is
+    the number of leading hops at which it cooperates."""
+    if cooperates_at(entity, hops):
+        return UNBOUNDED
+    for hop in range(1, hops):
         if not cooperates_at(entity, hop):
             return hop - 1
-    return UNBOUNDED
+    return hops - 1
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ class SyntheticScenarioSpec:
             raise ValueError("intra_friend_prob must be in [0, 1]")
         if not 0.0 <= self.interest_prob <= 1.0:
             raise ValueError("interest_prob must be in [0, 1]")
+        if self.noise_interests < 0:
+            raise ValueError(f"noise_interests must be >= 0, got {self.noise_interests}")
         for kind, count in self.cross_edges.items():
             if kind not in CROSSABLE_KINDS:
                 raise ValueError(f"cross edges of kind {kind} are not supported")

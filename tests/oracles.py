@@ -8,9 +8,12 @@ internals they verify.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import deque
 
+from siotsim import rng
 from siotsim.geo import GeoPoint, haversine_m
 from siotsim.siotgraph import FIXED, MOBILE, RelationshipKind
 from siotsim.trace import CoLocation, TraceCorpus
@@ -313,3 +316,102 @@ def oracle_cior_pairs(sources, graph, kinds, profiles, decisions, interest, ttl,
                         and interest in profiles[owner].held and gate[(owner, user)]):
                     pairs.add((min(user, owner), max(user, owner)))
     return pairs
+
+
+class _Decisions:
+    """One replicate's cooperation under one probability vector per draw
+    kind: each decision hashes its own key with `rng.unit_draw` and compares
+    the draw with the vector's entry for the hop (the last entry past its
+    end)."""
+
+    def __init__(self, seed, replicate, auth_vec, spread_vec):
+        self.seed, self.replicate = seed, replicate
+        self.vectors = {"auth": auth_vec, "spread": spread_vec}
+
+    def _cooperates(self, kind, entity, hop):
+        vec = self.vectors[kind]
+        draw = rng.unit_draw(self.seed, self.replicate, kind, entity)
+        return draw < vec[min(hop, len(vec)) - 1]
+
+    def authorizes(self, node, hop):
+        return self._cooperates("auth", node, hop)
+
+    def forwards(self, device, hop):
+        return self._cooperates("spread", device, hop)
+
+
+def _owner_contacts(graph, kinds) -> dict:
+    """Each owner's set of other owners whose devices share an edge of one
+    of `kinds` with its own, from the raw edge list."""
+    owner = {d: dev.owner for d, dev in graph.devices.items()}
+    contacts: dict = {}
+    for e in graph.edges():
+        a, b = owner[e.device_a], owner[e.device_b]
+        if e.kinds & set(kinds) and a != b:
+            contacts.setdefault(a, set()).add(b)
+            contacts.setdefault(b, set()).add(a)
+    return contacts
+
+
+def oracle_campaign(scenario, config) -> str:
+    """The `results.csv` text of a campaign, every run from first
+    principles: no memo, group, relabelling or worker pool.
+
+    The sweep points and their labels come from `config.sweep_points()`.
+    For each replicate, point, mode and source, in that order, decisions
+    are `rng.unit_draw(seed, replicate, kind, entity)` compared hop by hop
+    with the point's vectors; an enhanced mode adds the kind view's owner
+    contacts and, with `cior`, the owner pairs of `oracle_cior_pairs`; reach
+    is `oracle_reach`."""
+    friends = {u: set() for u in scenario.friendships.nodes}
+    for a, b in scenario.friendships.edges():
+        friends[a].add(b)
+        friends[b].add(a)
+    holders = {u for u, p in scenario.profiles.items()
+               if config.interest in p.held and u in friends}
+    connected = {u for u, vs in friends.items() if vs}
+    connected |= set(_owner_contacts(scenario.siot, set(RelationshipKind)))
+    isolated = set(friends) - connected
+    sources = sorted(holders)
+    if config.sources != "all" and int(config.sources) < len(sources):
+        sources = sorted(rng.stream(config.seed, "sources", config.interest)
+                         .sample(sources, int(config.sources)))
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["campaign", "interest", "mode", "kinds", "sweep_var",
+                  "sweep_value", "replicate", "source", "reached",
+                  "denominator", "irn_pct", "mean_hops"])
+    for r in range(config.replicates):
+        for point in config.sweep_points():
+            decisions = _Decisions(config.seed, r, point.policy.auth_prob_per_hop,
+                                   point.policy.spread_prob_per_hop)
+            for mode in config.modes:
+                extra, label = None, ""
+                if mode == "enhanced":
+                    kinds = point.kinds - {RelationshipKind.CIOR}
+                    extra = _owner_contacts(scenario.siot, kinds)
+                    labels = sorted(k.value for k in kinds)
+                    if config.cior:
+                        labels.append(RelationshipKind.CIOR.value)
+                        for a, b in oracle_cior_pairs(
+                                sources=holders, graph=scenario.siot, kinds=kinds,
+                                profiles=scenario.profiles, decisions=decisions,
+                                interest=config.interest, ttl=point.ttl,
+                                sim_threshold=config.sim_threshold,
+                                origin_device=config.origin_device):
+                            extra.setdefault(a, set()).add(b)
+                            extra.setdefault(b, set()).add(a)
+                    label = "+".join(labels)
+                for source in sources:
+                    _, best = oracle_reach(source, friends, decisions.authorizes,
+                                           point.max_hops, holders, extra)
+                    eligible = holders - {source}
+                    if not config.include_isolated:
+                        eligible -= isolated
+                    pct = 100.0 * len(best) / len(eligible) if eligible else 0.0
+                    mean = sum(best.values()) / len(best) if best else None
+                    out.writerow([config.campaign, config.interest, mode, label,
+                                  point.var, point.value, r, source, len(best),
+                                  len(eligible), f"{pct:.6g}",
+                                  "" if mean is None else f"{mean:.6g}"])
+    return buf.getvalue()

@@ -155,6 +155,13 @@ def test_synth_rejects_a_bad_cross_item_naming_the_flag(tmp_path, capsys, cross,
     assert not (tmp_path / "scn").exists()
 
 
+def test_synth_rejects_a_negative_noise_interest_count(tmp_path, capsys):
+    rc = run_cli(["synth", "--noise-interests", -1, "--out", tmp_path / "scn"])
+    assert rc == 2
+    assert "noise_interests must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "scn").exists()
+
+
 def test_synth_same_seed_is_byte_identical(tmp_path):
     args = ["synth", "--communities", 2, "--nodes", 6, "--intra-prob", 0.5,
             "--cross", "SOR=2", "--noise-interests", 1]

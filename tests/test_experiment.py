@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import make_devices, mobile, profile
-from oracles import oracle_cior_pairs
+from oracles import oracle_campaign, oracle_cior_pairs
 from siotsim import experiment, humangraph
 from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 load_config, result_csv_text, run_campaign,
@@ -316,6 +316,10 @@ def test_each_friendship_pass_is_computed_once_per_key(monkeypatch):
         assert set(computed) == requested
 
 
+SPARSE = frozenset({RelationshipKind.OOR, RelationshipKind.SOR})
+CLIQUES = SPARSE | {RelationshipKind.POR}
+
+
 def sharing_scenario():
     return generate_scenario(SyntheticScenarioSpec(
         communities=3, nodes_per_community=8, intra_friend_prob=0.3,
@@ -333,16 +337,62 @@ def test_sharing_passes_across_points_is_invisible():
                             spread_prob_per_hop=(0.8, 0.6))
     for cfg in (replace(base, sweep="auth",
                         auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8))),
-                replace(base, sweep="hops", hops_values=(2, 4, 2))):
+                replace(base, sweep="hops", hops_values=(2, 4, 2)),
+                replace(base, sweep="spread", spread_values=(1.0, 0.6, 0.2)),
+                replace(base, sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE))):
+        assert cfg.cior
         alone = []
         for point in cfg.sweep_points():
             one = replace(cfg, sweep="none", max_hops=point.max_hops,
-                          auth_prob_per_hop=point.policy.auth_prob_per_hop)
+                          auth_prob_per_hop=point.policy.auth_prob_per_hop,
+                          spread_prob_per_hop=point.policy.spread_prob_per_hop,
+                          kinds=point.kinds, ttl=point.ttl)
             alone.append([replace(run, sweep_var=point.var, sweep_value=point.value)
                           for run in run_campaign(scn, one).runs])
         expected = [run for r in range(cfg.replicates) for runs in alone
                     for run in runs if run.replicate == r]
         assert run_campaign(scn, cfg).runs == expected
+
+
+def test_each_distinct_reach_context_is_built_once_per_group(monkeypatch):
+    """Within a group of points that share a pass key, a reach context
+    depends only on the mode and the round's owner pairs, so each distinct
+    (mode, pairs) is built once per replicate, and its runs are relabelled
+    for the later points that have it."""
+    built: list = []
+    pairs: list = []
+    real_context = experiment.build_reach_context
+    real_round = experiment.run_cior_round
+
+    def context(scenario, interest, mode, auth, max_hops, cior_pairs=(), passes=None):
+        built.append((auth.draws.replicate, mode, frozenset(cior_pairs)))
+        return real_context(scenario, interest, mode, auth, max_hops, cior_pairs, passes)
+
+    def cior_round(sources, graph, kinds, profiles, decisions, *args, **kwargs):
+        found = real_round(sources, graph, kinds, profiles, decisions, *args, **kwargs)
+        pairs.append((decisions.draws.replicate, frozenset(kinds), frozenset(found)))
+        return found
+
+    monkeypatch.setattr(experiment, "build_reach_context", context)
+    monkeypatch.setattr(experiment, "run_cior_round", cior_round)
+    base = ExperimentConfig(replicates=2, seed=13, auth_prob_per_hop=(0.9, 0.6),
+                            spread_prob_per_hop=(0.8, 0.5))
+    for scenario, cfg, expected in (
+            (sharing_scenario, replace(base, cior=False, sweep="spread",
+                                       spread_values=(1.0, 0.6, 0.2, 0.6)), lambda r: 2),
+            (sharing_scenario, replace(base, sweep="kinds",
+                                       kind_sets=(SPARSE, CLIQUES, SPARSE)), lambda r: 3),
+            (clique_scenario, replace(base, sweep="spread",
+                                      spread_values=(1.0, 0.6, 0.2, 1.0)),
+             lambda r: 1 + len({p for rep, _, p in pairs if rep == r}))):
+        built.clear()
+        pairs.clear()
+        runs = run_campaign(scenario(), cfg).runs
+        assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(select_sources(scenario(), cfg))
+        for r in range(cfg.replicates):
+            assert len([b for b in built if b[0] == r]) == expected(r), cfg.sweep
+        assert len(set(built)) == len(built)
+    assert len({p for _, _, p in pairs}) > 2  # the clique rounds differ by point
 
 
 def test_a_campaign_leaves_no_cyclic_garbage():
@@ -506,10 +556,6 @@ def clique_scenario() -> Scenario:
     return scn
 
 
-SPARSE = frozenset({RelationshipKind.OOR, RelationshipKind.SOR})
-CLIQUES = SPARSE | {RelationshipKind.POR}
-
-
 @pytest.mark.parametrize("sweep", [
     dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE)),
     dict(sweep="ttl", ttl_values=(1, 3, 6)),
@@ -546,3 +592,35 @@ def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
     for threads in (1, 2):  # two workers record in their own processes
         assert result_csv_text(run_campaign(clique_scenario(), cfg, threads)) == expected
     assert returned["memo"] == returned["oracle"]
+
+
+SPREADS = dict(sweep="spread", spread_values=(1.0, 0.6, 0.2))
+
+
+@pytest.mark.parametrize("scenario, cfg, threads", [
+    (sharing_scenario, {}, 1),
+    (sharing_scenario, SPREADS, 1),
+    (sharing_scenario, dict(SPREADS, cior=False), 1),
+    (sharing_scenario, dict(sweep="auth",
+                            auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8))), 1),
+    (clique_scenario, dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE)), 1),
+    (clique_scenario, dict(sweep="ttl", ttl_values=(1, 3, 6)), 1),
+    (sharing_scenario, dict(sweep="hops", hops_values=(2, 4, 2)), 1),
+    (clique_scenario, SPREADS, 1),
+    (clique_scenario, dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE),
+                           origin_device="both"), 1),
+    (sharing_scenario, dict(SPREADS, include_isolated=False), 1),
+    (clique_scenario, dict(SPREADS, sources="5"), 1),
+    (clique_scenario, dict(sweep="hops", hops_values=(2, 4, 2)), 2),
+], ids=["none", "spread", "spread-no-cior", "auth-ABA", "kinds-ABA", "ttl", "hops-ABA",
+        "clique-spread", "kinds-both-origins", "without-isolated", "k-sources",
+        "two-workers"])
+def test_campaign_equals_the_campaign_oracle(scenario, cfg, threads):
+    """Every byte of `results.csv`, with all sharing across modes, sweep
+    points and sources, equals the campaign rebuilt from per-decision
+    draws, oracle rounds and oracle reach."""
+    config = ExperimentConfig(replicates=2, seed=5,
+                              auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3),
+                              spread_prob_per_hop=(0.8, 0.6), **cfg)
+    expected = oracle_campaign(scenario(), config)
+    assert result_csv_text(run_campaign(scenario(), config, threads)) == expected

@@ -13,8 +13,8 @@ from siotsim import cli
 from siotsim.experiment import Mode, build_reach_context, run_source
 from siotsim.humangraph import (DEFAULT_MAX_HOPS, UNBOUNDED, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
-                                ReachContext, cooperates, giant_component_pct,
-                                interest_reach)
+                                ReachContext, _horizon, cooperates,
+                                giant_component_pct, interest_reach)
 from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario, read_scenario_dir
 from siotsim.siotgraph import SIoTGraph
@@ -126,6 +126,17 @@ def test_hop_horizons_equal_the_per_hop_comparison():
                     assert (hop <= horizon) == cooperates(draw, prob_at(hop)), \
                         (draw, vec, hop, horizon)
     assert ties > 100  # a draw equal to an entry does not cooperate at it
+    # one-entry vectors, and draws equal to the last entry
+    for draw, vec, horizon in (
+            (0.3, (0.5,), UNBOUNDED), (0.5, (0.5,), 0), (0.7, (0.5,), 0),
+            (0.0, (0.0,), 0), (0.0, (1.0,), UNBOUNDED),
+            (0.3, (0.9, 0.6, 0.3), 2), (0.6, (0.9, 0.6, 0.3), 1),
+            (0.2, (0.9, 0.6, 0.3), UNBOUNDED), (0.95, (0.9, 0.6, 0.3), 0),
+            (0.3, (0.3, 0.3), 0), (0.3, (0.9, 0.3, 0.3), 1)):
+        policy = AuthorizationPolicy(vec)
+        assert _horizon(lambda _, hop: cooperates(draw, policy.auth_at(hop)),
+                        "e", len(vec)) == horizon, (draw, vec)
+
 
 
 # --- discovery fixtures ---------------------------------------------------------

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "siotsim"
 
 # Secondary metrics of the paper that `run` does not write yet; ROADMAP
-# direction 6 has the CLI write them.
+# direction 8 has the CLI write them.
 ALLOWED_UNUSED = {"giant_component_pct", "mean_hops_comparison"}
 
 

@@ -70,6 +70,8 @@ def test_spec_validation():
                               cross_edges={RelationshipKind.POR: 1})
     with pytest.raises(ValueError):
         SyntheticScenarioSpec(cross_edges={RelationshipKind.OOR: 1})
+    with pytest.raises(ValueError, match="noise_interests must be >= 0, got -1"):
+        SyntheticScenarioSpec(noise_interests=-1)
 
 
 def test_scenario_dir_roundtrip(tmp_path):
