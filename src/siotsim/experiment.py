@@ -8,10 +8,10 @@ discovery passes depend only on the replicate, the auth vector, `max_hops`
 and the launcher, so a replicate runs the points with the same auth vector
 and `max_hops` as one group, with one memo of passes for both modes of all
 its points. Within a group a reach context depends only on the mode and
-the owner pairs of the point's C-IOR round, so the group computes the runs
-of each distinct (mode, pairs) once and relabels them for later points;
+the partners of the point's C-IOR round, so the group computes the runs
+of each distinct (mode, partners) once and relabels them for later points;
 it keeps them only while a later point has that mode. Results keep point
-order. Sharing is keyed on reach inputs only, never on results: the pairs
+order. Sharing is keyed on reach inputs only, never on results: partners
 are a round's output but an input of reach, and every round still runs."""
 
 from __future__ import annotations
@@ -278,13 +278,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                         auth: AuthorizationMap, max_hops: int,
-                        cior_pairs: Iterable[tuple[str, str]] = (),
+                        cior_partners: Mapping[str, set[str]] | None = None,
                         passes: PassMemo | None = None) -> ReachContext:
     """Assemble the reachability context for one (mode, decisions) pair.
 
     In enhanced mode every node additionally sees, one hop away, the owners
     of devices linked to its own devices in the selected-kind view, plus
-    its partners in the owner pairs `cior_pairs` of a C-IOR round.
+    its partners in `cior_partners`, a C-IOR round's partner map. Neither
+    the view's contacts nor the partner sets are changed.
     `passes` shares friendship passes with other contexts of the same
     interest, auth vector and `max_hops` (see `ReachContext`)."""
     holders = scenario.holders(interest)
@@ -292,26 +293,13 @@ def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
     if mode.name == MODE_ENHANCED:
         base = (scenario.siot.select_kinds(mode.kinds).owner_contacts()
                 if mode.kinds else {})
-        extra = _with_cior_contacts(base, cior_pairs)
+        extra = base
+        if cior_partners:
+            extra = dict(base)
+            for owner, partners in cior_partners.items():
+                extra[owner] = tuple(partners.union(base.get(owner, ())))
     return ReachContext.for_graph(scenario.friendships, holders, auth,
                                   max_hops, extra, passes)
-
-
-def _with_cior_contacts(contacts: Mapping[str, tuple[str, ...]],
-                        cior_pairs: Iterable[tuple[str, str]],
-                        ) -> Mapping[str, tuple[str, ...]]:
-    """`contacts` plus the owner pairs, as a new mapping; `contacts` itself
-    is left as it is."""
-    added: dict[str, set[str]] = {}
-    for a, b in cior_pairs:
-        added.setdefault(a, set()).add(b)
-        added.setdefault(b, set()).add(a)
-    if not added:
-        return contacts
-    merged = dict(contacts)
-    for user, others in added.items():
-        merged[user] = tuple(sorted(others.union(contacts.get(user, ()))))
-    return merged
 
 
 def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
@@ -364,10 +352,10 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                    rounds: RoundMemo) -> list[SourceRun]:
     """Every (sweep point, mode, source) run of one replicate, in point
     order. The points that share a `_pass_key` run as one group, which owns
-    its memo of friendship passes and its runs under (mode, C-IOR pairs):
-    friendships mode is (`Mode.friendships()`, no pairs). A point reuses the
-    runs of its key, relabelled. The pairs are compared, not hashed, so a
-    round's set is never copied, and the runs of a mode are dropped after
+    its memo of friendship passes and its runs under (mode, C-IOR partner
+    map): friendships mode is (`Mode.friendships()`, `{}`). A point reuses
+    the runs of its key, relabelled. The maps are compared, not hashed, so
+    a round's map is never copied, and the runs of a mode are dropped after
     the group's last point with that mode. `rounds` is the campaign's memo
     of C-IOR plans."""
     all_holders = sorted(scenario.holders(config.interest))
@@ -379,7 +367,7 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
     runs_at: list[list[SourceRun]] = [[] for _ in points]
     for members in groups.values():
         passes: PassMemo = {}
-        memo: dict[Mode, list[tuple[set, list[SourceRun]]]] = {}
+        memo: dict[Mode, list[tuple[dict, list[SourceRun]]]] = {}
         for n, i in enumerate(members):
             point = points[i]
             auth = AuthorizationMap(draws, point.policy)
@@ -387,22 +375,22 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                      for j in members[n + 1:] for name in config.modes}
             for mode_name in config.modes:
                 mode = config.mode_for(mode_name, point)
-                cior_pairs: set[tuple[str, str]] = set()
-                if mode.name == MODE_ENHANCED and mode.cior and mode.kinds:
-                    cior_pairs = run_cior_round(
+                partners: dict[str, set[str]] = {}
+                if mode.cior and mode.kinds:
+                    partners = run_cior_round(
                         all_holders, scenario.siot, mode.kinds, scenario.profiles,
                         auth, config.interest, ttl=point.ttl,
                         sim_threshold=config.sim_threshold,
                         origin_device=config.origin_device, memo=rounds)
-                kept = next((runs for pairs, runs in memo.get(mode, ())
-                             if pairs == cior_pairs), None)
+                kept = next((runs for linked, runs in memo.get(mode, ())
+                             if linked == partners), None)
                 if kept is not None:
                     runs_at[i].extend(
                         replace(run, sweep_var=point.var, sweep_value=point.value)
                         for run in kept)
                     continue
                 context = build_reach_context(scenario, config.interest, mode,
-                                              auth, point.max_hops, cior_pairs,
+                                              auth, point.max_hops, partners,
                                               passes)
                 mode_runs = [run_source(
                     source, config.interest, mode, scenario, context,
@@ -411,7 +399,7 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                     sweep_value=point.value, replicate=replicate)
                     for source in sources]
                 if mode in later:
-                    memo.setdefault(mode, []).append((cior_pairs, mode_runs))
+                    memo.setdefault(mode, []).append((partners, mode_runs))
                 runs_at[i].extend(mode_runs)
             memo = {m: entries for m, entries in memo.items() if m in later}
     return [run for point_runs in runs_at for run in point_runs]

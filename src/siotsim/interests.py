@@ -268,10 +268,13 @@ def write_profiles_csv(profiles: Mapping[str, InterestDescriptor],
 
 def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
     """Load a `write_profiles_csv` file. A malformed row, a negative count,
-    a `held` flag other than 0 or 1, or a second row for the same (owner,
-    macro_id) is an error naming the file and line."""
+    a `held` flag other than 0 or 1, a second row for the same (owner,
+    macro_id), or the first row whose flag no single interest threshold
+    >= 1 gives with the rows before it (a held count must be at least 1
+    and above every count not held) is an error naming the file and line."""
     weights: dict[str, dict[int, int]] = {}
     held: dict[str, set[int]] = {}
+    lowest_held, highest_unheld = math.inf, 0
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -287,11 +290,20 @@ def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
                     raise ValueError("held flag must be 0 or 1")
                 if macro_id in weights.get(owner, ()):
                     raise ValueError(f"second row for macro_id {macro_id}")
+                if held_flag == "1" and weight <= highest_unheld:
+                    raise ValueError(f"held at count {weight}: no interest threshold >= 1 "
+                                     f"holds it and leaves a count of {highest_unheld} unheld")
+                if held_flag == "0" and weight >= lowest_held:
+                    raise ValueError(f"not held at count {weight}: no interest threshold "
+                                     f"holds a count of {lowest_held} and leaves it unheld")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad profile row "
                                  f"{row!r} ({exc})") from exc
             weights.setdefault(owner, {})[macro_id] = weight
             if held_flag == "1":
                 held.setdefault(owner, set()).add(macro_id)
+                lowest_held = min(lowest_held, weight)
+            else:
+                highest_unheld = max(highest_unheld, weight)
     return {owner: InterestDescriptor(owner, w, frozenset(held.get(owner, ())))
             for owner, w in weights.items()}

@@ -203,9 +203,9 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
                    ttl: int = DEFAULT_TTL,
                    sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
                    origin_device: str = ORIGIN_MOBILE,
-                   memo: RoundMemo | None = None) -> set[tuple[str, str]]:
-    """Run one full establishment round and return the owner pairs (a, b),
-    a < b, that its requests link.
+                   memo: RoundMemo | None = None) -> dict[str, set[str]]:
+    """Run one full establishment round and return its partner map: each
+    owner its requests link, mapped to the owners linked to it (symmetric).
 
     Every source user's origin device(s) propagate in turn over the
     selected-kind view of the base graph, which the round leaves unchanged.
@@ -229,7 +229,6 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
         plan = memo[view.kinds] = _plan(sources, graph, view, profiles, interest,
                                         sim_threshold, origin_device)
     horizon = decisions.spread_horizons()
-    pairs: set[tuple[str, str]] = set()
     linked: dict[str, set[str]] = {}  # owner -> owners paired with it so far
     for user, origins, payload, candidates in plan:
         done = linked.setdefault(user, set())
@@ -237,9 +236,8 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
             token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
             trace = propagate_vuip(dev, view, token, horizon)
             for requester in evaluate_candidates(trace, graph, candidates - done):
-                owner = graph.devices[requester].owner
-                if owner not in done:
-                    pairs.add(backpropagate(requester, trace, graph).owners)
-                    done.add(owner)
-                    linked.setdefault(owner, set()).add(user)
-    return pairs
+                if graph.devices[requester].owner not in done:
+                    a, b = backpropagate(requester, trace, graph).owners
+                    linked.setdefault(a, set()).add(b)
+                    linked.setdefault(b, set()).add(a)
+    return {owner: partners for owner, partners in linked.items() if partners}

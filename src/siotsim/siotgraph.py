@@ -1,6 +1,6 @@
 """Device layer: device instantiation from users and typed social-object
 relationship edges (POR, C-LOR, OOR, SOR). Protocol-established C-IOR links
-are never stored here; a round returns them as a set of owner pairs.
+are never stored here; a round returns them as each owner's partners.
 """
 
 from __future__ import annotations

@@ -318,6 +318,16 @@ def oracle_cior_pairs(sources, graph, kinds, profiles, decisions, interest, ttl,
     return pairs
 
 
+def partner_sets(pairs) -> dict:
+    """The symmetric partner map of owner pairs, as a C-IOR round returns
+    it: each owner in a pair mapped to the set of owners paired with it."""
+    partners: dict = {}
+    for a, b in pairs:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    return partners
+
+
 class _Decisions:
     """One replicate's cooperation under one probability vector per draw
     kind: each decision hashes its own key with `rng.unit_draw` and compares

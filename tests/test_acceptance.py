@@ -17,7 +17,7 @@ from conftest import (bool_horizons, checkin, corpus_of, make_devices, mobile,
                       profile, random_device_graph, random_friend_graph,
                       random_nonincreasing, token_for)
 from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
-                     oracle_reach)
+                     oracle_reach, partner_sets)
 from siotsim import cli
 from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 run_campaign, run_source)
@@ -169,7 +169,7 @@ def test_criterion_02_reachability_oracle():
                 scn = Scenario(graph, siot, profiles)
                 mode = Mode.enhanced(kinds, cior=RelationshipKind.CIOR in kinds)
                 context = build_reach_context(scn, 3, mode, auth_map, max_hops,
-                                              links)
+                                              partner_sets(links))
                 run = run_source(source, 3, mode, scn, context)
                 assert run.reached == frozenset(best) - {source}
                 assert run.hops == {k: v for k, v in best.items() if k != source}
@@ -306,13 +306,14 @@ def test_criterion_05_similarity_gate():
 
     out4 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=4)
-    assert out4 == {("u0", "u1"), ("u0", "u3")}
-    assert all(4 in profiles[a].held and 4 in profiles[b].held for a, b in out4)
+    assert out4 == partner_sets({("u0", "u1"), ("u0", "u3")})
+    assert all(4 in profiles[a].held and 4 in profiles[b].held
+               for a, partners in out4.items() for b in partners)
 
     out3 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=3)
     # u1 is similar but does not hold interest 3; u3 passes both gates
-    assert out3 == {("u0", "u3")}
+    assert out3 == partner_sets({("u0", "u3")})
     assert graph.edges() == base_edges
 
     # boundary: cosine exactly 0.5 establishes (inclusive within 1e-12)
@@ -323,13 +324,13 @@ def test_criterion_05_similarity_gate():
     g2.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     out = run_cior_round(["a"], g2, RelationshipKind, boundary, decisions,
                          interest=2)
-    assert out == {("a", "b")}
+    assert out == partner_sets({("a", "b")})
     assert 2 in boundary["a"].held and 2 in boundary["b"].held
     # one representable step below the threshold must not establish
     below = run_cior_round(["a"], g2, RelationshipKind, boundary,
                            decisions, interest=2,
                            sim_threshold=math.nextafter(0.5, 1.0))
-    assert below == set()
+    assert below == {}
     assert g2.kind_counts()[RelationshipKind.CIOR] == 0
 
     # randomized iff-check against an independent flood re-derivation
@@ -345,7 +346,8 @@ def test_criterion_05_similarity_gate():
         base_edges = graph.edges()
         out = run_cior_round(sources, graph, RelationshipKind, profiles,
                              decisions, interest=3, ttl=6)
-        assert all(3 in profiles[a].held and 3 in profiles[b].held for a, b in out)
+        assert all(3 in profiles[a].held and 3 in profiles[b].held
+                   for a, partners in out.items() for b in partners)
         assert graph.edges() == base_edges
         expected = set()
         for src in sources:
@@ -360,7 +362,7 @@ def test_criterion_05_similarity_gate():
                 if 3 not in own.held:
                     continue
                 expected.add((min(src, owner), max(src, owner)))
-        assert out == expected
+        assert out == partner_sets(expected)
 
 
 def two_community_bridged(seed=606, nodes=6):
@@ -508,8 +510,10 @@ def test_criterion_08_giant_component():
         established = run_cior_round(sorted(holders), scn.siot, RelationshipKind,
                                      scn.profiles, decisions, interest=3)
         assert scn.siot.edges() == base_edges
-        assert all(a in holders and b in holders for a, b in established)
-        device_edges = set(established)
+        device_edges = {(a, b) for a, partners in established.items()
+                        for b in partners if a < b}
+        assert established == partner_sets(device_edges)
+        assert all(a in holders and b in holders for a, b in device_edges)
         for e in scn.siot.edges():  # every edge carries a base kind
             oa = scn.siot.devices[e.device_a].owner
             ob = scn.siot.devices[e.device_b].owner

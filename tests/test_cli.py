@@ -297,9 +297,10 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("profiles.csv", "c00n000,7,1,2"),
     ("profiles.csv", "c00n000,7,-1,1"),
     ("profiles.csv", "c00n000,9,2,1\nc00n000,9,5,0"),
+    ("profiles.csv", "c00n000,9,0,1"),
 ], ids=["three-field-friendship", "short-device", "non-number-device",
         "short-profile", "non-integer-macro-id", "non-integer-count", "held-flag-2",
-        "negative-count", "duplicate-macro-id"])
+        "negative-count", "duplicate-macro-id", "held-at-count-0"])
 def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
                                                            name, bad_row):
     # `bad_row` goes in after the header; its last line is the bad one

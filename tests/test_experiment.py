@@ -1,23 +1,28 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import gc
+import importlib
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import make_devices, mobile, profile
-from oracles import oracle_campaign, oracle_cior_pairs
-from siotsim import experiment, humangraph
+from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
+from siotsim import cli, experiment, humangraph
 from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 load_config, result_csv_text, run_campaign,
                                 run_source, select_sources)
 from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
                                 ReachContext)
+from siotsim.protocol import run_cior_round
 from siotsim.rng import DrawTable
-from siotsim.scenario import Scenario
+from siotsim.scenario import Scenario, read_scenario_dir
 from siotsim.siotgraph import RelationshipKind, SIoTGraph, establish_por
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
 
@@ -356,21 +361,26 @@ def test_sharing_passes_across_points_is_invisible():
 
 def test_each_distinct_reach_context_is_built_once_per_group(monkeypatch):
     """Within a group of points that share a pass key, a reach context
-    depends only on the mode and the round's owner pairs, so each distinct
-    (mode, pairs) is built once per replicate, and its runs are relabelled
-    for the later points that have it."""
+    depends only on the mode and the round's partner map, so each distinct
+    (mode, partner map) is built once per replicate, and its runs are
+    relabelled for the later points that have it."""
     built: list = []
     pairs: list = []
     real_context = experiment.build_reach_context
     real_round = experiment.run_cior_round
 
-    def context(scenario, interest, mode, auth, max_hops, cior_pairs=(), passes=None):
-        built.append((auth.draws.replicate, mode, frozenset(cior_pairs)))
-        return real_context(scenario, interest, mode, auth, max_hops, cior_pairs, passes)
+    def frozen(partners):
+        return frozenset((a, b) for a, others in partners.items() for b in others if a < b)
+
+    def context(scenario, interest, mode, auth, max_hops, cior_partners=None,
+                passes=None):
+        built.append((auth.draws.replicate, mode, frozen(cior_partners or {})))
+        return real_context(scenario, interest, mode, auth, max_hops, cior_partners,
+                            passes)
 
     def cior_round(sources, graph, kinds, profiles, decisions, *args, **kwargs):
         found = real_round(sources, graph, kinds, profiles, decisions, *args, **kwargs)
-        pairs.append((decisions.draws.replicate, frozenset(kinds), frozenset(found)))
+        pairs.append((decisions.draws.replicate, frozenset(kinds), frozen(found)))
         return found
 
     monkeypatch.setattr(experiment, "build_reach_context", context)
@@ -556,6 +566,27 @@ def clique_scenario() -> Scenario:
     return scn
 
 
+def test_an_enhanced_context_changes_neither_the_view_nor_the_round():
+    """A context that merges a round's partners copies the view's owner
+    contacts: the view's cached contacts, which every later context of the
+    kind set reads, and the round's partner map, which the run memo keeps,
+    are left as they were."""
+    scn = clique_scenario()
+    auth = full_auth()
+    partners = run_cior_round(sorted(scn.holders(3)), scn.siot, CLIQUES,
+                              scn.profiles, auth, 3)
+    contacts = scn.siot.select_kinds(CLIQUES).owner_contacts()
+    assert partners and any(set(contacts.get(o, ())) - p for o, p in partners.items())
+    contacts_before = dict(contacts)
+    partners_before = {owner: set(others) for owner, others in partners.items()}
+    context = build_reach_context(scn, 3, Mode.enhanced(CLIQUES), auth,
+                                  DEFAULT_MAX_HOPS, partners)
+    assert scn.siot.select_kinds(CLIQUES).owner_contacts() == contacts_before
+    assert partners == partners_before
+    for owner, others in partners.items():
+        assert set(context.extra_contacts[owner]) == others.union(contacts.get(owner, ()))
+
+
 @pytest.mark.parametrize("sweep", [
     dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE)),
     dict(sweep="ttl", ttl_values=(1, 3, 6)),
@@ -565,8 +596,9 @@ def clique_scenario() -> Scenario:
 def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
     """A campaign whose rounds share plans, gates and flood bitmasks writes
     the bytes of one whose every round is `oracle_cior_pairs`, with one
-    worker or two, and in one worker its rounds return the oracle's pairs
-    in turn; the rounds link owners that friendships alone do not."""
+    worker or two, and in one worker its rounds return the oracle's pairs,
+    as partner maps, in turn; the rounds link owners that friendships
+    alone do not."""
     cfg = ExperimentConfig(replicates=2, seed=13, auth_prob_per_hop=(0.9, 0.6),
                            spread_prob_per_hop=(0.8, 0.5), **sweep)
     returned: dict[str, list] = {"oracle": [], "memo": []}
@@ -579,8 +611,8 @@ def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
 
     def oracle_round(sources, graph, kinds, profiles, decisions, interest, ttl,
                      sim_threshold, origin_device, memo):
-        return oracle_cior_pairs(sources, graph, kinds, profiles, decisions,
-                                 interest, ttl, sim_threshold, origin_device)
+        return partner_sets(oracle_cior_pairs(sources, graph, kinds, profiles, decisions,
+                                              interest, ttl, sim_threshold, origin_device))
 
     with monkeypatch.context() as m:
         m.setattr(experiment, "run_cior_round", recorded("oracle", oracle_round))
@@ -595,6 +627,30 @@ def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
 
 
 SPREADS = dict(sweep="spread", spread_values=(1.0, 0.6, 0.2))
+OWN_DEVICES = frozenset({RelationshipKind.OOR})
+
+
+@functools.cache
+def trace_scenario() -> Scenario:
+    """30 users of the bench's trace generator through `ingest` and
+    `build-graph`. Same-model POR cliques and repeated meetings join almost
+    every holder, so a round over all kinds gives each holder a partner set
+    of most other holders."""
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        gen_trace = importlib.import_module("gen_trace")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        inputs = out / "inputs"
+        gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), 0, inputs)
+        for stage in (
+                ["ingest", "--checkins", inputs / gen_trace.CHECKINS_FILE,
+                 "--friendships", inputs / gen_trace.FRIENDSHIPS_FILE,
+                 "--poi", inputs / gen_trace.POI_FILE, "--out", out / "ingest"],
+                ["build-graph", "--ingest", out / "ingest",
+                 "--models", inputs / gen_trace.MODELS_FILE, "--out", out / "scenario"]):
+            assert cli.main([str(a) for a in stage]) == 0, stage
+        return read_scenario_dir(out / "scenario")
 
 
 @pytest.mark.parametrize("scenario, cfg, threads", [
@@ -612,9 +668,11 @@ SPREADS = dict(sweep="spread", spread_values=(1.0, 0.6, 0.2))
     (sharing_scenario, dict(SPREADS, include_isolated=False), 1),
     (clique_scenario, dict(SPREADS, sources="5"), 1),
     (clique_scenario, dict(sweep="hops", hops_values=(2, 4, 2)), 2),
+    (trace_scenario, dict(sweep="kinds", kind_sets=(
+        OWN_DEVICES, CLIQUES | {RelationshipKind.CLOR}, OWN_DEVICES)), 1),
 ], ids=["none", "spread", "spread-no-cior", "auth-ABA", "kinds-ABA", "ttl", "hops-ABA",
         "clique-spread", "kinds-both-origins", "without-isolated", "k-sources",
-        "two-workers"])
+        "two-workers", "trace-kinds-ABA"])
 def test_campaign_equals_the_campaign_oracle(scenario, cfg, threads):
     """Every byte of `results.csv`, with all sharing across modes, sweep
     points and sources, equals the campaign rebuilt from per-decision

@@ -256,3 +256,33 @@ def test_profiles_csv_roundtrip(tmp_path):
     for owner in profiles:
         assert loaded[owner].held == profiles[owner].held
         assert loaded[owner].weights == profiles[owner].weights
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["a,3,1,1", "a,4,2,0"], 3),
+    (["a,4,2,0", "a,3,1,1"], 3),
+    (["a,3,2,1", "b,4,2,0"], 3),
+    (["a,3,0,1"], 2),
+    (["a,3,5,1", "b,4,2,0", "b,5,1,1"], 4),
+], ids=["unheld-above-held", "held-below-unheld", "across-owners", "held-at-zero",
+        "held-below-an-earlier-unheld"])
+def test_profiles_csv_with_flags_no_threshold_gives_is_an_error(tmp_path, rows, line):
+    """A category is held iff its count reaches one interest threshold >= 1,
+    so every held count is at least 1 and above every count not held. A
+    file that breaks this is an error naming the file and the line of the
+    row that breaks it."""
+    path = tmp_path / "profiles.csv"
+    path.write_text("\n".join(["owner,macro_id,count,held", *rows]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
+        read_profiles_csv(path)
+
+
+def test_profiles_csv_from_any_threshold_loads(tmp_path):
+    path = tmp_path / "profiles.csv"
+    for threshold in (1, 2, 5):
+        counts = {3: 1, 4: 2, 5: 5, 6: 0}
+        profiles = {"a": InterestDescriptor.from_counts("a", counts, threshold),
+                    "b": InterestDescriptor.from_counts("b", {4: threshold}, threshold)}
+        write_profiles_csv(profiles, path)
+        assert read_profiles_csv(path) == profiles

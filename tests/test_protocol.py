@@ -9,7 +9,7 @@ from conftest import (clique_device_graph, fixed, fixed_horizon, make_devices,
                       mobile, profile, random_device_graph, random_nonincreasing,
                       token_for)
 from oracles import (oracle_cior_pairs, oracle_components, oracle_flood,
-                     oracle_relay_table)
+                     oracle_relay_table, partner_sets)
 from siotsim import protocol
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
@@ -195,7 +195,7 @@ def test_round_with_no_similar_pairs_leaves_graph_unchanged():
     base_edges = g.edges()
     disjoint = {u: profile(u, {i}) for i, u in enumerate(sorted(users))}
     out = run_cior_round(users, g, RelationshipKind, disjoint, decisions(), 3)
-    assert out == set()
+    assert out == {}
     assert g.edges() == base_edges
 
 
@@ -203,10 +203,11 @@ def test_round_bridges_two_cliques():
     g, users, profiles = two_cliques_with_bridge()
     base_edges = g.edges()
     out = run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3)
-    assert out
-    cross = [(a, b) for a, b in out if a[0] != b[0]]
+    pairs = {(a, b) for a, partners in out.items() for b in partners if a < b}
+    assert pairs and out == partner_sets(pairs)
+    cross = [(a, b) for a, b in pairs if a[0] != b[0]]
     assert cross  # at least one co-interest link spans the two communities
-    for a, b in out:
+    for a, b in pairs:
         assert a < b and 3 in profiles[a].held and 3 in profiles[b].held
     assert g.kind_counts()[RelationshipKind.CIOR] == 0  # base graph untouched
     assert g.edges() == base_edges
@@ -221,10 +222,10 @@ def test_round_can_originate_from_both_devices():
     profiles = {u: profile(u, {3}) for u in users}
     mobile_only = run_cior_round(users, g, RelationshipKind, profiles,
                                  decisions(), 3, origin_device="mobile")
-    assert mobile_only == set()
+    assert mobile_only == {}
     both = run_cior_round(users, g, RelationshipKind, profiles,
                           decisions(), 3, origin_device="both")
-    assert both == {("a", "b")}
+    assert both == partner_sets({("a", "b")})
     assert g.edges() == base_edges
     with pytest.raises(ValueError):
         run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3,
@@ -329,7 +330,8 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
                 assert set(trace.records) == set(trace.hops)
 
             out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl)
-            assert out == oracle_cior_pairs(users, g, kinds, profiles, shared, 3, ttl)
+            assert out == partner_sets(
+                oracle_cior_pairs(users, g, kinds, profiles, shared, 3, ttl))
             assert g.edges() == base_edges  # base graph untouched
 
 
@@ -409,7 +411,8 @@ def test_round_equals_flooding_from_every_origin_device():
                     seen["no other holder"] += 1
         out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
                              origin_device=origin)
-        assert out == flooding_round(users, g, kinds, profiles, shared, 3, ttl, origin)
+        assert out == partner_sets(
+            flooding_round(users, g, kinds, profiles, shared, 3, ttl, origin))
     assert min(seen.values()) > 50, seen
 
 
@@ -465,10 +468,10 @@ def test_flood_equals_the_relay_table_oracle_item_for_item():
 
 
 def test_round_pairs_equal_the_pair_oracle():
-    """The owner pairs a round links equal `oracle_cior_pairs` on sparse
-    graphs and on dense POR cliques, for random source sets, every kind
-    subset, TTL 1-6, similarity thresholds from 0 to 1 and both origin
-    settings."""
+    """The partner map a round returns holds exactly the owner pairs of
+    `oracle_cior_pairs`, on sparse graphs and on dense POR cliques, for
+    random source sets, every kind subset, TTL 1-6, similarity thresholds
+    from 0 to 1 and both origin settings."""
     rnd = random.Random(1616)
     subsets = list(kind_subsets())
     linked = 0
@@ -486,9 +489,10 @@ def test_round_pairs_equal_the_pair_oracle():
         sources = rnd.sample(users, rnd.randrange(1, len(users) + 1))
         out = run_cior_round(sources, g, kinds, profiles, shared, 3, ttl=ttl,
                              sim_threshold=threshold, origin_device=origin)
-        assert out == oracle_cior_pairs(sources, g, kinds, profiles, shared, 3, ttl,
-                                        threshold, origin)
-        linked += len(out)
+        expected = oracle_cior_pairs(sources, g, kinds, profiles, shared, 3, ttl,
+                                     threshold, origin)
+        assert out == partner_sets(expected)
+        linked += len(expected)
     assert linked > 150
 
 
@@ -532,11 +536,11 @@ def test_round_walks_back_one_request_per_owner_pair(monkeypatch):
             ttl = rnd.randrange(1, 7)
             out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
                                  origin_device=origin)
-            assert len(walks) == len(out)
-            assert set(walks) == out
-            assert out == oracle_cior_pairs(users, g, kinds, profiles, shared, 3, ttl,
-                                            origin_device=origin)
-            linked += len(out)
+            assert len(set(walks)) == len(walks)
+            assert partner_sets(walks) == out
+            assert out == partner_sets(oracle_cior_pairs(
+                users, g, kinds, profiles, shared, 3, ttl, origin_device=origin))
+            linked += len(walks)
     assert linked > 300 and narrowed > 100, (linked, narrowed)
 
 
