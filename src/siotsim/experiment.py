@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import io
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, KeysView, Mapping, Sequence
@@ -108,7 +107,7 @@ def irn_percentage(reached_count: int, denominator: int) -> float:
     return 100.0 * reached_count / denominator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceRun:
     campaign: str
     interest: int
@@ -385,9 +384,10 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                 kept = next((runs for linked, runs in memo.get(mode, ())
                              if linked == partners), None)
                 if kept is not None:
-                    runs_at[i].extend(
-                        replace(run, sweep_var=point.var, sweep_value=point.value)
-                        for run in kept)
+                    runs_at[i].extend(SourceRun(
+                        run.campaign, run.interest, run.mode, run.kinds, point.var,
+                        point.value, run.replicate, run.source, run.hops,
+                        run.denominator) for run in kept)
                     continue
                 context = build_reach_context(scenario, config.interest, mode,
                                               auth, point.max_hops, partners,
@@ -436,31 +436,21 @@ RESULT_HEADER = ["campaign", "interest", "mode", "kinds", "sweep_var",
                  "denominator", "irn_pct", "mean_hops"]
 
 
-def result_rows(result: ExperimentResult) -> list[list[str]]:
-    rows = []
-    for run in result.runs:
-        mean_hops = run.mean_hops
-        rows.append([
-            run.campaign, str(run.interest), run.mode, run.kinds,
-            run.sweep_var, run.sweep_value, str(run.replicate), run.source,
-            str(len(run.reached)), str(run.denominator),
-            f"{run.irn_pct:.6g}",
-            "" if mean_hops is None else f"{mean_hops:.6g}",
-        ])
-    return rows
-
-
-def result_csv_text(result: ExperimentResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RESULT_HEADER)
-    w.writerows(result_rows(result))
-    return buf.getvalue()
-
-
 def write_result_csv(result: ExperimentResult, path: str | Path) -> None:
+    """Write one row per run, each row built as it is written, so that no
+    copy of the whole file is held."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result_csv_text(result))
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(RESULT_HEADER)
+        for run in result.runs:
+            mean_hops = run.mean_hops
+            w.writerow([
+                run.campaign, str(run.interest), run.mode, run.kinds,
+                run.sweep_var, run.sweep_value, str(run.replicate), run.source,
+                str(len(run.hops)), str(run.denominator),
+                f"{run.irn_pct:.6g}",
+                "" if mean_hops is None else f"{mean_hops:.6g}",
+            ])
 
 
 @dataclass(frozen=True)

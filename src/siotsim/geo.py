@@ -18,7 +18,7 @@ _CELL_MARGIN = 1e-6
 _MIN_CELL_RADIUS_M = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A latitude/longitude pair in decimal degrees."""
 

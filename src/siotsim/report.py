@@ -116,8 +116,8 @@ def _irn_pct_within(run, last_hop: int) -> list[float]:
     if run.denominator == 0:
         return [0.0] * last_hop
     counts = [0] * (last_hop + 1)
-    for n in run.reached:
-        counts[run.hops[n]] += 1
+    for hop in run.hops.values():
+        counts[hop] += 1
     return [100.0 * within / run.denominator for within in accumulate(counts)][1:]
 
 
@@ -131,8 +131,8 @@ def irn_by_hop(runs: Iterable,
     groups: dict[str, list] = {}
     for run in runs:
         groups.setdefault(_series_label(run, series_keys), []).append(run)
-    last_hop = max((run.hops[n] for group in groups.values() for run in group
-                    for n in run.reached), default=1)
+    last_hop = max((hop for group in groups.values() for run in group
+                    for hop in run.hops.values()), default=1)
     out = []
     for label in sorted(groups):
         curves = [(run.replicate, _irn_pct_within(run, last_hop))

@@ -53,7 +53,7 @@ def parse_kind(text: str) -> RelationshipKind:
         raise ValueError(f"unknown relationship kind: {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Device:
     device_id: str
     owner: str
@@ -90,8 +90,9 @@ def default_model_catalog(n: int = DEFAULT_MODEL_COUNT) -> list[tuple[str, float
 
 
 def load_model_catalog(path: str | Path) -> list[tuple[str, float]]:
-    """Load a model catalog from CSV `model_id,probability`. A malformed row
-    is an error naming the file and line."""
+    """Load a model catalog from CSV `model_id,probability`. A malformed row,
+    a probability outside [0, 1] (NaN included) or a second row for a model
+    id is an error naming the file and line."""
     catalog: list[tuple[str, float]] = []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -101,7 +102,12 @@ def load_model_catalog(path: str | Path) -> list[tuple[str, float]]:
         for row in reader:
             try:
                 model_id, prob = row
-                catalog.append((model_id, float(prob)))
+                p = float(prob)
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError("probability outside [0, 1]")
+                if any(model_id == seen for seen, _ in catalog):
+                    raise ValueError(f"second row for model {model_id!r}")
+                catalog.append((model_id, p))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad model catalog row "
                                  f"{row!r} ({exc})") from exc
@@ -187,10 +193,11 @@ def establish_oor(devices: Mapping[str, Device]) -> list[tuple[str, str]]:
     return sorted(pairs)
 
 
-def establish_sor(devices: Mapping[str, Device], colocations: Sequence[CoLocation],
+def establish_sor(devices: Mapping[str, Device], colocations: Iterable[CoLocation],
                   meet_threshold: int = DEFAULT_SOR_THRESHOLD) -> list[tuple[str, str]]:
     """Pair the mobile devices of two users who co-located at least
-    `meet_threshold` times."""
+    `meet_threshold` times. The co-locations are read once, and only their
+    count per user pair is kept."""
     if meet_threshold < 1:
         raise ValueError("meet_threshold must be >= 1")
     meetings: dict[tuple[str, str], int] = {}
@@ -384,10 +391,12 @@ def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, 
     return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
 
-def build_siot_graph(devices: Mapping[str, Device], colocations: Sequence[CoLocation],
+def build_siot_graph(devices: Mapping[str, Device], colocations: Iterable[CoLocation],
                      sor_threshold: int = DEFAULT_SOR_THRESHOLD,
                      clor_radius_m: float = DEFAULT_CLOR_RADIUS_M) -> SIoTGraph:
-    """Assemble the device graph from the trace-derived relationship rules."""
+    """Assemble the device graph from the trace-derived relationship rules.
+    The co-locations are read once, by `establish_sor`, so a stream such as
+    `trace.read_colocations_csv`'s is never held whole."""
     g = SIoTGraph(devices)
     for a, b in establish_por(devices):
         g.add_edge(a, b, RelationshipKind.POR)
@@ -417,8 +426,8 @@ def write_devices_csv(devices: Mapping[str, Device], path: str | Path) -> None:
 
 
 def read_devices_csv(path: str | Path) -> dict[str, Device]:
-    """Load a `write_devices_csv` file. A malformed row is an error naming
-    the file and line."""
+    """Load a `write_devices_csv` file. A malformed row or a second row for
+    a device id is an error naming the file and line."""
     devices: dict[str, Device] = {}
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -428,6 +437,8 @@ def read_devices_csv(path: str | Path) -> dict[str, Device]:
         for row in reader:
             try:
                 did, owner, kind, model, lat, lon = row
+                if did in devices:
+                    raise ValueError(f"second row for device {did!r}")
                 loc = GeoPoint(float(lat), float(lon)) if lat else None
                 devices[did] = Device(did, owner, kind, model, loc)
             except ValueError as exc:
@@ -440,8 +451,9 @@ def write_siot_graph(graph: SIoTGraph, path: str | Path) -> None:
     """Line-oriented export `device_a,device_b,kind`, one line per edge
     kind."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for (a, b), kinds in sorted(graph._edges.items()):
-            for kind in sorted(kinds, key=lambda k: k.value):
+        edges = graph._edges
+        for a, b in sorted(edges):
+            for kind in sorted(edges[a, b], key=lambda k: k.value):
                 fh.write(f"{a},{b},{kind.value}\n")
 
 

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geo import CellIndex, GeoPoint, haversine_m, midpoint
 
@@ -22,7 +22,7 @@ DEFAULT_MIN_PLACES = 10
 DEFAULT_HOME_CELL_DEG = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckIn:
     user_id: str
     timestamp: float  # seconds since epoch, UTC
@@ -36,7 +36,7 @@ class CheckIn:
             raise ValueError("empty place_id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoLocation:
     """A meeting event: two check-ins by different users within the
     distance and time thresholds. user_a < user_b canonically."""
@@ -279,25 +279,32 @@ def write_colocations_csv(colocs: Sequence[CoLocation], path: str | Path) -> Non
                         repr(c.location.lon), repr(c.distance_m), repr(c.dt_s)])
 
 
-def read_colocations_csv(path: str | Path) -> list[CoLocation]:
-    """Load a `write_colocations_csv` file. A malformed row is an error
-    naming the file and line."""
-    out: list[CoLocation] = []
+def read_colocations_csv(path: str | Path) -> Iterator[CoLocation]:
+    """Check the header of a `write_colocations_csv` file now, and yield its
+    records one at a time as the result is iterated, so that no list of
+    them is held. A bad header is an error naming the file, and a malformed
+    row one naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    if header != COLOCATION_HEADER:
+        raise ValueError(f"{path}: unexpected co-location header {header}")
+    return _colocation_rows(path)
+
+
+def _colocation_rows(path: str | Path) -> Iterator[CoLocation]:
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != COLOCATION_HEADER:
-            raise ValueError(f"{path}: unexpected co-location header {header}")
+        next(reader)
         for row in reader:
             try:
                 user_a, user_b, time_s, lat, lon, distance_m, dt_s = row
-                out.append(CoLocation(user_a, user_b, float(time_s),
-                                      GeoPoint(float(lat), float(lon)),
-                                      float(distance_m), float(dt_s)))
+                colocation = CoLocation(user_a, user_b, float(time_s),
+                                        GeoPoint(float(lat), float(lon)),
+                                        float(distance_m), float(dt_s))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad co-location row "
                                  f"{row!r} ({exc})") from exc
-    return out
+            yield colocation
 
 
 def write_checkins_tsv(corpus: TraceCorpus, path: str | Path) -> None:
@@ -346,8 +353,8 @@ def write_home_points_csv(homes: dict[str, GeoPoint], path: str | Path) -> None:
 
 
 def read_home_points_csv(path: str | Path) -> dict[str, GeoPoint]:
-    """Load a `write_home_points_csv` file. A malformed row is an error
-    naming the file and line."""
+    """Load a `write_home_points_csv` file. A malformed row or a second row
+    for a user is an error naming the file and line."""
     homes: dict[str, GeoPoint] = {}
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -357,6 +364,8 @@ def read_home_points_csv(path: str | Path) -> dict[str, GeoPoint]:
         for row in reader:
             try:
                 user, lat, lon = row
+                if user in homes:
+                    raise ValueError(f"second row for user {user!r}")
                 homes[user] = GeoPoint(float(lat), float(lon))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad home-point row "

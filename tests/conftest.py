@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 import random
 import sys
+import tempfile
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from siotsim.experiment import ExperimentResult, write_result_csv
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint
 from siotsim.humangraph import UNBOUNDED, FriendshipGraph
 from siotsim.interests import InterestDescriptor
@@ -35,6 +38,25 @@ def token_for(owner_profile: InterestDescriptor, device: str, ttl: int = 6,
     """The token a round of (seed, replicate) sends from `device`."""
     return VuipToken(DrawTable(seed, replicate).tokens[device],
                      owner_profile.anonymized(), ttl)
+
+
+def traced_peak(call):
+    """`call()` and the peak size in bytes of the memory traced while it
+    ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def result_csv_text(result: ExperimentResult) -> str:
+    """The `results.csv` text of a campaign, as `write_result_csv` writes
+    it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        write_result_csv(result, path)
+        return path.read_text(encoding="utf-8")
 
 
 def make_devices(users, model="m0", lat=0.0) -> dict:

@@ -253,8 +253,9 @@ def test_report_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, bad_row):
     ("home_points.csv", lambda lines: lines[:2] + ["u9,95.0,10.0"] + lines[2:], ":3:"),
     ("home_points.csv", lambda lines: ["user,latitude,longitude"] + lines[1:],
      ": unexpected home-point header"),
+    ("home_points.csv", lambda lines: lines[:2] + lines[1:2] + lines[2:], ":3:"),
 ], ids=["short-colocation", "non-number-colocation", "short-home",
-        "latitude-out-of-range", "home-header"])
+        "latitude-out-of-range", "home-header", "repeated-home-user"])
 def test_build_graph_names_the_file_and_line_of_a_bad_ingest_row(tmp_path, capsys,
                                                                  name, edit, where):
     _ingest_and_build(tmp_path)
@@ -272,7 +273,11 @@ def test_build_graph_names_the_file_and_line_of_a_bad_ingest_row(tmp_path, capsy
     ("ing/friendships.tsv", "u1\tu2\tu3"),
     ("models.csv", "solo"),
     ("models.csv", "mx,half"),
-], ids=["three-field-friendship", "short-model", "non-number-model"])
+    ("models.csv", "mx,nan"),
+    ("models.csv", "mx,-0.5"),
+    ("models.csv", "mx,1.5"),
+], ids=["three-field-friendship", "short-model", "non-number-model", "nan-model",
+        "negative-model", "above-one-model"])
 def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys,
                                                                 name, bad_row):
     _ingest_and_build(tmp_path)
@@ -291,6 +296,7 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("friendships.tsv", "c00n000\tc00n001\tc00n002"),
     ("devices.csv", "c00n000:extra,c00n000"),
     ("devices.csv", "c00n000:extra,c00n000,fixed,m0,north,0.0"),
+    ("devices.csv", "c00n000:spare,c00n000,mobile,m0,,\nc00n000:spare,c00n000,mobile,m0,,"),
     ("profiles.csv", "c00n000,3"),
     ("profiles.csv", "c00n000,x,1,1"),
     ("profiles.csv", "c00n000,7,two,1"),
@@ -299,8 +305,8 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("profiles.csv", "c00n000,9,2,1\nc00n000,9,5,0"),
     ("profiles.csv", "c00n000,9,0,1"),
 ], ids=["three-field-friendship", "short-device", "non-number-device",
-        "short-profile", "non-integer-macro-id", "non-integer-count", "held-flag-2",
-        "negative-count", "duplicate-macro-id", "held-at-count-0"])
+        "repeated-device", "short-profile", "non-integer-macro-id", "non-integer-count",
+        "held-flag-2", "negative-count", "duplicate-macro-id", "held-at-count-0"])
 def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
                                                            name, bad_row):
     # `bad_row` goes in after the header; its last line is the bad one

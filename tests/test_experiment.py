@@ -4,6 +4,7 @@ import concurrent.futures
 import functools
 import gc
 import importlib
+import pickle
 import random
 import tempfile
 from dataclasses import replace
@@ -11,20 +12,25 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_devices, mobile, profile
+from conftest import (make_devices, mobile, profile, result_csv_text,
+                      traced_peak)
 from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
 from siotsim import cli, experiment, humangraph
-from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
-                                load_config, result_csv_text, run_campaign,
-                                run_source, select_sources)
+from siotsim.experiment import (ExperimentConfig, ExperimentResult, Mode,
+                                SourceRun, build_reach_context, load_config,
+                                run_campaign, run_source, select_sources,
+                                write_result_csv)
+from siotsim.geo import GeoPoint
 from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
                                 ReachContext)
 from siotsim.protocol import run_cior_round
 from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario, read_scenario_dir
-from siotsim.siotgraph import RelationshipKind, SIoTGraph, establish_por
+from siotsim.siotgraph import (FIXED, MOBILE, Device, RelationshipKind, SIoTGraph,
+                               establish_por)
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
+from siotsim.trace import CheckIn, CoLocation
 
 
 def scenario_without_siot_edges(users, friend_pairs, holders):
@@ -277,6 +283,37 @@ def test_threads_do_not_change_results():
         assert sequential == parallel
         assert len({r.sweep_value for r in run_campaign(scn, cfg).runs}) == \
             len(cfg.sweep_points())
+
+
+def test_records_are_slotted_and_survive_a_pickle_round_trip():
+    """The trace, device and run records keep no per-instance dict, and each
+    goes to a worker process and back unchanged."""
+    home = GeoPoint(38.7, -9.1)
+    run = SourceRun("c", 3, "enhanced", "OOR+SOR", "auth", "0.9", 1, "u1",
+                    {"u2": 1, "u3": 2}, 4)
+    records = [home, CheckIn("u1", 5.0, home, "p1"),
+               CoLocation("u1", "u2", 5.0, home, 3.5, 60.0),
+               Device("u1:fixed", "u1", FIXED, "m0", home),
+               Device("u1:mobile", "u1", MOBILE, "m0", None), run]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and copy is not record
+    assert pickle.loads(pickle.dumps(run)).irn_pct == 50.0
+
+
+def test_writing_results_holds_no_copy_of_the_file(tmp_path):
+    """`write_result_csv` builds each row as it writes it, so its peak
+    memory does not grow with the number of runs."""
+    hops = {f"n{i}": 1 + i % 4 for i in range(30)}
+    runs = [SourceRun("c", 3, "enhanced", "OOR+SOR", "auth", "0.9,0.5", r % 30,
+                      f"s{r % 20}", hops, 40) for r in range(6000)]
+    few, many = ExperimentResult("c", runs[:600]), ExperimentResult("c", runs)
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    _, small_peak = traced_peak(lambda: write_result_csv(few, small))
+    _, large_peak = traced_peak(lambda: write_result_csv(many, large))
+    assert large.stat().st_size > 9 * small.stat().st_size
+    assert large_peak < small_peak + 64 * 1024, (small_peak, large_peak)
 
 
 def test_each_friendship_pass_is_computed_once_per_key(monkeypatch):

@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from conftest import checkin, corpus_of, fixed, make_devices, mobile, scatter_points
+from conftest import (checkin, corpus_of, fixed, make_devices, mobile, scatter_points,
+                      traced_peak)
 from oracles import (oracle_clor, oracle_components, oracle_device_view,
                      oracle_por_count)
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
@@ -15,10 +16,11 @@ from siotsim.siotgraph import (BASE_KINDS, FIXED, MOBILE, Device,
                                RelationshipKind, SIoTGraph, build_siot_graph,
                                default_model_catalog, establish_clor,
                                establish_oor, establish_por, establish_sor,
-                               instantiate_devices, parse_kind,
-                               read_devices_csv, read_siot_graph,
+                               instantiate_devices, load_model_catalog,
+                               parse_kind, read_devices_csv, read_siot_graph,
                                write_devices_csv, write_siot_graph)
-from siotsim.trace import detect_colocations
+from siotsim.trace import (CoLocation, detect_colocations, read_colocations_csv,
+                           write_colocations_csv)
 
 
 def homes_for(users):
@@ -288,6 +290,65 @@ def test_build_siot_graph_composes_all_rules():
     assert counts[RelationshipKind.OOR] == 2
     assert counts[RelationshipKind.SOR] == 1
     assert counts[RelationshipKind.CIOR] == 0  # never from trace rules
+
+
+def test_build_siot_graph_from_a_stream_equals_the_graph_from_a_list():
+    users = ["a", "b", "c", "d"]
+    homes = {u: GeoPoint(10.0, 10.0 + i) for i, u in enumerate(users)}
+    devices = instantiate_devices(users, homes, default_model_catalog(3), 4)
+    meetings = []
+    for i, pair in enumerate(["ab", "ab", "ab", "bc", "bc", "cd", "ab", "da"]):
+        meetings += [checkin(user, 10000.0 * i, 20.0, 20.0, place=f"{user}{i}")
+                     for user in pair]
+    colocs = detect_colocations(corpus_of(meetings))
+    for threshold in (1, 2, 3, 5):
+        from_list = build_siot_graph(devices, colocs, threshold)
+        assert build_siot_graph(devices, iter(colocs), threshold).edges() == \
+            from_list.edges()
+    assert from_list.kind_counts()[RelationshipKind.SOR] == 0
+    assert build_siot_graph(devices, iter(colocs), 2).kind_counts()[
+        RelationshipKind.SOR] == 2
+
+
+def test_build_siot_graph_holds_no_list_of_read_colocations(tmp_path):
+    """`read_colocations_csv` yields one record at a time and the build reads
+    it once, so the peak memory of the build does not grow with the number
+    of co-location rows."""
+    devices = make_devices(["a", "b", "c"])
+    place = GeoPoint(0.0, 0.0)
+
+    def build(rows: int):
+        path = tmp_path / f"colocations{rows}.csv"
+        write_colocations_csv([CoLocation("a", "b", float(t), place, 1.0, 0.0)
+                               for t in range(rows)], path)
+        return traced_peak(lambda: build_siot_graph(devices, read_colocations_csv(path)))
+
+    small, small_peak = build(500)
+    large, large_peak = build(5000)
+    assert large.edges() == small.edges()
+    assert large.kind_counts()[RelationshipKind.SOR] == 1
+    assert large_peak < small_peak + 64 * 1024, (small_peak, large_peak)
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("m1,nan\nm2,0.5\nm3,0.5", 2),
+    ("m1,1.5\nm2,-0.5", 2),
+    ("m1,0.5\nm2,-0.0001\nm3,0.5", 3),
+    ("m1,inf", 2),
+    ("m1,0.5\nm2,0.25\nm1,0.25", 4),
+], ids=["nan", "above-one", "negative", "infinite", "repeated-model"])
+def test_load_model_catalog_rejects_bad_probabilities_and_repeated_models(
+        tmp_path, rows, line):
+    path = tmp_path / "models.csv"
+    path.write_text(f"model_id,probability\n{rows}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
+        load_model_catalog(path)
+
+
+def test_load_model_catalog_accepts_probabilities_zero_and_one(tmp_path):
+    path = tmp_path / "models.csv"
+    path.write_text("model_id,probability\nm1,0\nm2,1.0\n", encoding="utf-8")
+    assert load_model_catalog(path) == [("m1", 0.0), ("m2", 1.0)]
 
 
 def test_graph_export_roundtrip(tmp_path):

@@ -288,4 +288,4 @@ def test_colocation_csv_roundtrip(tmp_path):
     assert colocs
     path = tmp_path / "colocs.csv"
     write_colocations_csv(colocs, path)
-    assert read_colocations_csv(path) == colocs
+    assert list(read_colocations_csv(path)) == colocs
