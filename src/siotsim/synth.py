@@ -44,11 +44,16 @@ class SyntheticScenarioSpec:
             raise ValueError("interest_prob must be in [0, 1]")
         if self.noise_interests < 0:
             raise ValueError(f"noise_interests must be >= 0, got {self.noise_interests}")
+        users, n = self.communities * self.nodes_per_community, self.nodes_per_community
+        cross_pairs = users * (users - 1) // 2 - self.communities * n * (n - 1) // 2
         for kind, count in self.cross_edges.items():
             if kind not in CROSSABLE_KINDS:
                 raise ValueError(f"cross edges of kind {kind} are not supported")
             if count < 0:
                 raise ValueError("cross edge counts must be >= 0")
+            if count > cross_pairs:
+                raise ValueError(f"{count} {kind.value} cross edges, but only "
+                                 f"{cross_pairs} distinct cross pairs")
         if self.communities < 2 and any(self.cross_edges.values()):
             raise ValueError("cross edges need at least two communities")
 
@@ -91,11 +96,7 @@ def generate_scenario(spec: SyntheticScenarioSpec) -> Scenario:
     for kind in CROSSABLE_KINDS:
         count = spec.cross_edges.get(kind, 0)
         placed: set[tuple[str, str]] = set()
-        attempts = 0
-        while len(placed) < count:
-            attempts += 1
-            if attempts > 1000 * (count + 1):
-                raise RuntimeError(f"cannot place {count} distinct {kind.value} cross edges")
+        while len(placed) < count:  # ends: the spec bounds count by the cross pairs
             ca, cb = cross_stream.sample(range(spec.communities), 2)
             ua = f"c{ca:02d}n{cross_stream.randrange(spec.nodes_per_community):03d}"
             ub = f"c{cb:02d}n{cross_stream.randrange(spec.nodes_per_community):03d}"

@@ -209,12 +209,22 @@ def oracle_flood(graph, kinds, source_device, decisions, ttl) -> dict:
     holds no C-IOR edge, so naming C-IOR in `kinds` changes nothing. The
     source always sends; any other device forwards at hop h < ttl iff its
     decision `forwards(device, h)` holds."""
+    return _flood_levels(_kind_adjacency(graph, kinds), source_device, decisions, ttl)
+
+
+def _kind_adjacency(graph, kinds) -> dict:
+    """Each device's set of neighbours over the raw edges that carry one of
+    `kinds`."""
     kinds = set(kinds)
     adjacency: dict = {}
     for e in graph.edges():
         if e.kinds & kinds:
             adjacency.setdefault(e.device_a, set()).add(e.device_b)
             adjacency.setdefault(e.device_b, set()).add(e.device_a)
+    return adjacency
+
+
+def _flood_levels(adjacency, source_device, decisions, ttl) -> dict:
     level = {source_device}
     hops = {source_device: 0}
     for hop in range(ttl):
@@ -303,6 +313,7 @@ def oracle_cior_pairs(sources, graph, kinds, profiles, decisions, interest, ttl,
     all pairs of profiles."""
     gate = {(u, v): _held_cosine(p.held, q.held) >= sim_threshold
             for u, p in profiles.items() for v, q in profiles.items()}
+    adjacency = _kind_adjacency(graph, kinds)
     pairs = set()
     for user in set(sources):
         if user not in profiles or not profiles[user].held:
@@ -310,7 +321,7 @@ def oracle_cior_pairs(sources, graph, kinds, profiles, decisions, interest, ttl,
         for dev in graph.devices.values():
             if dev.owner != user or (origin_device != "both" and dev.kind != MOBILE):
                 continue
-            for receiver in oracle_flood(graph, kinds, dev.device_id, decisions, ttl):
+            for receiver in _flood_levels(adjacency, dev.device_id, decisions, ttl):
                 owner = graph.devices[receiver].owner
                 if (owner != user and owner in profiles
                         and interest in profiles[owner].held and gate[(owner, user)]):

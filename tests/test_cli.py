@@ -162,6 +162,14 @@ def test_synth_rejects_a_negative_noise_interest_count(tmp_path, capsys):
     assert not (tmp_path / "scn").exists()
 
 
+def test_synth_rejects_more_cross_edges_than_cross_pairs(tmp_path, capsys):
+    rc = run_cli(["synth", "--communities", 2, "--nodes", 1, "--cross", "SOR=5",
+                  "--out", tmp_path / "scn"])
+    assert rc == 2
+    assert "5 SOR cross edges, but only 1" in capsys.readouterr().err
+    assert not (tmp_path / "scn").exists()
+
+
 def test_synth_same_seed_is_byte_identical(tmp_path):
     args = ["synth", "--communities", 2, "--nodes", 6, "--intra-prob", 0.5,
             "--cross", "SOR=2", "--noise-interests", 1]

@@ -74,6 +74,22 @@ def test_spec_validation():
         SyntheticScenarioSpec(noise_interests=-1)
 
 
+def test_spec_rejects_more_cross_edges_than_cross_pairs():
+    """Each kind has (c*n)(c*n-1)/2 - c*n(n-1)/2 distinct cross pairs: one
+    for two communities of one user, 12 for three communities of two."""
+    SyntheticScenarioSpec(communities=2, nodes_per_community=1,
+                          cross_edges={RelationshipKind.SOR: 1})
+    with pytest.raises(ValueError, match="5 SOR cross edges, but only 1"):
+        SyntheticScenarioSpec(communities=2, nodes_per_community=1,
+                              cross_edges={RelationshipKind.SOR: 5})
+    full = SyntheticScenarioSpec(communities=3, nodes_per_community=2,
+                                 cross_edges={RelationshipKind.CLOR: 12}, seed=5)
+    assert cross_edge_count(generate_scenario(full)) == 12
+    with pytest.raises(ValueError, match="13 C-LOR cross edges, but only 12"):
+        SyntheticScenarioSpec(communities=3, nodes_per_community=2,
+                              cross_edges={RelationshipKind.CLOR: 13})
+
+
 def test_scenario_dir_roundtrip(tmp_path):
     spec = SyntheticScenarioSpec(communities=2, nodes_per_community=5,
                                  cross_edges={RelationshipKind.POR: 1},
