@@ -77,20 +77,20 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
     from `horizon` (see `AuthorizationMap.spread_horizons`). Each device
     receives and evaluates a token at most once.
 
-    The search runs level by level over the neighbour bitmasks of
-    `SIoTView.flood_masks`, whose bits follow sorted device ids: a holder
-    records its new neighbours in sorted order, as a breadth-first search
-    over sorted neighbour lists does.
+    The search runs level by level over the neighbour bitmasks of the
+    source's `SIoTView.component`, whose bits follow sorted device ids: a
+    holder records its new neighbours in sorted order, as a breadth-first
+    search over sorted neighbour lists does.
     """
     if token.ttl < 1:
         raise ValueError("propagation needs ttl >= 1")
     if source_device not in view.graph.devices:
         raise ValueError(f"unknown source device: {source_device!r}")
     trace = PropagationTrace(token.token_id, source_device)
-    component = view.flood_masks(source_device)
+    component = view.component(source_device)
     if component is None:
         return trace
-    bit_of, ids, masks = component
+    _, bit_of, ids, masks = component
     records, hops = trace.records, trace.hops
     frontier = [bit_of[source_device]]
     seen = 1 << frontier[0]
@@ -161,13 +161,12 @@ def _plan(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
     `RoundMemo` entry holds them.
 
     A device floods only if its component in the view
-    (`SIoTView.components`) holds an owner, other than the source owner,
+    (`SIoTView.component`) holds an owner, other than the source owner,
     who holds `interest`; the holders of each component are listed once.
     A source's candidates are `candidate_owners` among the holders of its
     flooding devices' components. Neither narrowing changes a pair: a
     flood never leaves its component, and only a candidate other than the
     source owner, who holds the interest, requests."""
-    components = view.components()
     component_holders: dict[frozenset[str], frozenset[str]] = {}
     plan = []
     for user in sorted(set(sources)):
@@ -177,10 +176,12 @@ def _plan(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
         origins = []
         reachable: set[str] = set()
         for dev in graph.owner_devices.get(user, ()):
-            owners = components.get(dev)
-            if owners is None or (origin_device == ORIGIN_MOBILE
-                                  and graph.devices[dev].kind != MOBILE):
+            if origin_device == ORIGIN_MOBILE and graph.devices[dev].kind != MOBILE:
                 continue
+            component = view.component(dev)
+            if component is None:
+                continue
+            owners = component.owners
             held = component_holders.get(owners)
             if held is None:
                 held = component_holders[owners] = frozenset(

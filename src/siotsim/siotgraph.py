@@ -10,7 +10,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import rng
 from .geo import CellIndex, GeoPoint, haversine_m
@@ -274,13 +274,24 @@ class SIoTGraph:
         return view
 
 
+class Component(NamedTuple):
+    """A connected component of a view: the owners of its devices, the bit
+    of each device, the device at each bit and the neighbour mask of each
+    bit. Bits follow the sorted ids of the component's devices."""
+
+    owners: frozenset[str]
+    bit_of: dict[str, int]
+    ids: list[str]
+    masks: list[int]
+
+
 class SIoTView:
     """Read-only view of a SIoTGraph exposing only edges carrying at least
     one selected kind.
 
-    The sorted neighbour tuples, the owner projection, the components and
-    the flood bitmasks are built on first use and shared by every caller;
-    they must not be mutated. Adding an edge to the graph drops them."""
+    The sorted neighbour tuples, the owner projection and each component
+    are built on first use and shared by every caller; they must not be
+    mutated. Adding an edge to the graph drops them."""
 
     def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind]):
         self.graph = graph
@@ -292,8 +303,7 @@ class SIoTView:
     def _clear(self) -> None:
         self._neighbors: dict[str, tuple[str, ...]] | None = None
         self._contacts: dict[str, tuple[str, ...]] | None = None
-        self._components: dict[str, frozenset[str]] | None = None
-        self._masks: dict[str, tuple[dict[str, int], list[str], list[int]]] = {}
+        self._components: dict[str, Component] = {}
 
     def _pairs(self) -> Iterable[tuple[str, str]]:
         """The stored device pairs that carry a selected kind."""
@@ -308,16 +318,11 @@ class SIoTView:
             self._neighbors = _sorted_adjacency(self._pairs())
         return self._neighbors
 
-    def flood_masks(self, device: str,
-                    ) -> tuple[dict[str, int], list[str], list[int]] | None:
-        """The neighbour bitmasks of the device's connected component in
-        the view, or None for a device without a neighbour: the bit of each
-        device, the device at each bit and the neighbour mask of each bit.
-        Bits follow the sorted ids of the component's devices.
-
-        Built for a component when a flood first starts in it, shared by
-        all its devices, and dropped when an edge is added to the graph."""
-        found = self._masks.get(device)
+    def component(self, device: str) -> Component | None:
+        """The device's connected component in the view, or None for a
+        device without a neighbour. Built by one walk on the first lookup
+        of any of its devices, which all share the record."""
+        found = self._components.get(device)
         if found is None:
             adjacency = self._adjacency()
             if device not in adjacency:
@@ -332,8 +337,9 @@ class SIoTView:
             ids = sorted(members)
             bit_of = {d: i for i, d in enumerate(ids)}
             masks = [sum(1 << bit_of[n] for n in adjacency[d]) for d in ids]
-            found = (bit_of, ids, masks)
-            self._masks.update(dict.fromkeys(ids, found))
+            devices = self.graph.devices
+            found = Component(frozenset(devices[d].owner for d in ids), bit_of, ids, masks)
+            self._components.update(dict.fromkeys(ids, found))
         return found
 
     def owner_contacts(self) -> dict[str, tuple[str, ...]]:
@@ -344,41 +350,6 @@ class SIoTView:
             self._contacts = _sorted_adjacency(
                 (owner[a], owner[b]) for a, b in self._pairs() if owner[a] != owner[b])
         return self._contacts
-
-    def components(self) -> dict[str, frozenset[str]]:
-        """Map each device to the owners of the devices in its connected
-        component of the view.
-
-        Only components with at least two owners are stored: a device that
-        is missing is isolated or linked only to its own owner's devices.
-        Every device of a component maps to the same frozenset object.
-        Built once, in O(devices + edges), from the neighbour tuples, and
-        dropped when an edge is added to the graph."""
-        if self._components is None:
-            adjacency = self._adjacency()
-            devices = self.graph.devices
-            self._components = components = {}
-            # Each walk has its own visited set, and a walked device is found
-            # again in `components` or in its owner's `alone`: no set spans
-            # the whole view, which would raise the peak memory of a run.
-            for owned in self.graph.owner_devices.values():
-                alone: set[str] = set()  # in a component of this owner only
-                for root in owned:
-                    if root in components or root in alone:
-                        continue
-                    seen = {root}
-                    members = [root]
-                    for dev in members:  # grows while it is walked: a BFS
-                        for neighbor in adjacency.get(dev, ()):
-                            if neighbor not in seen:
-                                seen.add(neighbor)
-                                members.append(neighbor)
-                    owners = frozenset(devices[d].owner for d in members)
-                    if len(owners) > 1:
-                        components.update(dict.fromkeys(members, owners))
-                    else:
-                        alone.update(members)
-        return self._components
 
 
 def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:

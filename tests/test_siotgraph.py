@@ -238,6 +238,13 @@ def test_owner_contacts_projection_skips_same_owner():
     assert contacts == {"a": ("b",), "b": ("a",)}
 
 
+def owners_by_device(view) -> dict:
+    """Each device of a component with at least two owners mapped to the
+    owners of its `component` record, as `oracle_components` gives them."""
+    records = {d: view.component(d) for d in view.graph.devices}
+    return {d: c.owners for d, c in records.items() if c and len(c.owners) > 1}
+
+
 def test_components_follow_added_edges():
     # a-b and c-d are two-owner components, f is one owner's OOR pair and
     # e has no edge at all
@@ -247,19 +254,26 @@ def test_components_follow_added_edges():
     g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     g.add_edge(mobile("c"), mobile("d"), RelationshipKind.SOR)
     view = g.select_kinds(BASE_KINDS)
-    before = view.components()
+    before = owners_by_device(view)
     assert before == oracle_components(view)
     assert before[fixed("a")] == {"a", "b"} and before[fixed("c")] == {"c", "d"}
-    assert {id(before[d]) for d in (mobile("a"), fixed("a"), mobile("b"), fixed("b"))} \
-        == {id(before[mobile("a")])}
+    ab = sorted([mobile("a"), fixed("a"), mobile("b"), fixed("b")])
+    record = view.component(fixed("a"))
+    assert all(view.component(d) is record for d in ab)
+    assert record.ids == ab and record.bit_of == {d: ab.index(d) for d in ab}
+    assert [{d for d in ab if mask >> record.bit_of[d] & 1} for mask in record.masks] \
+        == [set(view.neighbors(d)) for d in ab]
+    assert view.component(mobile("e")) is None and view.component(fixed("e")) is None
+    assert view.component(mobile("f")).owners == {"f"}
     assert not {mobile("e"), fixed("e"), mobile("f"), fixed("f")} & before.keys()
 
     g.add_edge(fixed("b"), fixed("c"), RelationshipKind.CLOR)
-    after = view.components()
+    assert view.component(fixed("a")) is not record  # dropped with the edge
+    after = owners_by_device(view)
     assert after == oracle_components(view)
     merged = {device for user in "abcd" for device in (mobile(user), fixed(user))}
     assert after.keys() == merged
-    assert {id(after[d]) for d in merged} == {id(after[fixed("b")])}
+    assert {id(view.component(d)) for d in merged} == {id(view.component(fixed("b")))}
     assert after[fixed("b")] == {"a", "b", "c", "d"}
 
     # read after every added edge of a random graph
@@ -271,7 +285,7 @@ def test_components_follow_added_edges():
         g.add_edge(a, b, rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value)))
         for kinds in ({RelationshipKind.SOR}, BASE_KINDS):
             view = g.select_kinds(kinds)
-            assert view.components() == oracle_components(view)
+            assert owners_by_device(view) == oracle_components(view)
 
 
 def test_build_siot_graph_composes_all_rules():
