@@ -169,15 +169,15 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = experiment.run_campaign(scn, cfg, threads=args.threads)
-    experiment.write_result_csv(result, out / "results.csv")
-    irn_series = report.mean_irn_pct(result.runs)
+    runs = experiment.run_campaign(scn, cfg, threads=args.threads)
+    experiment.write_result_csv(runs, out / "results.csv")
+    irn_series = report.mean_irn_pct(runs)
     report.emit_csv(irn_series, out / "irn_series.csv")
     report.emit_plot_data(irn_series, out / "irn_series.dat")
-    hop_series = report.irn_by_hop(result.runs)
+    hop_series = report.irn_by_hop(runs)
     report.emit_csv(hop_series, out / "irn_by_hop.csv")
     report.emit_plot_data(hop_series, out / "irn_by_hop.dat")
-    print(f"run: {len(result.runs)} source runs -> {out}")
+    print(f"run: {len(runs)} source runs -> {out}")
     return 0
 
 

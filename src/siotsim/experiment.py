@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, KeysView, Mapping, Sequence
 
@@ -133,12 +133,6 @@ class SourceRun:
         if not self.hops:
             return None
         return sum(self.hops.values()) / len(self.hops)
-
-
-@dataclass
-class ExperimentResult:
-    campaign: str
-    runs: list[SourceRun] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -406,7 +400,7 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
 
 
 def run_campaign(scenario: Scenario, config: ExperimentConfig,
-                 threads: int = 1) -> ExperimentResult:
+                 threads: int = 1) -> list[SourceRun]:
     """Run the full campaign: every (sweep point, mode, replicate, source)
     combination. Replicates use independent decision draws; results are
     deterministic for a fixed seed regardless of `threads`. At most
@@ -416,7 +410,7 @@ def run_campaign(scenario: Scenario, config: ExperimentConfig,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     sources = select_sources(scenario, config)
-    result = ExperimentResult(config.campaign)
+    runs: list[SourceRun] = []
     rounds: RoundMemo = {}
     workers = min(threads, config.replicates)
     if workers > 1:
@@ -424,11 +418,11 @@ def run_campaign(scenario: Scenario, config: ExperimentConfig,
             futures = [pool.submit(_run_replicate, scenario, config, sources, r, rounds)
                        for r in range(config.replicates)]
             for fut in futures:
-                result.runs.extend(fut.result())
+                runs.extend(fut.result())
     else:
         for r in range(config.replicates):
-            result.runs.extend(_run_replicate(scenario, config, sources, r, rounds))
-    return result
+            runs.extend(_run_replicate(scenario, config, sources, r, rounds))
+    return runs
 
 
 RESULT_HEADER = ["campaign", "interest", "mode", "kinds", "sweep_var",
@@ -436,13 +430,13 @@ RESULT_HEADER = ["campaign", "interest", "mode", "kinds", "sweep_var",
                  "denominator", "irn_pct", "mean_hops"]
 
 
-def write_result_csv(result: ExperimentResult, path: str | Path) -> None:
+def write_result_csv(runs: Iterable[SourceRun], path: str | Path) -> None:
     """Write one row per run, each row built as it is written, so that no
     copy of the whole file is held."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(RESULT_HEADER)
-        for run in result.runs:
+        for run in runs:
             mean_hops = run.mean_hops
             w.writerow([
                 run.campaign, str(run.interest), run.mode, run.kinds,

@@ -58,9 +58,6 @@ class FriendshipGraph:
             self._sorted = {u: tuple(sorted(vs)) for u, vs in self._adj.items()}
         return self._sorted
 
-    def neighbors(self, u: str) -> tuple[str, ...]:
-        return self.sorted_adjacency().get(u, ())
-
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self._adj)

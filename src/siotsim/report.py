@@ -81,32 +81,19 @@ def mean_irn_pct(runs: Iterable, x_key: str = "sweep_value",
                  series_keys: Sequence[str] = ("mode", "kinds"),
                  ) -> list[MetricSeries]:
     """Mean percentage of interested nodes reached, grouped into one series
-    per `series_keys` with one point per `x_key` value. Empty groups are
-    omitted with a warning. Sources are averaged within each replicate
-    before replicates are averaged."""
-    table: dict[str, dict] = {}
-    x_order: dict[str, list] = {}
+    per `series_keys` with one point per `x_key` value, in the order the
+    values first appear. Sources are averaged within each replicate before
+    replicates are averaged."""
+    table: dict[str, dict] = {}  # label -> x -> replicate -> irn values
     for run in runs:
-        label = _series_label(run, series_keys)
-        x = getattr(run, x_key)
-        series = table.setdefault(label, {})
-        if x not in series:
-            x_order.setdefault(label, []).append(x)
-            series[x] = {}
-        series[x].setdefault(run.replicate, []).append(run.irn_pct)
+        series = table.setdefault(_series_label(run, series_keys), {})
+        by_rep = series.setdefault(getattr(run, x_key), {})
+        by_rep.setdefault(run.replicate, []).append(run.irn_pct)
     out = []
     for label in sorted(table):
-        xs, ys, cis = [], [], []
-        for x in x_order[label]:
-            by_rep = table[label][x]
-            if not by_rep:
-                log.warning("mean_irn_pct: empty group %s at %s", label, x)
-                continue
-            y, ci = _aggregate(by_rep)
-            xs.append(x)
-            ys.append(y)
-            cis.append(ci)
-        out.append(MetricSeries(label, tuple(xs), tuple(ys), tuple(cis)))
+        points = [_aggregate(by_rep) for by_rep in table[label].values()]
+        out.append(MetricSeries(label, tuple(table[label]), tuple(y for y, _ in points),
+                                tuple(ci for _, ci in points)))
     return out
 
 

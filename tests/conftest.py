@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from siotsim.experiment import ExperimentResult, write_result_csv
+from siotsim.experiment import write_result_csv
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint
 from siotsim.humangraph import UNBOUNDED, FriendshipGraph
 from siotsim.interests import InterestDescriptor
@@ -50,12 +50,12 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def result_csv_text(result: ExperimentResult) -> str:
-    """The `results.csv` text of a campaign, as `write_result_csv` writes
-    it."""
+def result_csv_text(runs) -> str:
+    """The `results.csv` text of a campaign's runs, as `write_result_csv`
+    writes it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "results.csv"
-        write_result_csv(result, path)
+        write_result_csv(runs, path)
         return path.read_text(encoding="utf-8")
 
 

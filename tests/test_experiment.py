@@ -16,7 +16,7 @@ from conftest import (make_devices, mobile, profile, result_csv_text,
                       traced_peak)
 from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
 from siotsim import cli, experiment, humangraph
-from siotsim.experiment import (ExperimentConfig, ExperimentResult, Mode,
+from siotsim.experiment import (ExperimentConfig, Mode,
                                 SourceRun, build_reach_context, load_config,
                                 run_campaign, run_source, select_sources,
                                 write_result_csv)
@@ -76,9 +76,9 @@ def two_community_scenario(cior=True):
 def test_enhanced_reaches_far_community_friendships_does_not():
     scn = two_community_scenario()
     cfg = ExperimentConfig(replicates=1, sources="all")
-    result = run_campaign(scn, cfg)
+    runs = run_campaign(scn, cfg)
     by_mode = {}
-    for run in result.runs:
+    for run in runs:
         by_mode.setdefault(run.mode, {})[run.source] = run
     for source, friend_run in by_mode["friendships"].items():
         enhanced_run = by_mode["enhanced"][source]
@@ -106,8 +106,8 @@ def test_cior_link_shortens_hops_to_one():
     scn = hop_chain_scenario()
     cfg_on = ExperimentConfig(replicates=1, max_hops=4, cior=True)
     cfg_off = ExperimentConfig(replicates=1, max_hops=4, cior=False)
-    on = {r.mode: r for r in run_campaign(scn, cfg_on).runs if r.source == "s"}
-    off = {r.mode: r for r in run_campaign(scn, cfg_off).runs if r.source == "s"}
+    on = {r.mode: r for r in run_campaign(scn, cfg_on) if r.source == "s"}
+    off = {r.mode: r for r in run_campaign(scn, cfg_off) if r.source == "s"}
     assert off["friendships"].hops == {"t": 4}
     assert off["enhanced"].hops == {"t": 4}   # non-interested relays do not bridge
     assert on["enhanced"].hops == {"t": 1}    # established co-interest link
@@ -126,9 +126,9 @@ def test_campaign_single_source_single_replicate():
     scn = scenario_without_siot_edges(["a", "b"], [("a", "b")], {"a", "b"})
     cfg = ExperimentConfig(replicates=1, sources="all",
                            modes=("friendships", "enhanced"))
-    result = run_campaign(scn, cfg)
-    assert len(result.runs) == 4  # 2 sources x 2 modes
-    assert {(r.mode, r.source) for r in result.runs} == {
+    runs = run_campaign(scn, cfg)
+    assert len(runs) == 4  # 2 sources x 2 modes
+    assert {(r.mode, r.source) for r in runs} == {
         ("friendships", "a"), ("friendships", "b"),
         ("enhanced", "a"), ("enhanced", "b")}
 
@@ -156,9 +156,9 @@ def test_spread_sweep_is_samplewise_monotone():
     scn = generate_scenario(spec)
     cfg = ExperimentConfig(replicates=2, sweep="spread",
                            spread_values=(0.1, 0.5, 1.0), seed=5)
-    result = run_campaign(scn, cfg)
+    runs = run_campaign(scn, cfg)
     runs = {}
-    for r in result.runs:
+    for r in runs:
         runs[(r.mode, r.sweep_value, r.replicate, r.source)] = r
     for mode in ("friendships", "enhanced"):
         for rep in range(2):
@@ -188,7 +188,7 @@ def test_ttl_sweep_is_samplewise_monotone():
                            ttl_values=(1, 3, 6), modes=("enhanced",),
                            spread_prob_per_hop=(0.8, 0.6, 0.5, 0.4, 0.3, 0.2))
     index = {}
-    for r in run_campaign(scn, cfg).runs:
+    for r in run_campaign(scn, cfg):
         index[(r.sweep_value, r.replicate, r.source)] = r
     keys = {(rep, src) for (_, rep, src) in index}
     for rep, src in keys:
@@ -200,10 +200,10 @@ def test_include_isolated_denominator_arithmetic():
     users = ["a", "b", "lonely"]
     scn = scenario_without_siot_edges(users, [("a", "b")], set(users))
     base = ExperimentConfig(replicates=1, modes=("friendships",))
-    with_isolated = run_campaign(scn, base).runs
+    with_isolated = run_campaign(scn, base)
     without = run_campaign(
         scn, ExperimentConfig(replicates=1, modes=("friendships",),
-                              include_isolated=False)).runs
+                              include_isolated=False))
     a_with = next(r for r in with_isolated if r.source == "a")
     a_without = next(r for r in without if r.source == "a")
     assert a_with.denominator == 2
@@ -281,7 +281,7 @@ def test_threads_do_not_change_results():
         sequential = result_csv_text(run_campaign(scn, cfg, threads=1))
         parallel = result_csv_text(run_campaign(scn, cfg, threads=2))
         assert sequential == parallel
-        assert len({r.sweep_value for r in run_campaign(scn, cfg).runs}) == \
+        assert len({r.sweep_value for r in run_campaign(scn, cfg)}) == \
             len(cfg.sweep_points())
 
 
@@ -308,7 +308,7 @@ def test_writing_results_holds_no_copy_of_the_file(tmp_path):
     hops = {f"n{i}": 1 + i % 4 for i in range(30)}
     runs = [SourceRun("c", 3, "enhanced", "OOR+SOR", "auth", "0.9,0.5", r % 30,
                       f"s{r % 20}", hops, 40) for r in range(6000)]
-    few, many = ExperimentResult("c", runs[:600]), ExperimentResult("c", runs)
+    few, many = runs[:600], runs
     small, large = tmp_path / "small.csv", tmp_path / "large.csv"
     _, small_peak = traced_peak(lambda: write_result_csv(few, small))
     _, large_peak = traced_peak(lambda: write_result_csv(many, large))
@@ -352,7 +352,7 @@ def test_each_friendship_pass_is_computed_once_per_key(monkeypatch):
                 replace(base, sweep="hops", hops_values=(2, 4, 2))):
         requested: set = set()
         computed: list = []
-        runs = run_campaign(scn, cfg).runs
+        runs = run_campaign(scn, cfg)
         assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(scn.holders(3))
         assert len(computed) == len(requested)
         assert set(computed) == requested
@@ -390,10 +390,10 @@ def test_sharing_passes_across_points_is_invisible():
                           spread_prob_per_hop=point.policy.spread_prob_per_hop,
                           kinds=point.kinds, ttl=point.ttl)
             alone.append([replace(run, sweep_var=point.var, sweep_value=point.value)
-                          for run in run_campaign(scn, one).runs])
+                          for run in run_campaign(scn, one)])
         expected = [run for r in range(cfg.replicates) for runs in alone
                     for run in runs if run.replicate == r]
-        assert run_campaign(scn, cfg).runs == expected
+        assert run_campaign(scn, cfg) == expected
 
 
 def test_each_distinct_reach_context_is_built_once_per_group(monkeypatch):
@@ -434,7 +434,7 @@ def test_each_distinct_reach_context_is_built_once_per_group(monkeypatch):
              lambda r: 1 + len({p for rep, _, p in pairs if rep == r}))):
         built.clear()
         pairs.clear()
-        runs = run_campaign(scenario(), cfg).runs
+        runs = run_campaign(scenario(), cfg)
         assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(select_sources(scenario(), cfg))
         for r in range(cfg.replicates):
             assert len([b for b in built if b[0] == r]) == expected(r), cfg.sweep
@@ -553,7 +553,7 @@ def test_hops_sweep_is_samplewise_monotone():
                            hops_values=(1, 2, 4),
                            auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3))
     index = {}
-    for r in run_campaign(scn, cfg).runs:
+    for r in run_campaign(scn, cfg):
         index[(r.mode, r.sweep_value, r.replicate, r.source)] = r
     keys = {(m, rep, src) for (m, _, rep, src) in index}
     for mode, rep, src in keys:

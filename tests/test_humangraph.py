@@ -262,7 +262,7 @@ def random_fixture(rnd: random.Random, with_extra: bool):
     holders = {u for u in users if rnd.random() < rnd.uniform(0.3, 0.9)}
     source = rnd.choice(users)
     holders.add(source)
-    adjacency = {u: set(g.neighbors(u)) for u in users}
+    adjacency = {u: set(g.sorted_adjacency().get(u, ())) for u in users}
     authorize = {u: rnd.random() < 0.6 for u in users}
     extra = None
     if with_extra:
@@ -331,7 +331,7 @@ def dense_holder_fixture(rnd: random.Random):
     holders = {u for u in users if rnd.random() < share}
     source = rnd.choice(users)
     holders.add(source)
-    adjacency = {u: set(g.neighbors(u)) for u in users}
+    adjacency = {u: set(g.sorted_adjacency().get(u, ())) for u in users}
     for b in range(rnd.randrange(1, 4)):
         a, c = rnd.sample(users, 2)
         chain = [a, *(f"x{b}{i}" for i in range(rnd.randrange(1, 3))), c]

@@ -1,7 +1,8 @@
 """Source layout checks: every module-level function and class in
-`src/siotsim` is used by the program itself, not only by its tests, no
-pipeline stage imports numpy, every name the bench tracer wraps exists,
-and the tracer's counts work on a real pipeline."""
+`src/siotsim`, and every method, is used by the program itself (or, for a
+method, wrapped by the bench tracer), not only by its tests, no pipeline
+stage imports numpy, every name the bench tracer wraps exists, and the
+tracer's counts work on a real pipeline."""
 
 from __future__ import annotations
 
@@ -32,21 +33,50 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def unused_definitions() -> list[str]:
     """`module.name` of each module-level function or class whose name no
-    other top-level statement of the package refers to."""
+    other top-level statement of the package refers to, and
+    `module.Class.method` of each method whose name no other statement
+    refers to, a method of its class included, and that the bench tracer
+    does not wrap. Dunder methods are called by Python itself."""
+    tracer = _load_tracer()
+    wrapped = {f"{module}.{attr}" for module, attr, *_ in tracer.SPANS + tracer.COUNTERS}
     statements = []  # (module, definition name or None, referenced names)
+    methods = []  # (module, class, method, names the rest of the class refers to)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            defined = (node.name if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None)
+            defined = node.name if isinstance(node, _DEFINITIONS) else None
             statements.append((path.stem, defined, _referenced_names(node)))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, _DEFINITIONS) and not item.name.startswith("__"):
+                    rest = [n for n in (*node.decorator_list, *node.bases,
+                                        *node.keywords, *node.body) if n is not item]
+                    methods.append((path.stem, node.name, item.name,
+                                    set().union(*map(_referenced_names, rest))))
     unused = []
     for i, (module, name, _) in enumerate(statements):
         if name is None or name in ALLOWED_UNUSED:
             continue
         if not any(name in refs for j, (_, _, refs) in enumerate(statements) if j != i):
             unused.append(f"{module}.{name}")
+    for module, cls, name, class_refs in methods:
+        if f"{module}.{cls}.{name}" in wrapped or name in class_refs:
+            continue
+        if not any(name in refs for _, defined, refs in statements if defined != cls):
+            unused.append(f"{module}.{cls}.{name}")
     return unused
 
 
@@ -92,10 +122,7 @@ def test_no_stage_imports_numpy(tmp_path):
 
 
 def test_every_name_the_bench_tracer_wraps_resolves():
-    spec = importlib.util.spec_from_file_location("bench_tracer",
-                                                  ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     missing = []
     for module, attr, *_ in tracer.SPANS + tracer.COUNTERS:
         mod = importlib.import_module(f"{tracer.PROGRAM}.{module}")
