@@ -39,8 +39,8 @@ def draw_spec(rnd: random.Random) -> SyntheticScenarioSpec:
 
 def draw_scenario(rnd: random.Random, spec: SyntheticScenarioSpec) -> Scenario:
     """The spec's scenario, with the POR cliques of its 4 device models and
-    the C-LOR links of homes within 0-300 m (about 0-3 neighbours in a
-    community) each added half of the time."""
+    the C-LOR links of homes within 0-600 m (homes in a community lie
+    about 111 m apart, in a row) each added half of the time."""
     scenario = generate_scenario(spec)
     siot = scenario.siot
     if rnd.random() < 0.5:
