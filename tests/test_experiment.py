@@ -156,16 +156,16 @@ def test_spread_sweep_is_samplewise_monotone():
     scn = generate_scenario(spec)
     cfg = ExperimentConfig(replicates=2, sweep="spread",
                            spread_values=(0.1, 0.5, 1.0), seed=5)
-    runs = run_campaign(scn, cfg)
-    runs = {}
-    for r in runs:
-        runs[(r.mode, r.sweep_value, r.replicate, r.source)] = r
+    index = {}
+    for r in run_campaign(scn, cfg):
+        index[(r.mode, r.sweep_value, r.replicate, r.source)] = r
+    assert index
     for mode in ("friendships", "enhanced"):
         for rep in range(2):
-            for source in {k[3] for k in runs}:
-                lo = runs[(mode, "0.1", rep, source)]
-                mid = runs[(mode, "0.5", rep, source)]
-                hi = runs[(mode, "1", rep, source)]
+            for source in {k[3] for k in index}:
+                lo = index[(mode, "0.1", rep, source)]
+                mid = index[(mode, "0.5", rep, source)]
+                hi = index[(mode, "1", rep, source)]
                 assert lo.reached <= mid.reached <= hi.reached
 
 

@@ -2,8 +2,10 @@
 `random.Random(seed)` draws a `synth` scenario, may add same-model POR
 cliques and C-LOR links within communities to its device layer, and draws
 a campaign config; `run_campaign`'s `results.csv` must equal
-`oracle_campaign`'s byte for byte. A scenario spec the program rejects, or
-one without a holder of the interest, is skipped as rejected input.
+`oracle_campaign`'s byte for byte. A spec with more cross edges of a kind
+than distinct cross pairs must be rejected with a `ValueError` naming the
+kind, and is then skipped, as is a scenario without a holder of the
+interest; any other rejection fails the sweep.
 
 `SIOTSIM_SWEEP_SEEDS=N` widens the list to seeds 0..N-1 for a soak run."""
 
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import os
 import random
+
+import pytest
 
 from conftest import random_nonincreasing, result_csv_text
 from oracles import oracle_campaign
@@ -26,15 +30,24 @@ SEEDS = range(int(os.environ.get("SIOTSIM_SWEEP_SEEDS", "200")))
 _KIND_ORDER = sorted(BASE_KINDS, key=lambda k: k.value)
 
 
-def draw_spec(rnd: random.Random) -> SyntheticScenarioSpec:
-    """1-4 communities of 2-9 users, POR, SOR and C-LOR cross edges, and
-    noise interests. Some cross counts exceed the distinct cross pairs."""
+def draw_spec_fields(rnd: random.Random) -> dict:
+    """`SyntheticScenarioSpec` fields: 1-4 communities of 2-9 users, POR,
+    SOR and C-LOR cross edges, and noise interests. Some cross counts
+    exceed the distinct cross pairs."""
     cross = {kind: rnd.randrange(9) for kind in CROSSABLE_KINDS if rnd.random() < 0.6}
-    return SyntheticScenarioSpec(
+    return dict(
         communities=rnd.randint(1, 4), nodes_per_community=rnd.randint(2, 9),
         intra_friend_prob=rnd.random(), cross_edges=cross,
         interest_prob=rnd.uniform(0.3, 1.0), noise_interests=rnd.randrange(3),
         seed=rnd.randrange(1000))
+
+
+def excess_cross_kind(fields: dict) -> RelationshipKind | None:
+    """The first kind with more cross edges than the c(c-1)/2 * n*n
+    pairs of users in two different communities, or None."""
+    c, n = fields["communities"], fields["nodes_per_community"]
+    pairs = c * (c - 1) // 2 * n * n
+    return next((k for k, count in fields["cross_edges"].items() if count > pairs), None)
 
 
 def draw_scenario(rnd: random.Random, spec: SyntheticScenarioSpec) -> Scenario:
@@ -95,10 +108,13 @@ def test_random_campaigns_equal_the_campaign_oracle():
     ran = 0
     for seed in SEEDS:
         rnd = random.Random(seed)
-        try:
-            spec = draw_spec(rnd)
-        except ValueError:
-            continue  # rejected input: more cross edges than cross pairs
+        fields = draw_spec_fields(rnd)
+        excess = excess_cross_kind(fields)
+        if excess is not None:
+            with pytest.raises(ValueError, match=f" {excess.value} cross edges, but only "):
+                SyntheticScenarioSpec(**fields)
+            continue
+        spec = SyntheticScenarioSpec(**fields)
         scenario = draw_scenario(rnd, spec)
         config = draw_config(rnd)
         if not scenario.holders(config.interest):
