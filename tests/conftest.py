@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 import random
 import sys
@@ -10,12 +12,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import pytest
+
+from siotsim import cli
 from siotsim.experiment import write_result_csv
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint
 from siotsim.humangraph import UNBOUNDED, FriendshipGraph
 from siotsim.interests import InterestDescriptor
 from siotsim.protocol import VuipToken
 from siotsim.rng import DrawTable
+from siotsim.scenario import Scenario, read_scenario_dir
 from siotsim.siotgraph import FIXED, MOBILE, Device, SIoTGraph, device_id
 from siotsim.trace import CheckIn, TraceCorpus
 
@@ -57,6 +63,29 @@ def result_csv_text(runs) -> str:
         path = Path(tmp) / "results.csv"
         write_result_csv(runs, path)
         return path.read_text(encoding="utf-8")
+
+
+@functools.cache
+def trace_scenario(seed: int = 0) -> Scenario:
+    """30 users of the bench's trace generator at `seed`, through `ingest`
+    and `build-graph`. Same-model POR cliques and repeated meetings join
+    almost every holder, so a round over all kinds gives each holder a
+    partner set of most other holders."""
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        gen_trace = importlib.import_module("gen_trace")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        inputs = out / "inputs"
+        gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), seed, inputs)
+        for stage in (
+                ["ingest", "--checkins", inputs / gen_trace.CHECKINS_FILE,
+                 "--friendships", inputs / gen_trace.FRIENDSHIPS_FILE,
+                 "--poi", inputs / gen_trace.POI_FILE, "--out", out / "ingest"],
+                ["build-graph", "--ingest", out / "ingest",
+                 "--models", inputs / gen_trace.MODELS_FILE, "--out", out / "scenario"]):
+            assert cli.main([str(a) for a in stage]) == 0, stage
+        return read_scenario_dir(out / "scenario")
 
 
 def make_devices(users, model="m0", lat=0.0) -> dict:

@@ -1,21 +1,17 @@
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import gc
-import importlib
 import pickle
 import random
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from conftest import (make_devices, mobile, profile, result_csv_text,
-                      traced_peak)
+                      trace_scenario, traced_peak)
 from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
-from siotsim import cli, experiment, humangraph
+from siotsim import experiment, humangraph
 from siotsim.experiment import (ExperimentConfig, Mode,
                                 SourceRun, build_reach_context, load_config,
                                 run_campaign, run_source, select_sources,
@@ -26,7 +22,7 @@ from siotsim.humangraph import (DEFAULT_MAX_HOPS, AuthorizationMap,
                                 ReachContext)
 from siotsim.protocol import run_cior_round
 from siotsim.rng import DrawTable
-from siotsim.scenario import Scenario, read_scenario_dir
+from siotsim.scenario import Scenario
 from siotsim.siotgraph import (FIXED, MOBILE, Device, RelationshipKind, SIoTGraph,
                                establish_por)
 from siotsim.synth import SyntheticScenarioSpec, generate_scenario
@@ -665,29 +661,6 @@ def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
 
 SPREADS = dict(sweep="spread", spread_values=(1.0, 0.6, 0.2))
 OWN_DEVICES = frozenset({RelationshipKind.OOR})
-
-
-@functools.cache
-def trace_scenario() -> Scenario:
-    """30 users of the bench's trace generator through `ingest` and
-    `build-graph`. Same-model POR cliques and repeated meetings join almost
-    every holder, so a round over all kinds gives each holder a partner set
-    of most other holders."""
-    with pytest.MonkeyPatch.context() as m:
-        m.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-        gen_trace = importlib.import_module("gen_trace")
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        inputs = out / "inputs"
-        gen_trace.generate(gen_trace.TraceSpec(users=30, pois=20, days=3), 0, inputs)
-        for stage in (
-                ["ingest", "--checkins", inputs / gen_trace.CHECKINS_FILE,
-                 "--friendships", inputs / gen_trace.FRIENDSHIPS_FILE,
-                 "--poi", inputs / gen_trace.POI_FILE, "--out", out / "ingest"],
-                ["build-graph", "--ingest", out / "ingest",
-                 "--models", inputs / gen_trace.MODELS_FILE, "--out", out / "scenario"]):
-            assert cli.main([str(a) for a in stage]) == 0, stage
-        return read_scenario_dir(out / "scenario")
 
 
 @pytest.mark.parametrize("scenario, cfg, threads", [

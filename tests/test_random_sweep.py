@@ -5,7 +5,9 @@ a campaign config; `run_campaign`'s `results.csv` must equal
 `oracle_campaign`'s byte for byte. A spec with more cross edges of a kind
 than distinct cross pairs must be rejected with a `ValueError` naming the
 kind, and is then skipped, as is a scenario without a holder of the
-interest; any other rejection fails the sweep.
+interest; any other rejection fails the sweep. A few more seeds each draw a
+config over a 30-user scenario of the bench's trace generator, whose
+device layer holds the POR cliques of ten device models.
 
 `SIOTSIM_SWEEP_SEEDS=N` widens the list to seeds 0..N-1 for a soak run."""
 
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import random_nonincreasing, result_csv_text
+from conftest import random_nonincreasing, result_csv_text, trace_scenario
 from oracles import oracle_campaign
 from siotsim.experiment import (MODE_ENHANCED, MODE_FRIENDSHIPS,
                                 ExperimentConfig, run_campaign)
@@ -124,3 +127,19 @@ def test_random_campaigns_equal_the_campaign_oracle():
             f"seed {seed}: {spec} {config}"
         ran += 1
     assert ran >= 0.7 * len(SEEDS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_campaigns_on_trace_scenarios_equal_the_campaign_oracle(seed):
+    """The trace scenario of generator seed `seed` under a drawn config,
+    with POR among the base kinds and `cior` on at odd seeds only. Every
+    drawn mode list holds enhanced mode."""
+    rnd = random.Random(seed)
+    scenario = trace_scenario(seed)
+    config = draw_config(rnd)
+    config = replace(config, kinds=config.kinds | {RelationshipKind.POR},
+                     cior=seed % 2 == 1)
+    assert MODE_ENHANCED in config.modes and scenario.holders(config.interest)
+    expected = oracle_campaign(scenario, config)
+    assert result_csv_text(run_campaign(scenario, config)) == expected, \
+        f"seed {seed}: {config}"
