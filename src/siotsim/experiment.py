@@ -304,10 +304,9 @@ def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
     `build_reach_context` for the same interest and mode."""
     if source not in context.holders:
         raise ValueError(f"source {source!r} does not hold interest {interest}")
-    _, best = interest_reach(source, context)
-    eligible = context.holders - {source}
-    if not include_isolated:
-        eligible -= scenario.isolated_users()
+    _, best = interest_reach(source, context)  # never holds the source
+    denominator = (len(context.holders) - 1 if include_isolated else
+                   len(context.holders - scenario.isolated_users() - {source}))
     return SourceRun(
         campaign=campaign,
         interest=interest,
@@ -317,8 +316,8 @@ def run_source(source: str, interest: int, mode: Mode, scenario: Scenario,
         sweep_value=sweep_value,
         replicate=replicate,
         source=source,
-        hops={n: h for n, h in best.items() if n != source},
-        denominator=len(eligible),
+        hops=best,
+        denominator=denominator,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from . import rng
 
@@ -180,6 +180,8 @@ class AuthorizationMap:
 Layers = tuple[frozenset[str], ...]
 # Friendship passes by (launcher, expand_holders); see `ReachContext`.
 PassMemo = dict[tuple[str, bool], Layers]
+# A relaunch pass: its nonempty layers, each with the hop it is sent at.
+Relaunch = tuple[tuple[int, Collection[str]], ...]
 
 
 @dataclass
@@ -193,16 +195,17 @@ class ReachContext:
     `extra_contacts` optionally adds each node's own device-layer contacts
     (one hop, no authorization needed).
 
-    A relaunch pass of a launcher holds, by hop, the holders its discovery
+    A relaunch pass of a launcher holds, by hop, the nodes its discovery
     pass sees when the pass stops at each holder instead of expanding it
-    (`interest_reach` says why that loses nothing). Relaunch passes do not
-    depend on the original source, so they are memoized per launcher in
-    `_memo`. The friendship parts they are built from are kept in `passes`
-    under (launcher, False), beside each source's full friendship pass
-    under (source, True). Contexts with the same adjacency, holders,
-    horizons and `max_hops` may share `passes`. A context adds each pass it
-    computes and never takes one out: the owner of the dict decides how
-    long the passes live.
+    (`interest_reach` says why that loses nothing): its `extra_contacts`
+    entry itself at hop 1, non-holders included, then the layers of its
+    friendship part. Relaunch passes do not depend on the original source,
+    so they are memoized per launcher in `_memo`; they copy no layer. The
+    friendship parts are kept in `passes` under (launcher, False), beside
+    each source's full friendship pass under (source, True). Contexts with
+    the same adjacency, holders, horizons and `max_hops` may share
+    `passes`. A context adds each pass it computes and never takes one
+    out: the owner of the dict decides how long the passes live.
     """
 
     adjacency: Mapping[str, tuple[str, ...]]
@@ -211,7 +214,7 @@ class ReachContext:
     max_hops: int = DEFAULT_MAX_HOPS
     extra_contacts: Mapping[str, tuple[str, ...]] | None = None
     passes: PassMemo = field(default_factory=dict)
-    _memo: dict[str, Layers] = field(default_factory=dict)
+    _memo: dict[str, Relaunch] = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
@@ -263,20 +266,21 @@ def _device_contacts(ctx: ReachContext, start: str) -> frozenset[str]:
     return ctx.holders.intersection(ctx.extra_contacts.get(start, ())) - {start}
 
 
-def _discover_from(ctx: ReachContext, start: str) -> Layers:
-    """The relaunch pass of `start`: the friendship pass, with the
-    launcher's device-layer contacts, when present, added at hop 1."""
+def _discover_from(ctx: ReachContext, start: str) -> Relaunch:
+    """The relaunch pass of `start`: the launcher's `extra_contacts` entry,
+    when nonempty, as a hop-1 layer of its own, then the nonempty layers of
+    its friendship pass. Both are the context's objects, not copies."""
     cached = ctx._memo.get(start)
     if cached is not None:
         return cached
     layers = ctx.passes.get((start, False))
     if layers is None:
         layers = ctx.passes[start, False] = _friendship_pass(ctx, start)
-    contacts = _device_contacts(ctx, start)
-    if contacts:
-        layers = (contacts.union(*layers[:1]),) + layers[1:]
-    ctx._memo[start] = layers
-    return layers
+    contacts = ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else ()
+    relaunch = tuple((hop, layer) for hop, layer in ((1, contacts), *enumerate(layers, 1))
+                     if layer)
+    ctx._memo[start] = relaunch
+    return relaunch
 
 
 def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict[str, int]]:
@@ -300,10 +304,10 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
     Every hop count is a small integer, so the search settles one level of
     cumulative hops at a time (Dial's bucket search). It starts from the
     source's own full pass, and a holder settled at level d then sends
-    layer k of its relaunch pass to level d + k. A level's bucket is the union
-    of the layers sent to it, cut to the holders not settled yet; each
-    layer is cut as it is added, so a clique of device contacts that is
-    mostly settled costs little. The bucket's nodes enter `best` in sorted
+    each layer of its relaunch pass at hop k to level d + k. A level's
+    bucket is the union of the layers sent to it, cut to the holders not
+    settled yet, which drops the non-holders and settled launchers of a
+    device-contact layer. The bucket's nodes enter `best` in sorted
     order, so `best` does not depend on the order of set iteration.
     """
     if source not in ctx.adjacency and (
@@ -327,7 +331,7 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
         bucket: set[str] = set()
         for layer in incoming.pop(level):
             if not remaining.isdisjoint(layer):
-                found = remaining & layer
+                found = remaining.intersection(layer)
                 remaining -= found
                 bucket |= found
         if not bucket:
@@ -336,9 +340,8 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
         best.update(dict.fromkeys(settled, level))
         if remaining:
             for r in settled:
-                for hop, layer in enumerate(_discover_from(ctx, r), level + 1):
-                    if layer:
-                        incoming.setdefault(hop, []).append(layer)
+                for hop, layer in _discover_from(ctx, r):
+                    incoming.setdefault(level + hop, []).append(layer)
     return direct, best
 
 

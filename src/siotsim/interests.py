@@ -77,7 +77,7 @@ class InterestDescriptor:
         return InterestDescriptor(None, dict(self.weights), self.held)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterestAssignment:
     """A co-location matched to its nearest PoI and the macro-categories
     containing that PoI's keyword."""

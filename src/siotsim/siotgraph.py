@@ -5,6 +5,7 @@ are never stored here; a round returns them as each owner's partners.
 
 from __future__ import annotations
 
+import collections
 import csv
 import enum
 import itertools
@@ -44,6 +45,12 @@ _KIND_OF_TEXT = {kind.value: kind for kind in RelationshipKind}
 # edge's kinds as the entry here, so equal kind sets are one object.
 _KIND_SETS = {s: s for s in (frozenset(c) for r in range(1, len(BASE_KINDS) + 1)
                              for c in itertools.combinations(BASE_KINDS, r))}
+# kind -> (kind set, or None for no edge yet) -> the kind set with it added
+_ADDED = {k: {s: _KIND_SETS[(s or frozenset()) | {k}] for s in (None, *_KIND_SETS)}
+          for k in BASE_KINDS}
+# kind set -> its `write_siot_graph` line endings, one per kind
+_LINE_ENDS = {s: [f",{k.value}\n" for k in sorted(s, key=lambda k: k.value)]
+              for s in _KIND_SETS}
 
 
 def parse_kind(text: str) -> RelationshipKind:
@@ -239,7 +246,7 @@ class SIoTGraph:
             raise ValueError(f"unknown device in edge ({a!r}, {b!r})")
         pair = ((dev_a.device_id, dev_b.device_id) if a < b
                 else (dev_b.device_id, dev_a.device_id))
-        self._edges[pair] = _KIND_SETS[self._edges.get(pair, frozenset()) | {kind}]
+        self._edges[pair] = _ADDED[kind][self._edges.get(pair)]
         for view in self._views.values():
             view._clear()
 
@@ -253,9 +260,9 @@ class SIoTGraph:
 
     def kind_counts(self) -> dict[RelationshipKind, int]:
         counts = {kind: 0 for kind in RelationshipKind}
-        for kinds in self._edges.values():
+        for kinds, n in collections.Counter(self._edges.values()).items():
             for kind in kinds:
-                counts[kind] += 1
+                counts[kind] += n
         return counts
 
     def copy(self) -> "SIoTGraph":
@@ -424,8 +431,8 @@ def write_siot_graph(graph: SIoTGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         edges = graph._edges
         for a, b in sorted(edges):
-            for kind in sorted(edges[a, b], key=lambda k: k.value):
-                fh.write(f"{a},{b},{kind.value}\n")
+            for end in _LINE_ENDS[edges[a, b]]:
+                fh.write(f"{a},{b}{end}")
 
 
 def read_siot_graph(path: str | Path, devices: Mapping[str, Device]) -> SIoTGraph:

@@ -95,6 +95,7 @@ def parse_checkins(path: str | Path, fmt: str = "brightkite") -> TraceCorpus:
     if fmt != "brightkite":
         raise ValueError(f"unknown trace format: {fmt!r}")
     checkins: list[CheckIn] = []
+    ids: dict[str, str] = {}  # one string object per distinct id
     malformed = 0
     nonempty = 0
     with open(path, encoding="utf-8") as fh:
@@ -110,10 +111,10 @@ def parse_checkins(path: str | Path, fmt: str = "brightkite") -> TraceCorpus:
             user, ts_text, lat_text, lon_text, place = fields
             try:
                 checkins.append(CheckIn(
-                    user_id=user,
+                    user_id=ids.setdefault(user, user),
                     timestamp=_parse_timestamp(ts_text),
                     location=GeoPoint(float(lat_text), float(lon_text)),
-                    place_id=place,
+                    place_id=ids.setdefault(place, place),
                 ))
             except ValueError:
                 malformed += 1

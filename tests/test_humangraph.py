@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bool_horizons, random_friend_graph, random_nonincreasing
-from conftest import make_devices, profile
+from conftest import make_devices, profile, trace_scenario
 from oracles import oracle_giant_pct, oracle_reach
 from siotsim import cli
 from siotsim.experiment import Mode, build_reach_context, run_source
@@ -302,6 +302,7 @@ def assert_reach_matches_oracle(source, adjacency, holders, horizon, max_hops,
                                     max_hops, holders, extra)
     assert direct == o_direct
     assert best == o_best
+    assert source not in best
     # filled level by level, each level in sorted order, never in the
     # order in which a set iterates
     assert list(best) == sorted(best, key=lambda n: (best[n], n))
@@ -432,6 +433,28 @@ def test_reach_equals_oracle_on_a_generated_trace(tmp_path, monkeypatch):
                 assert direct == o_direct
                 assert best == o_best
     assert widest_clique > 10
+
+
+def test_relaunch_passes_share_the_contexts_layers():
+    """Over the POR cliques of a generated trace, each memoized relaunch
+    pass sends the launcher's `extra_contacts` entry itself at hop 1, and
+    then the layers of its memoized friendship pass, not copies of them."""
+    scn = trace_scenario()
+    holders = scn.holders(3)
+    auth = AuthorizationMap(DrawTable(3, 0), AuthorizationPolicy((0.9, 0.6)))
+    ctx = build_reach_context(scn, 3, Mode.enhanced(cior=False), auth, DEFAULT_MAX_HOPS)
+    for source in sorted(holders)[::5]:
+        interest_reach(source, ctx)
+    assert len(ctx._memo) > len(holders) // 2
+    widest = 0
+    for launcher, relaunch in ctx._memo.items():
+        contacts = ctx.extra_contacts[launcher]
+        widest = max(widest, len(contacts))
+        assert relaunch[0] == (1, contacts) and relaunch[0][1] is contacts
+        friends = [layer for layer in ctx.passes[launcher, False] if layer]
+        assert len(relaunch) == 1 + len(friends)
+        assert all(sent is layer for (_, sent), layer in zip(relaunch[1:], friends))
+    assert widest > 10
 
 
 def test_monotone_dominance_under_edge_addition_and_decision_flip():

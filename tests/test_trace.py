@@ -89,6 +89,25 @@ def test_checkins_sorted_by_user_then_time(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_parse_keeps_one_string_per_user_and_place_id(tmp_path):
+    """Every check-in of a user holds the same `user_id` object, and every
+    check-in at a place the same `place_id` object, whatever the order of
+    the lines."""
+    rnd = random.Random(3)
+    lines = [f"user_{rnd.randrange(4)}\t2010-01-0{day}T0{hour}:00:00Z\t1\t1\t"
+             f"venue_{rnd.randrange(5)}" for day in range(1, 8) for hour in range(10)]
+    path = tmp_path / "t.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    checkins = parse_checkins(path).checkins
+    for field in ("user_id", "place_id"):
+        objects: dict[str, set[int]] = {}
+        for c in checkins:
+            value = getattr(c, field)
+            objects.setdefault(value, set()).add(id(value))
+        assert len(objects) > 1
+        assert all(len(ids) == 1 for ids in objects.values()), field
+
+
 def test_parse_friendships_drops_bad_pairs(tmp_path):
     cpath = tmp_path / "c.tsv"
     cpath.write_text(GOOD_LINE + GOOD_LINE.replace("u1", "u2"), encoding="utf-8")
