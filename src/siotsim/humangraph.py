@@ -180,8 +180,7 @@ class AuthorizationMap:
 Layers = tuple[frozenset[str], ...]
 # Friendship passes by (launcher, expand_holders); see `ReachContext`.
 PassMemo = dict[tuple[str, bool], Layers]
-# A relaunch pass: its nonempty layers, each with the hop it is sent at.
-Relaunch = tuple[tuple[int, Collection[str]], ...]
+Relaunch = tuple[tuple[int, Collection[str]], ...]  # (hop, layer); see `_discover_from`
 
 
 @dataclass
@@ -198,14 +197,14 @@ class ReachContext:
     A relaunch pass of a launcher holds, by hop, the nodes its discovery
     pass sees when the pass stops at each holder instead of expanding it
     (`interest_reach` says why that loses nothing): its `extra_contacts`
-    entry itself at hop 1, non-holders included, then the layers of its
-    friendship part. Relaunch passes do not depend on the original source,
-    so they are memoized per launcher in `_memo`; they copy no layer. The
-    friendship parts are kept in `passes` under (launcher, False), beside
-    each source's full friendship pass under (source, True). Contexts with
-    the same adjacency, holders, horizons and `max_hops` may share
-    `passes`. A context adds each pass it computes and never takes one
-    out: the owner of the dict decides how long the passes live.
+    entry itself at hop 1, non-holders included, then its friendship
+    layers. Relaunch passes do not depend on the original source, so they
+    are memoized per launcher in `_memo`, and copy no layer. The friendship
+    layers are kept in `passes` under (launcher, False), beside each
+    source's full friendship pass under (source, True). Contexts with the
+    same adjacency, holders, horizons and `max_hops` may share `passes`. A
+    context adds each pass it computes and never takes one out: the owner
+    of the dict decides how long the passes live.
     """
 
     adjacency: Mapping[str, tuple[str, ...]]
@@ -267,9 +266,8 @@ def _device_contacts(ctx: ReachContext, start: str) -> frozenset[str]:
 
 
 def _discover_from(ctx: ReachContext, start: str) -> Relaunch:
-    """The relaunch pass of `start`: the launcher's `extra_contacts` entry,
-    when nonempty, as a hop-1 layer of its own, then the nonempty layers of
-    its friendship pass. Both are the context's objects, not copies."""
+    """The relaunch pass of `start`: its `extra_contacts` entry as a hop-1
+    layer of its own, then its friendship layers, each nonempty, none copied."""
     cached = ctx._memo.get(start)
     if cached is not None:
         return cached
@@ -277,9 +275,8 @@ def _discover_from(ctx: ReachContext, start: str) -> Relaunch:
     if layers is None:
         layers = ctx.passes[start, False] = _friendship_pass(ctx, start)
     contacts = ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else ()
-    relaunch = tuple((hop, layer) for hop, layer in ((1, contacts), *enumerate(layers, 1))
-                     if layer)
-    ctx._memo[start] = relaunch
+    sent = ((1, contacts), *enumerate(layers, 1))
+    relaunch = ctx._memo[start] = tuple((hop, layer) for hop, layer in sent if layer)
     return relaunch
 
 
@@ -306,9 +303,10 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
     source's own full pass, and a holder settled at level d then sends
     each layer of its relaunch pass at hop k to level d + k. A level's
     bucket is the union of the layers sent to it, cut to the holders not
-    settled yet, which drops the non-holders and settled launchers of a
-    device-contact layer. The bucket's nodes enter `best` in sorted
-    order, so `best` does not depend on the order of set iteration.
+    settled yet (a contact layer loses its non-holders and settled
+    launchers); once none is left, the search ends. The bucket's nodes
+    enter `best` in sorted order, so `best` does not depend on the order
+    of set iteration.
     """
     if source not in ctx.adjacency and (
             ctx.extra_contacts is None or source not in ctx.extra_contacts):
@@ -334,6 +332,8 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
                 found = remaining.intersection(layer)
                 remaining -= found
                 bucket |= found
+                if not remaining:
+                    break
         if not bucket:
             continue
         settled = sorted(bucket)
