@@ -180,7 +180,6 @@ class AuthorizationMap:
 Layers = tuple[frozenset[str], ...]
 # Friendship passes by (launcher, expand_holders); see `ReachContext`.
 PassMemo = dict[tuple[str, bool], Layers]
-Relaunch = tuple[tuple[int, Collection[str]], ...]  # (hop, layer); see `_discover_from`
 
 
 @dataclass
@@ -197,14 +196,14 @@ class ReachContext:
     A relaunch pass of a launcher holds, by hop, the nodes its discovery
     pass sees when the pass stops at each holder instead of expanding it
     (`interest_reach` says why that loses nothing): its `extra_contacts`
-    entry itself at hop 1, non-holders included, then its friendship
-    layers. Relaunch passes do not depend on the original source, so they
-    are memoized per launcher in `_memo`, and copy no layer. The friendship
-    layers are kept in `passes` under (launcher, False), beside each
-    source's full friendship pass under (source, True). Contexts with the
-    same adjacency, holders, horizons and `max_hops` may share `passes`. A
-    context adds each pass it computes and never takes one out: the owner
-    of the dict decides how long the passes live.
+    entry itself at hop 1, non-holders included, and its friendship
+    layers. It copies neither. The friendship layers do not depend on the
+    original source, so they are memoized in `passes` under (launcher,
+    False), beside each source's full friendship pass under (source,
+    True). Contexts with the same adjacency, holders, horizons and
+    `max_hops` may share `passes`. A context adds each pass it computes
+    and never takes one out: the owner of the dict decides how long the
+    passes live.
     """
 
     adjacency: Mapping[str, tuple[str, ...]]
@@ -213,7 +212,6 @@ class ReachContext:
     max_hops: int = DEFAULT_MAX_HOPS
     extra_contacts: Mapping[str, tuple[str, ...]] | None = None
     passes: PassMemo = field(default_factory=dict)
-    _memo: dict[str, Relaunch] = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
@@ -265,19 +263,13 @@ def _device_contacts(ctx: ReachContext, start: str) -> frozenset[str]:
     return ctx.holders.intersection(ctx.extra_contacts.get(start, ())) - {start}
 
 
-def _discover_from(ctx: ReachContext, start: str) -> Relaunch:
-    """The relaunch pass of `start`: its `extra_contacts` entry as a hop-1
-    layer of its own, then its friendship layers, each nonempty, none copied."""
-    cached = ctx._memo.get(start)
-    if cached is not None:
-        return cached
+def _discover_from(ctx: ReachContext, start: str) -> tuple[Collection[str], Layers]:
+    """The relaunch pass of `start`: its `extra_contacts` entry, sent at hop
+    1, and its friendship layers, memoized in `passes`. Neither is a copy."""
     layers = ctx.passes.get((start, False))
     if layers is None:
         layers = ctx.passes[start, False] = _friendship_pass(ctx, start)
-    contacts = ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else ()
-    sent = ((1, contacts), *enumerate(layers, 1))
-    relaunch = ctx._memo[start] = tuple((hop, layer) for hop, layer in sent if layer)
-    return relaunch
+    return ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else (), layers
 
 
 def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict[str, int]]:
@@ -340,8 +332,12 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
         best.update(dict.fromkeys(settled, level))
         if remaining:
             for r in settled:
-                for hop, layer in _discover_from(ctx, r):
-                    incoming.setdefault(level + hop, []).append(layer)
+                contacts, layers = _discover_from(ctx, r)
+                if contacts:
+                    incoming.setdefault(level + 1, []).append(contacts)
+                for hop, layer in enumerate(layers, level + 1):
+                    if layer:
+                        incoming.setdefault(hop, []).append(layer)
     return direct, best
 
 

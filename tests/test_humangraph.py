@@ -13,8 +13,8 @@ from siotsim import cli
 from siotsim.experiment import Mode, build_reach_context, run_source
 from siotsim.humangraph import (DEFAULT_MAX_HOPS, UNBOUNDED, AuthorizationMap,
                                 AuthorizationPolicy, FriendshipGraph,
-                                ReachContext, _horizon, cooperates,
-                                giant_component_pct, interest_reach)
+                                ReachContext, _discover_from, _horizon,
+                                cooperates, giant_component_pct, interest_reach)
 from siotsim.rng import DrawTable
 from siotsim.scenario import Scenario, read_scenario_dir
 from siotsim.siotgraph import SIoTGraph
@@ -436,24 +436,23 @@ def test_reach_equals_oracle_on_a_generated_trace(tmp_path, monkeypatch):
 
 
 def test_relaunch_passes_share_the_contexts_layers():
-    """Over the POR cliques of a generated trace, each memoized relaunch
-    pass sends the launcher's `extra_contacts` entry itself at hop 1, and
-    then the layers of its memoized friendship pass, not copies of them."""
+    """Over the POR cliques of a generated trace, a relaunch pass is the
+    launcher's `extra_contacts` entry itself, sent at hop 1, and its
+    memoized friendship layers, not copies or unions of them."""
     scn = trace_scenario()
     holders = scn.holders(3)
     auth = AuthorizationMap(DrawTable(3, 0), AuthorizationPolicy((0.9, 0.6)))
     ctx = build_reach_context(scn, 3, Mode.enhanced(cior=False), auth, DEFAULT_MAX_HOPS)
     for source in sorted(holders)[::5]:
         interest_reach(source, ctx)
-    assert len(ctx._memo) > len(holders) // 2
+    launchers = [key[0] for key in ctx.passes if not key[1]]
+    assert len(launchers) > len(holders) // 2
     widest = 0
-    for launcher, relaunch in ctx._memo.items():
-        contacts = ctx.extra_contacts[launcher]
+    for launcher in launchers:
+        contacts, layers = _discover_from(ctx, launcher)
+        assert contacts is ctx.extra_contacts[launcher]
+        assert layers is ctx.passes[launcher, False]
         widest = max(widest, len(contacts))
-        assert relaunch[0] == (1, contacts) and relaunch[0][1] is contacts
-        friends = [layer for layer in ctx.passes[launcher, False] if layer]
-        assert len(relaunch) == 1 + len(friends)
-        assert all(sent is layer for (_, sent), layer in zip(relaunch[1:], friends))
     assert widest > 10
 
 
