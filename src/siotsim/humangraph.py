@@ -269,7 +269,8 @@ def _discover_from(ctx: ReachContext, start: str) -> tuple[Collection[str], Laye
     layers = ctx.passes.get((start, False))
     if layers is None:
         layers = ctx.passes[start, False] = _friendship_pass(ctx, start)
-    return ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else (), layers
+    contacts = ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else ()
+    return contacts, layers
 
 
 def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict[str, int]]:
