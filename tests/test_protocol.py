@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
                               candidate_owners, evaluate_candidates, propagate_vuip,
                               run_cior_round)
-from siotsim.interests import InterestDescriptor
+from siotsim.interests import InterestDescriptor, cosine_similarity
 from siotsim.rng import DrawTable
 from siotsim.siotgraph import BASE_KINDS, MOBILE, RelationshipKind, SIoTGraph
 
@@ -494,6 +495,54 @@ def test_round_pairs_equal_the_pair_oracle():
         assert out == partner_sets(expected)
         linked += len(expected)
     assert linked > 150
+
+
+def test_round_pairs_equal_the_pair_oracle_at_exact_cosine_ties():
+    """Rounds whose held sets have 1-4 of 5 categories link exactly the
+    owner pairs of `oracle_cior_pairs` when the threshold is a value their
+    cosines tie at: 1/2, 1/sqrt(2) or 2/3, each computed by
+    `cosine_similarity`. Graphs are POR cliques and sparse graphs; in some
+    every owner has one shared held set, in others all held sets differ.
+    No owner is its own partner."""
+    ties = [cosine_similarity(profile("a", held_a), profile("b", held_b))
+            for held_a, held_b in [({2}, {2, 3, 4, 5}), ({2}, {2, 3}),
+                                   ({2, 3, 4}, {3, 4, 5})]]
+    assert ties == [0.5, 1 / math.sqrt(2), 2 / 3]
+    held_sets = [set(c) for size in range(1, 5)
+                 for c in itertools.combinations(range(2, 7), size)]
+    rnd = random.Random(1919)
+    subsets = list(kind_subsets())
+    at_tie = {"shared": 0, "distinct": 0, "mixed": 0}
+    linked = 0
+    for trial in range(150):
+        g = (clique_device_graph(rnd, rnd.randrange(3, 14)) if trial % 2
+             else sparse_device_graph(rnd, rnd.randrange(3, 16)))
+        users = sorted(g.owner_devices)
+        layout = list(at_tie)[trial // 2 % 3]
+        if layout == "shared":
+            drawn = [rnd.choice([h for h in held_sets if 3 in h])] * len(users)
+        elif layout == "distinct":
+            drawn = rnd.sample(held_sets, len(users))
+        else:
+            drawn = [rnd.choice(held_sets) for _ in users]
+        profiles = {u: profile(u, held) for u, held in zip(users, drawn)}
+        policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, rnd.randrange(1, 7)))
+        shared = decisions(policy, seed=trial)
+        kinds, ttl = rnd.choice(subsets), rnd.randrange(1, 7)
+        threshold = rnd.choice(ties)
+        origin = rnd.choice(["mobile", "both"])
+        sources = rnd.sample(users, rnd.randrange(1, len(users) + 1))
+        out = run_cior_round(sources, g, kinds, profiles, shared, 3, ttl=ttl,
+                             sim_threshold=threshold, origin_device=origin)
+        expected = oracle_cior_pairs(sources, g, kinds, profiles, shared, 3, ttl,
+                                     threshold, origin)
+        assert out == partner_sets(expected), (trial, layout)
+        assert all(owner not in partners for owner, partners in out.items())
+        at_tie[layout] += sum(cosine_similarity(profiles[a], profiles[b]) == threshold
+                              for a, b in expected)
+        linked += len(expected)
+    assert at_tie["distinct"] > 20 and at_tie["mixed"] > 20 and linked > 300, \
+        (at_tie, linked)
 
 
 def test_round_walks_back_one_request_per_owner_pair(monkeypatch):
