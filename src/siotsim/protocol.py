@@ -218,10 +218,13 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
     walked back: a skipped request could only link a pair the round holds.
     `memo` shares each kind set's plan with the other rounds of one
     campaign, whose graph, sources, profiles, interest, threshold and
-    origin setting are fixed. Deterministic for a fixed decision map.
+    origin setting are fixed. Deterministic for a fixed decision map. A
+    TTL below 1 or a threshold outside [0, 1] fails.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
+    if ttl < 1 or not 0.0 <= sim_threshold <= 1.0:  # NaN fails the second test
+        raise ValueError(f"need ttl >= 1 and sim_threshold in [0, 1]: {ttl}, {sim_threshold}")
     if memo is None:
         memo = {}
     view = graph.select_kinds(kinds)

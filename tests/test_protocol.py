@@ -233,6 +233,22 @@ def test_round_can_originate_from_both_devices():
                        origin_device="fixed")
 
 
+@pytest.mark.parametrize("ttl, threshold", [
+    (0, 0.5), (-1, 0.5), (6, 7.0), (6, -0.1), (6, 1.0000001), (6, math.nan)])
+def test_round_rejects_a_bad_ttl_or_threshold_before_it_plans(monkeypatch, ttl,
+                                                              threshold):
+    """A TTL below 1 or a threshold outside [0, 1], NaN included, is an
+    error before any plan is made, also when no flood would start."""
+    g, users, profiles = two_cliques_with_bridge()
+    planned = []
+    monkeypatch.setattr(protocol, "_plan", lambda *args: planned.append(args))
+    for sources in ([], users):
+        with pytest.raises(ValueError, match="ttl >= 1 and sim_threshold in"):
+            run_cior_round(sources, g, RelationshipKind, profiles, decisions(), 3,
+                           ttl=ttl, sim_threshold=threshold)
+    assert planned == []
+
+
 def test_round_is_deterministic_and_seed_sensitive():
     g, users, profiles = two_cliques_with_bridge()
     base_edges = g.edges()
