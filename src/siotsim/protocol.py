@@ -61,8 +61,9 @@ class Walk(NamedTuple):
 
 # What the C-IOR rounds of one campaign share: each kind set's plan, the
 # floods its view can start as (source owner, origin devices, anonymised
-# payload, candidate owners) in source order. It holds no draw, so the
-# campaign's replicates and sweep points can share it.
+# payload, candidate owners) in source order; sources of one class share
+# a candidate set, which holds them. It holds no draw, so the campaign's
+# replicates and sweep points can share it.
 RoundMemo = dict[frozenset[RelationshipKind],
                  list[tuple[str, tuple[str, ...], InterestDescriptor, frozenset[str]]]]
 
@@ -115,16 +116,15 @@ def propagate_vuip(source_device: str, view: SIoTView, token: VuipToken,
     return trace
 
 
-def candidate_owners(source_owner: str, payload: InterestDescriptor,
+def candidate_owners(payload: InterestDescriptor,
                      profiles: Mapping[str, InterestDescriptor], interest: int,
                      sim_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
                      ) -> frozenset[str]:
-    """The owners whose receiving devices request a link to a flood of
-    `payload`: every owner other than `source_owner` who holds `interest`
-    and whose profile's cosine similarity to the payload reaches
-    `sim_threshold` (inclusive)."""
+    """The similarity gate of `payload`'s held set: every owner who holds
+    `interest` and whose profile's cosine similarity to the payload
+    reaches `sim_threshold` (inclusive), a source of that set included."""
     return frozenset(owner for owner, own in profiles.items()
-                     if owner != source_owner and interest in own.held
+                     if interest in own.held
                      and cosine_similarity(own, payload) >= sim_threshold)
 
 
@@ -163,11 +163,13 @@ def _plan(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
     A device floods only if its component in the view
     (`SIoTView.component`) holds an owner, other than the source owner,
     who holds `interest`; the holders of each component are listed once.
-    A source's candidates are `candidate_owners` among the holders of its
-    flooding devices' components. Neither narrowing changes a pair: a
-    flood never leaves its component, and only a candidate other than the
-    source owner, who holds the interest, requests."""
+    A source's candidates are its held set's gate (`candidate_owners`)
+    among the holders of its flooding devices' components, one set per
+    (held set, holders) and shared. Neither narrowing changes a pair: a
+    flood never leaves its component, and only holders of it request."""
     component_holders: dict[frozenset[str], frozenset[str]] = {}
+    gates: dict[frozenset[int], frozenset[str]] = {}
+    shared: dict[tuple[frozenset[int], frozenset[str]], frozenset[str]] = {}
     plan = []
     for user in sorted(set(sources)):
         own = profiles.get(user)
@@ -190,10 +192,12 @@ def _plan(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
                 origins.append(dev)
                 reachable |= held
         if origins:
-            payload = own.anonymized()
-            plan.append((user, tuple(origins), payload, candidate_owners(
-                user, payload, {o: profiles[o] for o in reachable}, interest,
-                sim_threshold)))
+            key = (own.held, frozenset(reachable))
+            if key not in shared:
+                if own.held not in gates:
+                    gates[own.held] = candidate_owners(own, profiles, interest, sim_threshold)
+                shared[key] = gates[own.held] & key[1]
+            plan.append((user, tuple(origins), own.anonymized(), shared[key]))
     return plan
 
 
@@ -213,13 +217,13 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
     Only the floods that can request start (see `_plan`); token ids and
     forwarding horizons are keyed draws, so a skipped flood changes no
     other. A receiver requests iff its owner is a candidate of the source
-    owner (`candidate_owners`) not yet paired with it in this round, and
-    only the first requesting device of each owner, in receiver order, is
-    walked back: a skipped request could only link a pair the round holds.
-    `memo` shares each kind set's plan with the other rounds of one
-    campaign, whose graph, sources, profiles, interest, threshold and
-    origin setting are fixed. Deterministic for a fixed decision map. A
-    TTL below 1 or a threshold outside [0, 1] fails.
+    owner (`candidate_owners`), not the source owner nor yet paired with
+    it in this round, and only the first requesting device of each owner,
+    in receiver order, is walked back: a skipped request could only link a
+    pair the round holds. `memo` shares each kind set's plan with the
+    other rounds of one campaign, whose graph, sources, profiles,
+    interest, threshold and origin setting are fixed. Deterministic for a
+    fixed decision map. A TTL below 1 or a threshold outside [0, 1] fails.
     """
     if origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
         raise ValueError(f"bad origin_device: {origin_device!r}")
@@ -239,7 +243,8 @@ def run_cior_round(sources: Iterable[str], graph: SIoTGraph,
         for dev in origins:
             token = VuipToken(decisions.draws.tokens[dev], payload, ttl)
             trace = propagate_vuip(dev, view, token, horizon)
-            for requester in evaluate_candidates(trace, graph, candidates - done):
+            for requester in evaluate_candidates(trace, graph,
+                                                 candidates.difference(done, (user,))):
                 if graph.devices[requester].owner not in done:
                     a, b = backpropagate(requester, trace, graph).owners
                     linked.setdefault(a, set()).add(b)

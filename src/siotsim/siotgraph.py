@@ -361,12 +361,13 @@ class SIoTView:
 
 def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
     """Undirected adjacency of the pairs, each neighbour listed once, in
-    sorted order."""
-    adj: dict[str, set[str]] = {}
+    sorted order. Lists gather the neighbours; a node's are deduplicated
+    only as its tuple is built, so no hash set per node is held."""
+    adj: dict[str, list[str]] = {}
     for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return {u: tuple(sorted(set(vs))) for u, vs in adj.items()}
 
 
 def build_siot_graph(devices: Mapping[str, Device], colocations: Iterable[CoLocation],
@@ -374,10 +375,13 @@ def build_siot_graph(devices: Mapping[str, Device], colocations: Iterable[CoLoca
                      clor_radius_m: float = DEFAULT_CLOR_RADIUS_M) -> SIoTGraph:
     """Assemble the device graph from the trace-derived relationship rules.
     The co-locations are read once, by `establish_sor`, so a stream such as
-    `trace.read_colocations_csv`'s is never held whole."""
+    `trace.read_colocations_csv`'s is never held whole. A POR pair is
+    released once stored, so it is held only as the graph's key."""
     g = SIoTGraph(devices)
-    for a, b in establish_por(devices):
+    por = establish_por(devices)
+    for i, (a, b) in enumerate(por):
         g.add_edge(a, b, RelationshipKind.POR)
+        por[i] = None
     for a, b in establish_clor(devices, clor_radius_m):
         g.add_edge(a, b, RelationshipKind.CLOR)
     for a, b in establish_oor(devices):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (clique_device_graph, fixed, fixed_horizon, make_devices,
                       mobile, profile, random_device_graph, random_nonincreasing,
-                      token_for)
+                      token_for, trace_scenario)
 from oracles import (oracle_cior_pairs, oracle_components, oracle_flood,
                      oracle_relay_table, partner_sets)
 from siotsim import protocol
@@ -91,6 +91,12 @@ def test_each_device_receives_once():
     assert trace.records[mobile("u3")] == mobile("u1")
 
 
+def round_candidates(source_owner, payload, profiles, interest):
+    """The owners whose devices a round's flood from `source_owner`
+    evaluates, before any is paired: its gate less the source owner."""
+    return candidate_owners(payload, profiles, interest) - {source_owner}
+
+
 def test_evaluate_similarity_and_interest_gate():
     g = chain_graph(3)
     profiles = {"u0": profile("u0", {3, 4, 6}),
@@ -99,11 +105,13 @@ def test_evaluate_similarity_and_interest_gate():
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
 
-    # u1 holds 4, so interest 4 passes and interest 3 fails
-    assert candidate_owners("u0", token.payload, profiles, 4) == {"u1"}
-    assert evaluate_candidates(trace, g, candidate_owners(
+    # u1 holds 4, so interest 4 passes and interest 3 fails; the source
+    # owner passes its own gate, and a round leaves it out
+    assert candidate_owners(token.payload, profiles, 4) == {"u0", "u1"}
+    assert round_candidates("u0", token.payload, profiles, 4) == {"u1"}
+    assert evaluate_candidates(trace, g, round_candidates(
         "u0", token.payload, profiles, interest=4)) == ["u1:fixed", mobile("u1")]
-    assert evaluate_candidates(trace, g, candidate_owners(
+    assert evaluate_candidates(trace, g, round_candidates(
         "u0", token.payload, profiles, interest=3)) == []
 
 
@@ -112,7 +120,7 @@ def test_evaluate_identical_profile_requests():
     profiles = {"u0": profile("u0", {3}), "u1": profile("u1", {3})}
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
-    assert evaluate_candidates(trace, g, candidate_owners(
+    assert evaluate_candidates(trace, g, round_candidates(
         "u0", token.payload, profiles, interest=3)) == ["u1:fixed", mobile("u1")]
 
 
@@ -121,7 +129,7 @@ def test_evaluate_boundary_inclusive_at_exactly_half():
     profiles = {"u0": profile("u0", {1, 2}), "u1": profile("u1", {2, 3})}
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
-    assert evaluate_candidates(trace, g, candidate_owners(
+    assert evaluate_candidates(trace, g, round_candidates(
         "u0", token.payload, profiles, interest=2)) == ["u1:fixed", mobile("u1")]
 
 
@@ -131,9 +139,12 @@ def test_source_own_devices_never_request():
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     assert "u0:fixed" in trace.records  # reached via the owner edge
-    assert "u0" not in candidate_owners("u0", token.payload, profiles, 3)
+    assert "u0" in candidate_owners(token.payload, profiles, 3)
     assert "u0:fixed" not in evaluate_candidates(
-        trace, g, candidate_owners("u0", token.payload, profiles, interest=3))
+        trace, g, round_candidates("u0", token.payload, profiles, interest=3))
+    # the round leaves the source owner out of its own gate
+    out = run_cior_round(["u0", "u1"], g, BASE_KINDS, profiles, decisions(), 3)
+    assert out == partner_sets({("u0", "u1")})
 
 
 def test_evaluate_once_marks_every_receiver():
@@ -142,7 +153,7 @@ def test_evaluate_once_marks_every_receiver():
     token = token_for(profiles["u0"], mobile("u0"))
     trace = propagate_vuip(mobile("u0"), full_view(g), token, fixed_horizon())
     requests = evaluate_candidates(
-        trace, g, candidate_owners("u0", token.payload, profiles, interest=3))
+        trace, g, round_candidates("u0", token.payload, profiles, interest=3))
     # every receiver is evaluated once: each one not owned by u0 requests
     # exactly once
     assert len(requests) == len(set(requests))
@@ -404,7 +415,7 @@ def flooding_round(sources, graph, kinds, profiles, decision_map, interest, ttl,
         own = profiles.get(user)
         if own is None or not own.held:
             continue
-        candidates = candidate_owners(user, own.anonymized(), profiles, interest)
+        candidates = round_candidates(user, own.anonymized(), profiles, interest)
         for dev in origin_devices(graph, user, origin_device):
             token = VuipToken(decision_map.draws.tokens[dev], own.anonymized(), ttl)
             trace = propagate_vuip(dev, view, token, horizon)
@@ -451,6 +462,34 @@ def test_only_floods_that_can_request_start(monkeypatch):
         run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl,
                        origin_device=origin)
         assert started == expected
+
+
+def test_plan_shares_one_candidate_set_per_held_set_and_component_holders():
+    """The entries of a kind set's plan whose sources have the same held
+    set and the same holders in their origin components hold one candidate
+    set object, on the 30-user trace scenario over every kind set with POR
+    and both origin settings."""
+    scenario = trace_scenario()
+    g, profiles = scenario.siot, scenario.profiles
+    users, holders = sorted(g.owner_devices), scenario.holders(4)
+    repeats = 0
+    for kinds in kind_subsets():
+        if RelationshipKind.POR not in kinds:
+            continue
+        view = g.select_kinds(kinds)
+        for origin in ("mobile", "both"):
+            memo: protocol.RoundMemo = {}
+            run_cior_round(users, g, kinds, profiles, decisions(), 4,
+                           origin_device=origin, memo=memo)
+            by_key: dict = {}
+            for user, origins, _, candidates in memo[view.kinds]:
+                reach = frozenset().union(*(view.component(dev).owners & holders
+                                            for dev in origins))
+                by_key.setdefault((profiles[user].held, reach), []).append(candidates)
+            for sets in by_key.values():
+                assert all(candidates is sets[0] for candidates in sets)
+                repeats += len(sets) - 1
+    assert repeats > 100, repeats
 
 
 def test_flood_equals_the_relay_table_oracle_item_for_item():

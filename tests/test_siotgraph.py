@@ -4,13 +4,15 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
 
-from conftest import (checkin, corpus_of, fixed, make_devices, mobile, scatter_points,
-                      traced_peak)
+from conftest import (checkin, clique_device_graph, corpus_of, fixed, make_devices,
+                      mobile, scatter_points, traced_peak)
 from oracles import (oracle_clor, oracle_components, oracle_device_view,
                      oracle_por_count)
+from siotsim import siotgraph
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
 from siotsim.siotgraph import (BASE_KINDS, FIXED, MOBILE, Device,
                                RelationshipKind, SIoTGraph, build_siot_graph,
@@ -342,6 +344,34 @@ def test_build_siot_graph_holds_no_list_of_read_colocations(tmp_path):
     assert large.edges() == small.edges()
     assert large.kind_counts()[RelationshipKind.SOR] == 1
     assert large_peak < small_peak + 64 * 1024, (small_peak, large_peak)
+
+
+def test_build_siot_graph_holds_each_por_pair_once(monkeypatch):
+    """After the build, each entry of the list `establish_por` returned is
+    released or is the graph's own key object: no POR pair is held as a
+    second tuple beside its key."""
+    returned = []
+
+    def keeping_por(devices):
+        returned.append(establish_por(devices))
+        return returned[-1]
+
+    monkeypatch.setattr(siotgraph, "establish_por", keeping_por)
+    graph = build_siot_graph(make_devices([f"u{i:02d}" for i in range(40)]), [])
+    keys = {id(pair) for pair in graph._edges}
+    assert len(returned[0]) == 80 * 79 // 2 == graph.kind_counts()[RelationshipKind.POR]
+    assert all(pair is None or id(pair) in keys for pair in returned[0])
+
+
+def test_owner_contacts_peak_is_a_small_multiple_of_its_result():
+    """Building the owner contacts of a POR view holds no hash set per
+    owner: its traced peak stays below 4 times the size of the result."""
+    view = clique_device_graph(random.Random(7), 150, models=5).select_kinds(
+        {RelationshipKind.POR})
+    contacts, peak = traced_peak(view.owner_contacts)
+    size = sys.getsizeof(contacts) + sum(map(sys.getsizeof, contacts.values()))
+    assert len(contacts) == 150
+    assert peak < 4 * size, (peak, size)
 
 
 @pytest.mark.parametrize("rows, line", [
