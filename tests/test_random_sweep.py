@@ -7,7 +7,9 @@ than distinct cross pairs must be rejected with a `ValueError` naming the
 kind, and is then skipped, as is a scenario without a holder of the
 interest; any other rejection fails the sweep. A few more seeds each draw a
 config over a 30-user scenario of the bench's trace generator, whose
-device layer holds the POR cliques of ten device models.
+device layer holds the POR cliques of ten device models. Every C-IOR round
+the campaigns run must also return the partner map of `oracle_cior_pairs`,
+since a wrong round often changes no reach.
 
 `SIOTSIM_SWEEP_SEEDS=N` widens the list to seeds 0..N-1 for a soak run."""
 
@@ -20,7 +22,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_nonincreasing, result_csv_text, trace_scenario
-from oracles import oracle_campaign
+from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
+from siotsim import experiment
 from siotsim.experiment import (MODE_ENHANCED, MODE_FRIENDSHIPS,
                                 ExperimentConfig, run_campaign)
 from siotsim.scenario import Scenario
@@ -107,9 +110,32 @@ def draw_config(rnd: random.Random) -> ExperimentConfig:
         sources=rnd.choice(["all", "1", "3"]), **swept)
 
 
-def test_random_campaigns_equal_the_campaign_oracle():
+@pytest.fixture
+def checked_rounds(monkeypatch) -> dict:
+    """Checks every round `run_campaign` runs against `oracle_cior_pairs`.
+    The test sets `seed` before each campaign, for the failure message;
+    `rounds` and `linked` count the rounds checked and those with a pair."""
+    state = {"seed": None, "rounds": 0, "linked": 0}
+    run_round = experiment.run_cior_round
+
+    def checked_round(sources, graph, kinds, profiles, decisions, interest, **options):
+        out = run_round(sources, graph, kinds, profiles, decisions, interest, **options)
+        options.pop("memo")
+        expected = oracle_cior_pairs(sources, graph, kinds, profiles, decisions,
+                                     interest, **options)
+        assert out == partner_sets(expected), f"seed {state['seed']}: {kinds} {options}"
+        state["rounds"] += 1
+        state["linked"] += bool(expected)
+        return out
+
+    monkeypatch.setattr(experiment, "run_cior_round", checked_round)
+    return state
+
+
+def test_random_campaigns_equal_the_campaign_oracle(checked_rounds):
     ran = 0
     for seed in SEEDS:
+        checked_rounds["seed"] = seed
         rnd = random.Random(seed)
         fields = draw_spec_fields(rnd)
         excess = excess_cross_kind(fields)
@@ -127,10 +153,11 @@ def test_random_campaigns_equal_the_campaign_oracle():
             f"seed {seed}: {spec} {config}"
         ran += 1
     assert ran >= 0.7 * len(SEEDS)
+    assert checked_rounds["linked"] >= 0.5 * len(SEEDS), checked_rounds
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_random_campaigns_on_trace_scenarios_equal_the_campaign_oracle(seed):
+def test_random_campaigns_on_trace_scenarios_equal_the_campaign_oracle(seed, checked_rounds):
     """The trace scenario of generator seed `seed` under a drawn config,
     with POR among the base kinds and `cior` on at odd seeds only. Every
     drawn mode list holds enhanced mode."""
@@ -140,6 +167,8 @@ def test_random_campaigns_on_trace_scenarios_equal_the_campaign_oracle(seed):
     config = replace(config, kinds=config.kinds | {RelationshipKind.POR},
                      cior=seed % 2 == 1)
     assert MODE_ENHANCED in config.modes and scenario.holders(config.interest)
+    checked_rounds["seed"] = seed
     expected = oracle_campaign(scenario, config)
     assert result_csv_text(run_campaign(scenario, config)) == expected, \
         f"seed {seed}: {config}"
+    assert (checked_rounds["rounds"] > 0) == config.cior
