@@ -166,7 +166,7 @@ def _plan(sources: Iterable[str], graph: SIoTGraph, view: SIoTView,
     A source's candidates are its held set's gate (`candidate_owners`)
     among the holders of its flooding devices' components, one set per
     (held set, holders) and shared. Neither narrowing changes a pair: a
-    flood never leaves its component, and only holders of it request."""
+    flood never leaves its component, and only the interest's holders request."""
     component_holders: dict[frozenset[str], frozenset[str]] = {}
     gates: dict[frozenset[int], frozenset[str]] = {}
     shared: dict[tuple[frozenset[int], frozenset[str]], frozenset[str]] = {}
