@@ -17,7 +17,6 @@ are a round's output but an input of reach, and every round still runs."""
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, KeysView, Mapping, Sequence
@@ -31,6 +30,7 @@ from .protocol import (DEFAULT_TTL, ORIGIN_BOTH, ORIGIN_MOBILE, RoundMemo,
                        run_cior_round)
 from .scenario import Scenario
 from .siotgraph import BASE_KINDS, RelationshipKind, parse_kind
+from .trace import read_csv_rows, write_csv_rows
 
 MODE_FRIENDSHIPS = "friendships"
 MODE_ENHANCED = "enhanced"
@@ -432,18 +432,14 @@ RESULT_HEADER = ["campaign", "interest", "mode", "kinds", "sweep_var",
 def write_result_csv(runs: Iterable[SourceRun], path: str | Path) -> None:
     """Write one row per run, each row built as it is written, so that no
     copy of the whole file is held."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RESULT_HEADER)
+    def rows() -> Iterable[list[str]]:
         for run in runs:
             mean_hops = run.mean_hops
-            w.writerow([
-                run.campaign, str(run.interest), run.mode, run.kinds,
-                run.sweep_var, run.sweep_value, str(run.replicate), run.source,
-                str(len(run.hops)), str(run.denominator),
-                f"{run.irn_pct:.6g}",
-                "" if mean_hops is None else f"{mean_hops:.6g}",
-            ])
+            yield [run.campaign, str(run.interest), run.mode, run.kinds,
+                   run.sweep_var, run.sweep_value, str(run.replicate), run.source,
+                   str(len(run.hops)), str(run.denominator), f"{run.irn_pct:.6g}",
+                   "" if mean_hops is None else f"{mean_hops:.6g}"]
+    write_csv_rows(path, RESULT_HEADER, rows())
 
 
 @dataclass(frozen=True)
@@ -468,22 +464,13 @@ class ResultRow:
         return irn_percentage(self.reached_count, self.denominator)
 
 
+def _parse_result(row: list[str]) -> ResultRow:
+    (campaign, interest, mode, kinds, sweep_var, sweep_value,
+     replicate, source, reached, denominator, _, mean_hops) = row
+    return ResultRow(campaign, int(interest), mode, kinds, sweep_var, sweep_value,
+                     int(replicate), source, int(reached), int(denominator),
+                     float(mean_hops) if mean_hops else None)
+
+
 def read_result_csv(path: str | Path) -> list[ResultRow]:
-    rows: list[ResultRow] = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULT_HEADER:
-            raise ValueError(f"{path}: unexpected result header {header}")
-        for rec in reader:
-            try:
-                (campaign, interest, mode, kinds, sweep_var, sweep_value,
-                 replicate, source, reached, denominator, _, mean_hops) = rec
-                rows.append(ResultRow(
-                    campaign, int(interest), mode, kinds, sweep_var, sweep_value,
-                    int(replicate), source, int(reached), int(denominator),
-                    float(mean_hops) if mean_hops else None))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad result row "
-                                 f"{rec!r} ({exc})") from exc
-    return rows
+    return list(read_csv_rows(path, RESULT_HEADER, "result", _parse_result))

@@ -3,7 +3,6 @@ interest profiles derived from meeting events."""
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .geo import CellIndex, GeoPoint, haversine_m
-from .trace import CoLocation
+from .trace import CoLocation, read_csv_rows, write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -127,23 +126,16 @@ class PoiCatalog:
         return self.pois[best[1]], best[0]
 
 
+def _parse_poi(row: list[str]) -> PoI:
+    poi_id, lat, lon, keyword = row
+    return PoI(poi_id, GeoPoint(float(lat), float(lon)), keyword)
+
+
 def load_poi_catalog(path: str | Path) -> PoiCatalog:
     """Load a PoI catalog from CSV `poi_id,lat,lon,keyword`. A malformed
     row or invalid coordinates are an error naming the file and line."""
-    pois: list[PoI] = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["poi_id", "lat", "lon", "keyword"]:
-            raise ValueError(f"{path}: unexpected PoI header {header}")
-        for row in reader:
-            try:
-                poi_id, lat, lon, keyword = row
-                pois.append(PoI(poi_id, GeoPoint(float(lat), float(lon)), keyword))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad PoI row "
-                                 f"{row!r} ({exc})") from exc
-    return PoiCatalog(pois)
+    return PoiCatalog(read_csv_rows(path, ["poi_id", "lat", "lon", "keyword"], "PoI",
+                                    _parse_poi))
 
 
 def load_macro_categories(path: str | Path) -> dict[int, MacroCategory]:
@@ -152,23 +144,18 @@ def load_macro_categories(path: str | Path) -> dict[int, MacroCategory]:
     is an error naming the file and line."""
     names: dict[int, str] = {}
     keywords: dict[int, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["macro_id", "name", "keyword"]:
-            raise ValueError(f"{path}: unexpected macro-category header {header}")
-        for row in reader:
-            try:
-                mid, name, keyword = row
-                macro_id = int(mid)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad macro-category row "
-                                 f"{row!r} ({exc})") from exc
-            if macro_id in names and names[macro_id] != name:
-                raise ValueError(f"{path}:{reader.line_num}: macro id {macro_id} "
-                                 "defined twice with different names")
-            names[macro_id] = name
-            keywords.setdefault(macro_id, set()).add(keyword)
+
+    def parse(row: list[str]) -> tuple[int, str, str]:
+        mid, name, keyword = row
+        macro_id = int(mid)
+        if macro_id in names and names[macro_id] != name:
+            raise ValueError(f"macro id {macro_id} defined twice with different names")
+        return macro_id, name, keyword
+
+    for macro_id, name, keyword in read_csv_rows(path, ["macro_id", "name", "keyword"],
+                                                 "macro-category", parse):
+        names[macro_id] = name
+        keywords.setdefault(macro_id, set()).add(keyword)
     return {mid: MacroCategory(mid, names[mid], frozenset(kws))
             for mid, kws in keywords.items()}
 
@@ -256,14 +243,10 @@ PROFILE_HEADER = ["owner", "macro_id", "count", "held"]
 
 def write_profiles_csv(profiles: Mapping[str, InterestDescriptor],
                        path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PROFILE_HEADER)
-        for owner in sorted(profiles):
-            d = profiles[owner]
-            for mid in sorted(set(d.weights) | d.held):
-                w.writerow([owner, mid, d.weights.get(mid, 0),
-                            1 if mid in d.held else 0])
+    write_csv_rows(path, PROFILE_HEADER, (
+        [owner, mid, d.weights.get(mid, 0), 1 if mid in d.held else 0]
+        for owner, d in sorted(profiles.items())
+        for mid in sorted(set(d.weights) | d.held)))
 
 
 def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
@@ -275,35 +258,31 @@ def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
     weights: dict[str, dict[int, int]] = {}
     held: dict[str, set[int]] = {}
     lowest_held, highest_unheld = math.inf, 0
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PROFILE_HEADER:
-            raise ValueError(f"{path}: unexpected profile header {header}")
-        for row in reader:
-            try:
-                owner, mid, count, held_flag = row
-                macro_id, weight = int(mid), int(count)
-                if weight < 0:
-                    raise ValueError("negative count")
-                if held_flag not in ("0", "1"):
-                    raise ValueError("held flag must be 0 or 1")
-                if macro_id in weights.get(owner, ()):
-                    raise ValueError(f"second row for macro_id {macro_id}")
-                if held_flag == "1" and weight <= highest_unheld:
-                    raise ValueError(f"held at count {weight}: no interest threshold >= 1 "
-                                     f"holds it and leaves a count of {highest_unheld} unheld")
-                if held_flag == "0" and weight >= lowest_held:
-                    raise ValueError(f"not held at count {weight}: no interest threshold "
-                                     f"holds a count of {lowest_held} and leaves it unheld")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad profile row "
-                                 f"{row!r} ({exc})") from exc
-            weights.setdefault(owner, {})[macro_id] = weight
-            if held_flag == "1":
-                held.setdefault(owner, set()).add(macro_id)
-                lowest_held = min(lowest_held, weight)
-            else:
-                highest_unheld = max(highest_unheld, weight)
+
+    def parse(row: list[str]) -> tuple[str, int, int, bool]:
+        owner, mid, count, held_flag = row
+        macro_id, weight = int(mid), int(count)
+        if weight < 0:
+            raise ValueError("negative count")
+        if held_flag not in ("0", "1"):
+            raise ValueError("held flag must be 0 or 1")
+        if macro_id in weights.get(owner, ()):
+            raise ValueError(f"second row for macro_id {macro_id}")
+        if held_flag == "1" and weight <= highest_unheld:
+            raise ValueError(f"held at count {weight}: no interest threshold >= 1 "
+                             f"holds it and leaves a count of {highest_unheld} unheld")
+        if held_flag == "0" and weight >= lowest_held:
+            raise ValueError(f"not held at count {weight}: no interest threshold "
+                             f"holds a count of {lowest_held} and leaves it unheld")
+        return owner, macro_id, weight, held_flag == "1"
+
+    for owner, macro_id, weight, is_held in read_csv_rows(path, PROFILE_HEADER, "profile",
+                                                          parse):
+        weights.setdefault(owner, {})[macro_id] = weight
+        if is_held:
+            held.setdefault(owner, set()).add(macro_id)
+            lowest_held = min(lowest_held, weight)
+        else:
+            highest_unheld = max(highest_unheld, weight)
     return {owner: InterestDescriptor(owner, w, frozenset(held.get(owner, ())))
             for owner, w in weights.items()}

@@ -3,8 +3,6 @@ deterministic CSV / plot-data exports."""
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -13,6 +11,8 @@ from itertools import accumulate
 from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .trace import write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -186,19 +186,10 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def series_csv_text(series: Sequence[MetricSeries]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["label", "x", "y", "ci_halfwidth"])
-    for s in series:
-        for x, y, ci in zip(s.x, s.y, s.ci_halfwidth):
-            w.writerow([s.label, _fmt(x), _fmt(y), "" if ci is None else _fmt(ci)])
-    return buf.getvalue()
-
-
 def emit_csv(series: Sequence[MetricSeries], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(series_csv_text(series))
+    write_csv_rows(path, ["label", "x", "y", "ci_halfwidth"], (
+        [s.label, _fmt(x), _fmt(y), "" if ci is None else _fmt(ci)]
+        for s in series for x, y, ci in zip(s.x, s.y, s.ci_halfwidth)))
 
 
 def plot_data_text(series: Sequence[MetricSeries]) -> str:

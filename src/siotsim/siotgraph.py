@@ -6,7 +6,6 @@ are never stored here; a round returns them as each owner's partners.
 from __future__ import annotations
 
 import collections
-import csv
 import enum
 import itertools
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import rng
 from .geo import CellIndex, GeoPoint, haversine_m
-from .trace import CoLocation
+from .trace import CoLocation, read_csv_rows, write_csv_rows
 
 MOBILE = "mobile"
 FIXED = "fixed"
@@ -101,23 +100,18 @@ def load_model_catalog(path: str | Path) -> list[tuple[str, float]]:
     a probability outside [0, 1] (NaN included) or a second row for a model
     id is an error naming the file and line."""
     catalog: list[tuple[str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model_id", "probability"]:
-            raise ValueError(f"{path}: unexpected model catalog header {header}")
-        for row in reader:
-            try:
-                model_id, prob = row
-                p = float(prob)
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError("probability outside [0, 1]")
-                if any(model_id == seen for seen, _ in catalog):
-                    raise ValueError(f"second row for model {model_id!r}")
-                catalog.append((model_id, p))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad model catalog row "
-                                 f"{row!r} ({exc})") from exc
+
+    def parse(row: list[str]) -> tuple[str, float]:
+        model_id, prob = row
+        p = float(prob)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("probability outside [0, 1]")
+        if any(model_id == seen for seen, _ in catalog):
+            raise ValueError(f"second row for model {model_id!r}")
+        return model_id, p
+
+    for entry in read_csv_rows(path, ["model_id", "probability"], "model catalog", parse):
+        catalog.append(entry)
     return catalog
 
 
@@ -397,35 +391,26 @@ DEVICE_HEADER = ["device_id", "owner", "kind", "model", "lat", "lon"]
 
 
 def write_devices_csv(devices: Mapping[str, Device], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(DEVICE_HEADER)
-        for did in sorted(devices):
-            d = devices[did]
-            lat = repr(d.location.lat) if d.location else ""
-            lon = repr(d.location.lon) if d.location else ""
-            w.writerow([d.device_id, d.owner, d.kind, d.model, lat, lon])
+    write_csv_rows(path, DEVICE_HEADER, (
+        [d.device_id, d.owner, d.kind, d.model,
+         *((repr(d.location.lat), repr(d.location.lon)) if d.location else ("", ""))]
+        for d in (devices[did] for did in sorted(devices))))
 
 
 def read_devices_csv(path: str | Path) -> dict[str, Device]:
     """Load a `write_devices_csv` file. A malformed row or a second row for
     a device id is an error naming the file and line."""
     devices: dict[str, Device] = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DEVICE_HEADER:
-            raise ValueError(f"{path}: unexpected device header {header}")
-        for row in reader:
-            try:
-                did, owner, kind, model, lat, lon = row
-                if did in devices:
-                    raise ValueError(f"second row for device {did!r}")
-                loc = GeoPoint(float(lat), float(lon)) if lat else None
-                devices[did] = Device(did, owner, kind, model, loc)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad device row "
-                                 f"{row!r} ({exc})") from exc
+
+    def parse(row: list[str]) -> Device:
+        did, owner, kind, model, lat, lon = row
+        if did in devices:
+            raise ValueError(f"second row for device {did!r}")
+        loc = GeoPoint(float(lat), float(lon)) if lat else None
+        return Device(did, owner, kind, model, loc)
+
+    for device in read_csv_rows(path, DEVICE_HEADER, "device", parse):
+        devices[device.device_id] = device
     return devices
 
 

@@ -9,11 +9,13 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .geo import CellIndex, GeoPoint, haversine_m, midpoint
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 DEFAULT_COLOCATION_RADIUS_M = 250.0
 DEFAULT_COLOCATION_WINDOW_S = 1800.0
@@ -84,16 +86,14 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
-def parse_checkins(path: str | Path, fmt: str = "brightkite") -> TraceCorpus:
-    """Parse a check-in file into a corpus.
+def parse_checkins(path: str | Path) -> TraceCorpus:
+    """Parse a brightkite check-in file into a corpus.
 
-    The brightkite format is UTF-8, tab-separated, one record per line:
+    The file is UTF-8, tab-separated, one record per line:
     ``user_id <TAB> ISO-8601 timestamp <TAB> lat <TAB> lon <TAB> place_id``.
     Malformed lines are skipped and counted; more than 50% malformed lines
     is treated as a corrupt file.
     """
-    if fmt != "brightkite":
-        raise ValueError(f"unknown trace format: {fmt!r}")
     checkins: list[CheckIn] = []
     ids: dict[str, str] = {}  # one string object per distinct id
     malformed = 0
@@ -268,44 +268,61 @@ def compute_home_points(corpus: TraceCorpus,
 
 # --- intermediate artifact files -------------------------------------------
 
+def read_csv_rows(path: str | Path, header: list[str], what: str,
+                  parse: Callable[[list[str]], T]) -> Iterator[T]:
+    """Check the header of a headed CSV file now, and yield `parse(row)` for
+    each later row as the result is iterated, so that no list of rows is
+    held. A header other than `header` is an error naming the file, and a
+    row for which `parse` raises `ValueError` one naming the file and line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        found = next(csv.reader(fh), None)
+    if found != header:
+        raise ValueError(f"{path}: unexpected {what} header {found}")
+
+    def rows() -> Iterator[T]:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for row in reader:
+                try:
+                    item = parse(row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: bad {what} row "
+                                     f"{row!r} ({exc})") from exc
+                yield item
+    return rows()
+
+
+def write_csv_rows(path: str | Path, header: list[str],
+                   rows: Iterable[Sequence[object]]) -> None:
+    """Write `header` and then `rows`, drawn one at a time, as a UTF-8 CSV
+    file with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 COLOCATION_HEADER = ["user_a", "user_b", "time_s", "lat", "lon", "distance_m", "dt_s"]
 
 
 def write_colocations_csv(colocs: Sequence[CoLocation], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(COLOCATION_HEADER)
-        for c in colocs:
-            w.writerow([c.user_a, c.user_b, repr(c.time), repr(c.location.lat),
-                        repr(c.location.lon), repr(c.distance_m), repr(c.dt_s)])
+    write_csv_rows(path, COLOCATION_HEADER, (
+        [c.user_a, c.user_b, repr(c.time), repr(c.location.lat), repr(c.location.lon),
+         repr(c.distance_m), repr(c.dt_s)] for c in colocs))
+
+
+def _parse_colocation(row: list[str]) -> CoLocation:
+    user_a, user_b, time_s, lat, lon, distance_m, dt_s = row
+    return CoLocation(user_a, user_b, float(time_s), GeoPoint(float(lat), float(lon)),
+                      float(distance_m), float(dt_s))
 
 
 def read_colocations_csv(path: str | Path) -> Iterator[CoLocation]:
-    """Check the header of a `write_colocations_csv` file now, and yield its
-    records one at a time as the result is iterated, so that no list of
-    them is held. A bad header is an error naming the file, and a malformed
-    row one naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header != COLOCATION_HEADER:
-        raise ValueError(f"{path}: unexpected co-location header {header}")
-    return _colocation_rows(path)
-
-
-def _colocation_rows(path: str | Path) -> Iterator[CoLocation]:
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            try:
-                user_a, user_b, time_s, lat, lon, distance_m, dt_s = row
-                colocation = CoLocation(user_a, user_b, float(time_s),
-                                        GeoPoint(float(lat), float(lon)),
-                                        float(distance_m), float(dt_s))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad co-location row "
-                                 f"{row!r} ({exc})") from exc
-            yield colocation
+    """The records of a `write_colocations_csv` file, read by
+    `read_csv_rows`: one at a time, so that no list of them is held."""
+    return read_csv_rows(path, COLOCATION_HEADER, "co-location", _parse_colocation)
 
 
 def write_checkins_tsv(corpus: TraceCorpus, path: str | Path) -> None:
@@ -324,7 +341,8 @@ def write_friendships_tsv(pairs: Iterable[tuple[str, str]], path: str | Path) ->
 
 def read_friendships_tsv(path: str | Path) -> set[tuple[str, str]]:
     """Load a `write_friendships_tsv` file. A line without exactly two
-    tab-separated fields is an error naming the file and line."""
+    tab-separated fields, a self-loop, or a second line for a pair (in
+    either order) is an error naming the file and line."""
     pairs: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -333,11 +351,17 @@ def read_friendships_tsv(path: str | Path) -> set[tuple[str, str]]:
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: bad friendship row {line!r} "
-                                 f"(expected 2 tab-separated fields, got {len(fields)})")
-            a, b = fields
-            if a != b:
-                pairs.add((a, b) if a < b else (b, a))
+                problem = f"expected 2 tab-separated fields, got {len(fields)}"
+            elif fields[0] == fields[1]:
+                problem = "self-loop"
+            else:
+                a, b = fields
+                pair = (a, b) if a < b else (b, a)
+                if pair not in pairs:
+                    pairs.add(pair)
+                    continue
+                problem = "second line for this pair"
+            raise ValueError(f"{path}:{lineno}: bad friendship row {line!r} ({problem})")
     return pairs
 
 
@@ -345,30 +369,21 @@ HOME_POINT_HEADER = ["user_id", "lat", "lon"]
 
 
 def write_home_points_csv(homes: dict[str, GeoPoint], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(HOME_POINT_HEADER)
-        for user in sorted(homes):
-            p = homes[user]
-            w.writerow([user, repr(p.lat), repr(p.lon)])
+    write_csv_rows(path, HOME_POINT_HEADER, (
+        [user, repr(homes[user].lat), repr(homes[user].lon)] for user in sorted(homes)))
 
 
 def read_home_points_csv(path: str | Path) -> dict[str, GeoPoint]:
     """Load a `write_home_points_csv` file. A malformed row or a second row
     for a user is an error naming the file and line."""
     homes: dict[str, GeoPoint] = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != HOME_POINT_HEADER:
-            raise ValueError(f"{path}: unexpected home-point header {header}")
-        for row in reader:
-            try:
-                user, lat, lon = row
-                if user in homes:
-                    raise ValueError(f"second row for user {user!r}")
-                homes[user] = GeoPoint(float(lat), float(lon))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad home-point row "
-                                 f"{row!r} ({exc})") from exc
+
+    def parse(row: list[str]) -> tuple[str, GeoPoint]:
+        user, lat, lon = row
+        if user in homes:
+            raise ValueError(f"second row for user {user!r}")
+        return user, GeoPoint(float(lat), float(lon))
+
+    for user, home in read_csv_rows(path, HOME_POINT_HEADER, "home-point", parse):
+        homes[user] = home
     return homes

@@ -302,6 +302,9 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
 
 @pytest.mark.parametrize("name, bad_row", [
     ("friendships.tsv", "c00n000\tc00n001\tc00n002"),
+    ("friendships.tsv", "c00n002\tc00n002"),
+    ("friendships.tsv", "c00n000\tc00n001"),
+    ("friendships.tsv", "c00n001\tc00n000"),
     ("devices.csv", "c00n000:extra,c00n000"),
     ("devices.csv", "c00n000:extra,c00n000,fixed,m0,north,0.0"),
     ("devices.csv", "c00n000:spare,c00n000,mobile,m0,,\nc00n000:spare,c00n000,mobile,m0,,"),
@@ -312,12 +315,14 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("profiles.csv", "c00n000,7,-1,1"),
     ("profiles.csv", "c00n000,9,2,1\nc00n000,9,5,0"),
     ("profiles.csv", "c00n000,9,0,1"),
-], ids=["three-field-friendship", "short-device", "non-number-device",
+], ids=["three-field-friendship", "self-loop-friendship", "repeated-friendship",
+        "reversed-repeated-friendship", "short-device", "non-number-device",
         "repeated-device", "short-profile", "non-integer-macro-id", "non-integer-count",
         "held-flag-2", "negative-count", "duplicate-macro-id", "held-at-count-0"])
 def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
                                                            name, bad_row):
-    # `bad_row` goes in after the header; its last line is the bad one
+    # `bad_row` goes in after the first line (a CSV file's header); its last
+    # line is the bad one, and a repeated friendship repeats the first line
     scn = tmp_path / "scn"
     assert run_cli(["synth", "--communities", 2, "--nodes", 3, "--seed", 1,
                     "--out", scn]) == 0
@@ -551,18 +556,24 @@ def test_run_with_missing_scenario_is_usage_error(tmp_path, capsys):
 
 
 def test_header_validation_of_csv_inputs(tmp_path):
-    import pytest
+    """Each headed CSV reader rejects a wrong header and an empty file when
+    it is called, before any row is read, naming the file."""
     from siotsim.experiment import read_result_csv
-    from siotsim.interests import load_macro_categories, load_poi_catalog
-    from siotsim.siotgraph import load_model_catalog
+    from siotsim.interests import load_macro_categories, load_poi_catalog, read_profiles_csv
+    from siotsim.siotgraph import load_model_catalog, read_devices_csv
     from siotsim.trace import read_colocations_csv, read_home_points_csv
 
+    readers = [(load_poi_catalog, "PoI"), (load_macro_categories, "macro-category"),
+               (load_model_catalog, "model catalog"), (read_colocations_csv, "co-location"),
+               (read_home_points_csv, "home-point"), (read_result_csv, "result"),
+               (read_devices_csv, "device"), (read_profiles_csv, "profile")]
     bad = tmp_path / "bad.csv"
-    bad.write_text("wrong,header\n", encoding="utf-8")
-    for loader in (load_poi_catalog, load_macro_categories, load_model_catalog,
-                   read_colocations_csv, read_home_points_csv, read_result_csv):
-        with pytest.raises(ValueError):
-            loader(bad)
+    for text, found in (("wrong,header\nx,y\n", ["wrong", "header"]), ("", None)):
+        bad.write_text(text, encoding="utf-8")
+        for reader, what in readers:
+            with pytest.raises(ValueError) as info:
+                reader(bad)
+            assert str(info.value) == f"{bad}: unexpected {what} header {found}"
 
 
 def test_every_subcommand_has_help(capsys):

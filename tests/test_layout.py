@@ -1,8 +1,8 @@
 """Source layout checks: every module-level function and class in
 `src/siotsim`, and every method, is used by the program itself (or, for a
-method, wrapped by the bench tracer), not only by its tests, no pipeline
-stage imports numpy, every name the bench tracer wraps exists, and the
-tracer's counts work on a real pipeline."""
+method, wrapped by the bench tracer), not only by its tests, only `trace`
+reads and writes CSV, no pipeline stage imports numpy, every name the bench
+tracer wraps exists, and the tracer's counts work on a real pipeline."""
 
 from __future__ import annotations
 
@@ -82,6 +82,30 @@ def unused_definitions() -> list[str]:
 
 def test_every_module_level_definition_is_used_by_the_package():
     assert unused_definitions() == []
+
+
+def _csv_reader_and_writer_uses(path: Path) -> list[int]:
+    """Lines of `path` that refer to `csv.reader` or `csv.writer`, as an
+    attribute of `csv` or imported from it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [node.attr] if node.value.id == "csv" else []
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if {"reader", "writer"} & set(names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_trace_reads_and_writes_csv():
+    """`trace.read_csv_rows` and `trace.write_csv_rows` hold the on-disk CSV
+    format, so no other module forks it with a reader or writer of its own."""
+    uses = {path.stem: _csv_reader_and_writer_uses(path) for path in SRC.glob("*.py")}
+    assert uses.pop("trace")
+    assert {module: lines for module, lines in uses.items() if lines} == {}
 
 
 # Runs every CLI stage in one fresh interpreter, then names the heavy

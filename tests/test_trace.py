@@ -69,13 +69,6 @@ def test_parse_unreadable_file_is_fatal(tmp_path):
         parse_checkins(tmp_path / "missing.tsv")
 
 
-def test_parse_unknown_format_rejected(tmp_path):
-    path = tmp_path / "one.tsv"
-    path.write_text(GOOD_LINE, encoding="utf-8")
-    with pytest.raises(ValueError):
-        parse_checkins(path, fmt="gowalla")
-
-
 def test_checkins_sorted_by_user_then_time(tmp_path):
     lines = [
         "b\t2010-01-02T00:00:00Z\t1\t1\tp1",
