@@ -83,7 +83,6 @@ def cmd_ingest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                                                  args.poi_radius)
     profiles = im.build_profiles(assignments, colocs, args.interest_threshold)
 
-    trace.write_checkins_tsv(corpus, out / "checkins.tsv")
     trace.write_friendships_tsv(corpus.friendships, out / scenario.FRIENDSHIPS_FILE)
     trace.write_colocations_csv(colocs, out / "colocations.csv")
     trace.write_home_points_csv(homes, out / "home_points.csv")

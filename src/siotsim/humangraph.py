@@ -18,60 +18,55 @@ from . import rng
 DEFAULT_MAX_HOPS = 4
 
 
+def sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Undirected adjacency of the pairs, each neighbour listed once, in
+    sorted order. Lists gather the neighbours; a node's are deduplicated
+    only as its tuple is built, so no hash set per node is held."""
+    adj: dict[str, list[str]] = {}
+    for a, b in pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return {u: tuple(sorted(set(vs))) for u, vs in adj.items()}
+
+
+def component_members(adjacency: Mapping[str, Iterable[str]], start: str) -> set[str]:
+    """The nodes connected to `start` in `adjacency`, `start` included,
+    found by one walk."""
+    members = {start}
+    stack = [start]
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
+            if neighbor not in members:
+                members.add(neighbor)
+                stack.append(neighbor)
+    return members
+
+
 class FriendshipGraph:
-    """Undirected friendship graph without self-loops.
+    """Undirected friendship graph without self-loops, built once from its
+    users and friend pairs and never changed.
 
-    The sorted adjacency is built on first use and shared by every caller;
-    it must not be mutated. Adding a node or an edge drops it."""
+    `adjacency` maps every node, the pairs' endpoints included, to its
+    sorted neighbour tuple, `()` for a node without a friend. It is shared
+    by every caller and must not be mutated."""
 
-    def __init__(self) -> None:
-        self._adj: dict[str, set[str]] = {}
-        self._sorted: dict[str, tuple[str, ...]] | None = None
-
-    @staticmethod
-    def from_pairs(users: Iterable[str] = (),
-                   pairs: Iterable[tuple[str, str]] = ()) -> "FriendshipGraph":
-        g = FriendshipGraph()
-        for u in users:
-            g.add_node(u)
+    def __init__(self, users: Iterable[str], pairs: Iterable[tuple[str, str]]) -> None:
+        pairs = list(pairs)
         for a, b in pairs:
-            g.add_edge(a, b)
-        return g
-
-    def add_node(self, u: str) -> None:
-        self._adj.setdefault(u, set())
-        self._sorted = None
-
-    def add_edge(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValueError(f"self-loop on {a!r}")
-        self._adj.setdefault(a, set()).add(b)
-        self._adj.setdefault(b, set()).add(a)
-        self._sorted = None
-
-    def has_node(self, u: str) -> bool:
-        return u in self._adj
-
-    def sorted_adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        """Every node mapped to its sorted neighbour tuple."""
-        if self._sorted is None:
-            self._sorted = {u: tuple(sorted(vs)) for u, vs in self._adj.items()}
-        return self._sorted
+            if a == b:
+                raise ValueError(f"self-loop on {a!r}")
+        self.adjacency: dict[str, tuple[str, ...]] = dict.fromkeys(users, ())
+        self.adjacency.update(sorted_adjacency(pairs))
 
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self._adj)
+        return frozenset(self.adjacency)
 
     def edges(self) -> list[tuple[str, str]]:
-        out = []
-        for a, nbrs in self._adj.items():
-            for b in nbrs:
-                if a < b:
-                    out.append((a, b))
-        return sorted(out)
+        return sorted((a, b) for a, nbrs in self.adjacency.items() for b in nbrs if a < b)
 
     def degree(self, u: str) -> int:
-        return len(self._adj.get(u, ()))
+        return len(self.adjacency.get(u, ()))
 
 
 def _validate_probs(name: str, probs: tuple[float, ...]) -> None:
@@ -218,7 +213,7 @@ class ReachContext:
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
                   extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
                   passes: PassMemo | None = None) -> "ReachContext":
-        return ReachContext(graph.sorted_adjacency(), frozenset(holders),
+        return ReachContext(graph.adjacency, frozenset(holders),
                             auth.auth_horizons(), max_hops, extra_contacts,
                             {} if passes is None else passes)
 
@@ -344,38 +339,6 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
 
 # --- connected components ----------------------------------------------------
 
-class UnionFind:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, items: Iterable[str]):
-        self._parent: dict[str, str] = {x: x for x in items}
-        self._size: dict[str, int] = {x: 1 for x in self._parent}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-
-    def component_sizes(self) -> list[int]:
-        counts: dict[str, int] = {}
-        for x in self._parent:
-            r = self.find(x)
-            counts[r] = counts.get(r, 0) + 1
-        return sorted(counts.values(), reverse=True)
-
-
 def giant_component_pct(nodes: Iterable[str],
                         edges: Iterable[tuple[str, str]]) -> float:
     """Percentage of `nodes` inside the largest connected component of the
@@ -384,8 +347,12 @@ def giant_component_pct(nodes: Iterable[str],
     node_set = set(nodes)
     if not node_set:
         raise ValueError("giant_component_pct: empty node set")
-    uf = UnionFind(node_set)
-    for a, b in edges:
-        if a in node_set and b in node_set and a != b:
-            uf.union(a, b)
-    return 100.0 * uf.component_sizes()[0] / len(node_set)
+    adjacency = sorted_adjacency((a, b) for a, b in edges
+                                 if a in node_set and b in node_set)
+    largest, seen = 1, set()
+    for u in adjacency:
+        if u not in seen:
+            members = component_members(adjacency, u)
+            seen |= members
+            largest = max(largest, len(members))
+    return 100.0 * largest / len(node_set)

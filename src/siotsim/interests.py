@@ -69,8 +69,8 @@ class InterestDescriptor:
         return InterestDescriptor(owner, dict(counts), held)
 
     @staticmethod
-    def empty(owner: str | None = None) -> "InterestDescriptor":
-        return InterestDescriptor(owner, {}, frozenset())
+    def empty() -> "InterestDescriptor":
+        return InterestDescriptor(None, {}, frozenset())
 
     def anonymized(self) -> "InterestDescriptor":
         return InterestDescriptor(None, dict(self.weights), self.held)

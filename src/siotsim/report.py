@@ -33,6 +33,10 @@ class MetricSeries:
             raise ValueError("ci_halfwidth must be >= 0")
 
 
+IRN_SERIES_KEYS = ("mode", "kinds")
+HOP_SERIES_KEYS = ("mode", "kinds", "sweep_value")
+
+
 def _series_label(run, series_keys: Sequence[str]) -> str:
     parts = []
     for key in series_keys:
@@ -77,17 +81,15 @@ def _aggregate(values_by_replicate: dict[int, list[float]]) -> tuple[float, floa
     return y, Z_95 * std / math.sqrt(len(means))
 
 
-def mean_irn_pct(runs: Iterable, x_key: str = "sweep_value",
-                 series_keys: Sequence[str] = ("mode", "kinds"),
-                 ) -> list[MetricSeries]:
+def mean_irn_pct(runs: Iterable) -> list[MetricSeries]:
     """Mean percentage of interested nodes reached, grouped into one series
-    per `series_keys` with one point per `x_key` value, in the order the
+    per `IRN_SERIES_KEYS` with one point per sweep value, in the order the
     values first appear. Sources are averaged within each replicate before
     replicates are averaged."""
     table: dict[str, dict] = {}  # label -> x -> replicate -> irn values
     for run in runs:
-        series = table.setdefault(_series_label(run, series_keys), {})
-        by_rep = series.setdefault(getattr(run, x_key), {})
+        series = table.setdefault(_series_label(run, IRN_SERIES_KEYS), {})
+        by_rep = series.setdefault(run.sweep_value, {})
         by_rep.setdefault(run.replicate, []).append(run.irn_pct)
     out = []
     for label in sorted(table):
@@ -108,16 +110,15 @@ def _irn_pct_within(run, last_hop: int) -> list[float]:
     return [100.0 * within / run.denominator for within in accumulate(counts)][1:]
 
 
-def irn_by_hop(runs: Iterable,
-               series_keys: Sequence[str] = ("mode", "kinds", "sweep_value"),
-               ) -> list[MetricSeries]:
-    """Cumulative reach curves: one point per hop from 1 to the largest hop
-    any run reached (at least 1), counting only nodes first reached within
-    that many hops. Non-decreasing in the hop index by construction, and
-    the last point of each curve is its group's mean IRN percentage."""
+def irn_by_hop(runs: Iterable) -> list[MetricSeries]:
+    """Cumulative reach curves, one per `HOP_SERIES_KEYS`: one point per
+    hop from 1 to the largest hop any run reached (at least 1), counting
+    only nodes first reached within that many hops. Non-decreasing in the
+    hop index by construction, and the last point of each curve is its
+    group's mean IRN percentage."""
     groups: dict[str, list] = {}
     for run in runs:
-        groups.setdefault(_series_label(run, series_keys), []).append(run)
+        groups.setdefault(_series_label(run, HOP_SERIES_KEYS), []).append(run)
     last_hop = max((hop for group in groups.values() for run in group
                     for hop in run.hops.values()), default=1)
     out = []

@@ -37,7 +37,7 @@ class Scenario:
         if found is None:
             found = self._holders[interest] = frozenset(
                 u for u, d in self.profiles.items()
-                if interest in d.held and self.friendships.has_node(u))
+                if interest in d.held and u in self.friendships.adjacency)
         return found
 
     def isolated_users(self) -> frozenset[str]:
@@ -69,5 +69,5 @@ def read_scenario_dir(path: str | Path) -> Scenario:
     profiles = read_profiles_csv(base / PROFILES_FILE)
     pairs = read_friendships_tsv(base / FRIENDSHIPS_FILE)
     users = {d.owner for d in devices.values()} | {u for p in pairs for u in p}
-    friendships = FriendshipGraph.from_pairs(sorted(users), pairs)
+    friendships = FriendshipGraph(sorted(users), pairs)
     return Scenario(friendships, siot, profiles)

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import rng
 from .geo import CellIndex, GeoPoint, haversine_m
+from .humangraph import component_members, sorted_adjacency
 from .trace import CoLocation, read_csv_rows, write_csv_rows
 
 MOBILE = "mobile"
@@ -74,45 +75,31 @@ class Device:
             raise ValueError(f"fixed device {self.device_id} needs a location")
 
 
-@dataclass(frozen=True)
-class SIoTEdge:
-    device_a: str
-    device_b: str
-    kinds: frozenset[RelationshipKind]
-
-    def __post_init__(self) -> None:
-        if self.device_a >= self.device_b:
-            raise ValueError("edge endpoints must be in canonical order")
-        if not self.kinds:
-            raise ValueError("edge must carry at least one kind")
-
-
 def device_id(owner: str, kind: str) -> str:
     return f"{owner}:{kind}"
 
 
-def default_model_catalog(n: int = DEFAULT_MODEL_COUNT) -> list[tuple[str, float]]:
-    return [(f"model_{i:02d}", 1.0 / n) for i in range(n)]
+def default_model_catalog() -> list[tuple[str, float]]:
+    return [(f"model_{i:02d}", 1.0 / DEFAULT_MODEL_COUNT) for i in range(DEFAULT_MODEL_COUNT)]
 
 
 def load_model_catalog(path: str | Path) -> list[tuple[str, float]]:
     """Load a model catalog from CSV `model_id,probability`. A malformed row,
     a probability outside [0, 1] (NaN included) or a second row for a model
     id is an error naming the file and line."""
-    catalog: list[tuple[str, float]] = []
+    seen: set[str] = set()
 
     def parse(row: list[str]) -> tuple[str, float]:
         model_id, prob = row
         p = float(prob)
         if not 0.0 <= p <= 1.0:
             raise ValueError("probability outside [0, 1]")
-        if any(model_id == seen for seen, _ in catalog):
+        if model_id in seen:
             raise ValueError(f"second row for model {model_id!r}")
+        seen.add(model_id)
         return model_id, p
 
-    for entry in read_csv_rows(path, ["model_id", "probability"], "model catalog", parse):
-        catalog.append(entry)
-    return catalog
+    return list(read_csv_rows(path, ["model_id", "probability"], "model catalog", parse))
 
 
 def instantiate_devices(users: Iterable[str], home_points: Mapping[str, GeoPoint],
@@ -244,10 +231,6 @@ class SIoTGraph:
         for view in self._views.values():
             view._clear()
 
-    def edges(self) -> list[SIoTEdge]:
-        """A record per edge, in endpoint order, built on each call."""
-        return [SIoTEdge(a, b, kinds) for (a, b), kinds in sorted(self._edges.items())]
-
     def edge_count(self) -> int:
         """The number of device pairs with an edge."""
         return len(self._edges)
@@ -316,7 +299,7 @@ class SIoTView:
 
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         if self._neighbors is None:
-            self._neighbors = _sorted_adjacency(self._pairs())
+            self._neighbors = sorted_adjacency(self._pairs())
         return self._neighbors
 
     def component(self, device: str) -> Component | None:
@@ -328,14 +311,7 @@ class SIoTView:
             adjacency = self._adjacency()
             if device not in adjacency:
                 return None
-            members = {device}
-            stack = [device]
-            while stack:
-                for neighbor in adjacency[stack.pop()]:
-                    if neighbor not in members:
-                        members.add(neighbor)
-                        stack.append(neighbor)
-            ids = sorted(members)
+            ids = sorted(component_members(adjacency, device))
             bit_of = {d: i for i, d in enumerate(ids)}
             masks = [sum(1 << bit_of[n] for n in adjacency[d]) for d in ids]
             devices = self.graph.devices
@@ -348,20 +324,9 @@ class SIoTView:
         linked to any of that user's devices (self excluded)."""
         if self._contacts is None:
             owner = {d: dev.owner for d, dev in self.graph.devices.items()}
-            self._contacts = _sorted_adjacency(
+            self._contacts = sorted_adjacency(
                 (owner[a], owner[b]) for a, b in self._pairs() if owner[a] != owner[b])
         return self._contacts
-
-
-def _sorted_adjacency(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-    """Undirected adjacency of the pairs, each neighbour listed once, in
-    sorted order. Lists gather the neighbours; a node's are deduplicated
-    only as its tuple is built, so no hash set per node is held."""
-    adj: dict[str, list[str]] = {}
-    for a, b in pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return {u: tuple(sorted(set(vs))) for u, vs in adj.items()}
 
 
 def build_siot_graph(devices: Mapping[str, Device], colocations: Iterable[CoLocation],

@@ -67,14 +67,15 @@ def generate_scenario(spec: SyntheticScenarioSpec) -> Scenario:
              for ci in range(spec.communities)
              for ni in range(spec.nodes_per_community)]
 
-    friendships = FriendshipGraph.from_pairs(users)
+    pairs = []
     friend_stream = rng.stream(spec.seed, "friends")
     for ci in range(spec.communities):
         members = [u for u in users if community_of_user(u) == ci]
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 if friend_stream.random() < spec.intra_friend_prob:
-                    friendships.add_edge(members[i], members[j])
+                    pairs.append((members[i], members[j]))
+    friendships = FriendshipGraph(users, pairs)
 
     devices: dict[str, Device] = {}
     model_stream = rng.stream(spec.seed, "models")

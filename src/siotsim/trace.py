@@ -32,6 +32,10 @@ class CheckIn:
     place_id: str
 
     def __post_init__(self) -> None:
+        # the id becomes a field of comma-separated scenario lines, and
+        # `read_friendships_tsv` strips each line
+        if not self.user_id or "," in self.user_id or self.user_id != self.user_id.strip():
+            raise ValueError(f"bad user id: {self.user_id!r}")
         if self.timestamp < 0:
             raise ValueError(f"negative timestamp: {self.timestamp}")
         if not self.place_id:
@@ -63,17 +67,12 @@ class TraceCorpus:
     malformed_lines: int = 0
 
     @staticmethod
-    def build(checkins: Iterable[CheckIn],
-              friendships: Iterable[tuple[str, str]] = (),
-              malformed_lines: int = 0) -> "TraceCorpus":
+    def build(checkins: Iterable[CheckIn], malformed_lines: int = 0) -> "TraceCorpus":
+        """A corpus of the check-ins, sorted by user and time, without
+        friendships; `parse_friendships` attaches them."""
         ordered = tuple(sorted(checkins, key=lambda c: (c.user_id, c.timestamp)))
         users = frozenset(c.user_id for c in ordered)
-        pairs = set()
-        for a, b in friendships:
-            if a == b or a not in users or b not in users:
-                continue
-            pairs.add((a, b) if a < b else (b, a))
-        return TraceCorpus(ordered, users, frozenset(pairs), malformed_lines)
+        return TraceCorpus(ordered, users, frozenset(), malformed_lines)
 
 
 def _parse_timestamp(text: str) -> float:
@@ -91,8 +90,9 @@ def parse_checkins(path: str | Path) -> TraceCorpus:
 
     The file is UTF-8, tab-separated, one record per line:
     ``user_id <TAB> ISO-8601 timestamp <TAB> lat <TAB> lon <TAB> place_id``.
-    Malformed lines are skipped and counted; more than 50% malformed lines
-    is treated as a corrupt file.
+    Malformed lines, a user id that is empty, holds a comma or has
+    whitespace at either end included, are skipped and counted; more than
+    50% malformed lines is treated as a corrupt file.
     """
     checkins: list[CheckIn] = []
     ids: dict[str, str] = {}  # one string object per distinct id
@@ -323,14 +323,6 @@ def read_colocations_csv(path: str | Path) -> Iterator[CoLocation]:
     """The records of a `write_colocations_csv` file, read by
     `read_csv_rows`: one at a time, so that no list of them is held."""
     return read_csv_rows(path, COLOCATION_HEADER, "co-location", _parse_colocation)
-
-
-def write_checkins_tsv(corpus: TraceCorpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for c in corpus.checkins:
-            stamp = datetime.fromtimestamp(c.timestamp, tz=timezone.utc)
-            fh.write(f"{c.user_id}\t{stamp.isoformat().replace('+00:00', 'Z')}\t"
-                     f"{c.location.lat!r}\t{c.location.lon!r}\t{c.place_id}\n")
 
 
 def write_friendships_tsv(pairs: Iterable[tuple[str, str]], path: str | Path) -> None:

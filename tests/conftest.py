@@ -116,7 +116,13 @@ def checkin(user: str, ts: float, lat: float, lon: float, place="p") -> CheckIn:
 
 
 def corpus_of(checkins, friendships=()) -> TraceCorpus:
-    return TraceCorpus.build(checkins, friendships)
+    """A corpus of the check-ins with the friend pairs between two of their
+    users, each pair in sorted order and self-loops dropped."""
+    corpus = TraceCorpus.build(checkins)
+    users = corpus.users
+    pairs = frozenset((a, b) if a < b else (b, a) for a, b in friendships
+                      if a != b and a in users and b in users)
+    return TraceCorpus(corpus.checkins, users, pairs)
 
 
 # Where a fixed-radius search on the sphere goes wrong first: both sides of
@@ -163,12 +169,8 @@ def scatter_points(rnd: random.Random, n: int, radius_m: float) -> list[GeoPoint
 
 def random_friend_graph(rnd: random.Random, n: int, p: float) -> FriendshipGraph:
     users = [f"u{i:03d}" for i in range(n)]
-    g = FriendshipGraph.from_pairs(users)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rnd.random() < p:
-                g.add_edge(users[i], users[j])
-    return g
+    return FriendshipGraph(users, [(users[i], users[j]) for i in range(n)
+                                   for j in range(i + 1, n) if rnd.random() < p])
 
 
 def random_nonincreasing(rnd: random.Random, length: int) -> tuple[float, ...]:

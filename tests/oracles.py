@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from collections import deque
+from typing import NamedTuple
 
 from siotsim import rng
 from siotsim.geo import GeoPoint, haversine_m
@@ -19,6 +20,20 @@ from siotsim.siotgraph import FIXED, MOBILE, RelationshipKind
 from siotsim.trace import CoLocation, TraceCorpus
 
 BIG = 1 << 30
+
+
+class Edge(NamedTuple):
+    """A device pair stored in a `SIoTGraph`, with the kinds it carries."""
+
+    device_a: str
+    device_b: str
+    kinds: frozenset
+
+
+def siot_edges(graph) -> list[Edge]:
+    """One record per device pair stored in `graph`, in endpoint order,
+    read from the graph's own store."""
+    return [Edge(a, b, kinds) for (a, b), kinds in sorted(graph._edges.items())]
 
 
 def oracle_colocations(corpus: TraceCorpus, radius_m: float,
@@ -217,7 +232,7 @@ def _kind_adjacency(graph, kinds) -> dict:
     `kinds`."""
     kinds = set(kinds)
     adjacency: dict = {}
-    for e in graph.edges():
+    for e in siot_edges(graph):
         if e.kinds & kinds:
             adjacency.setdefault(e.device_a, set()).add(e.device_b)
             adjacency.setdefault(e.device_b, set()).add(e.device_a)
@@ -245,7 +260,7 @@ def oracle_components(view) -> dict:
     its devices' owners, for components with at least two owners. Plain BFS
     over the graph's edge list, filtered by the view's kinds."""
     adjacency: dict = {}
-    for e in view.graph.edges():
+    for e in siot_edges(view.graph):
         if not e.kinds & view.kinds:
             continue
         adjacency.setdefault(e.device_a, set()).add(e.device_b)
@@ -279,7 +294,7 @@ def oracle_relay_table(graph, kinds, source_device, horizon, ttl) -> list:
     sorted order and recorded once, from the first holder that reaches it."""
     kinds = set(kinds)
     neighbours: dict = {}
-    for e in graph.edges():
+    for e in siot_edges(graph):
         if e.kinds & kinds:
             neighbours.setdefault(e.device_a, set()).add(e.device_b)
             neighbours.setdefault(e.device_b, set()).add(e.device_a)
@@ -366,7 +381,7 @@ def _owner_contacts(graph, kinds) -> dict:
     of `kinds` with its own, from the raw edge list."""
     owner = {d: dev.owner for d, dev in graph.devices.items()}
     contacts: dict = {}
-    for e in graph.edges():
+    for e in siot_edges(graph):
         a, b = owner[e.device_a], owner[e.device_b]
         if e.kinds & set(kinds) and a != b:
             contacts.setdefault(a, set()).add(b)

@@ -17,7 +17,7 @@ from conftest import (bool_horizons, checkin, corpus_of, make_devices, mobile,
                       profile, random_device_graph, random_friend_graph,
                       random_nonincreasing, token_for)
 from oracles import (oracle_colocations, oracle_flood, oracle_giant_pct,
-                     oracle_reach, partner_sets)
+                     oracle_reach, partner_sets, siot_edges)
 from siotsim import cli
 from siotsim.experiment import (ExperimentConfig, Mode, build_reach_context,
                                 run_campaign, run_source)
@@ -113,7 +113,7 @@ def _raw_owner_contacts(graph: SIoTGraph, kinds, cior_pairs):
     the view machinery): a device edge of a selected kind, or an owner pair
     of the round, links the two owners."""
     owner_pairs = [(graph.devices[e.device_a].owner, graph.devices[e.device_b].owner)
-                   for e in graph.edges() if e.kinds & kinds]
+                   for e in siot_edges(graph) if e.kinds & kinds]
     contacts: dict[str, set[str]] = {}
     for oa, ob in owner_pairs + list(cior_pairs):
         if oa != ob:
@@ -134,7 +134,7 @@ def test_criterion_02_reachability_oracle():
         source = rnd.choice(users)
         holders.add(source)
         max_hops = rnd.randrange(1, 6)
-        adjacency = {u: set(graph.sorted_adjacency().get(u, ())) for u in users}
+        adjacency = {u: set(graph.adjacency.get(u, ())) for u in users}
 
         if trial % 3 == 0:
             decide = {u: rnd.random() < 0.5 for u in users}
@@ -302,7 +302,7 @@ def test_criterion_05_similarity_gate():
     }
     assert cosine_similarity(profiles["u0"], profiles["u1"]) == 2.0 / 3.0
     decisions = AuthorizationMap(DrawTable(0, 0), AuthorizationPolicy((1.0,), (1.0,)))
-    base_edges = graph.edges()
+    base_edges = siot_edges(graph)
 
     out4 = run_cior_round(["u0"], graph, RelationshipKind, profiles, decisions,
                           interest=4)
@@ -314,7 +314,7 @@ def test_criterion_05_similarity_gate():
                           interest=3)
     # u1 is similar but does not hold interest 3; u3 passes both gates
     assert out3 == partner_sets({("u0", "u3")})
-    assert graph.edges() == base_edges
+    assert siot_edges(graph) == base_edges
 
     # boundary: cosine exactly 0.5 establishes (inclusive within 1e-12)
     boundary = {"a": profile("a", {1, 2}), "b": profile("b", {2, 3})}
@@ -343,12 +343,12 @@ def test_criterion_05_similarity_gate():
         decisions = AuthorizationMap(
             DrawTable(trial, 0), AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6)))
         sources = [u for u in users if 3 in profiles[u].held]
-        base_edges = graph.edges()
+        base_edges = siot_edges(graph)
         out = run_cior_round(sources, graph, RelationshipKind, profiles,
                              decisions, interest=3, ttl=6)
         assert all(3 in profiles[a].held and 3 in profiles[b].held
                    for a, partners in out.items() for b in partners)
-        assert graph.edges() == base_edges
+        assert siot_edges(graph) == base_edges
         expected = set()
         for src in sources:
             receivers = oracle_flood(graph, BASE_KINDS, mobile(src), decisions, 6)
@@ -506,15 +506,15 @@ def test_criterion_08_giant_component():
                         if a in holders and b in holders]
         decisions = AuthorizationMap(DrawTable(trial, 0),
                                      AuthorizationPolicy((1.0,), (1.0,)))
-        base_edges = scn.siot.edges()
+        base_edges = siot_edges(scn.siot)
         established = run_cior_round(sorted(holders), scn.siot, RelationshipKind,
                                      scn.profiles, decisions, interest=3)
-        assert scn.siot.edges() == base_edges
+        assert siot_edges(scn.siot) == base_edges
         device_edges = {(a, b) for a, partners in established.items()
                         for b in partners if a < b}
         assert established == partner_sets(device_edges)
         assert all(a in holders and b in holders for a, b in device_edges)
-        for e in scn.siot.edges():  # every edge carries a base kind
+        for e in siot_edges(scn.siot):  # every edge carries a base kind
             oa = scn.siot.devices[e.device_a].owner
             ob = scn.siot.devices[e.device_b].owner
             if oa != ob:
@@ -532,7 +532,7 @@ def hop_reduction_fixture():
     """Friend chains of length 4 from the source to two far interested
     nodes, plus device paths that let co-interest links form."""
     users = ["s", "x1", "x2", "x3", "t1", "y1", "y2", "y3", "t2", "r1", "r2"]
-    friendships = FriendshipGraph.from_pairs(users, [
+    friendships = FriendshipGraph(users, [
         ("s", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "t1"),
         ("s", "y1"), ("y1", "y2"), ("y2", "y3"), ("y3", "t2")])
     siot = SIoTGraph(make_devices(users))

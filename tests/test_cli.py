@@ -63,9 +63,8 @@ def test_ingest_writes_all_artifacts_and_is_deterministic(tmp_path):
                       "--friendships", files["friendships"],
                       "--poi", files["poi"], "--out", out])
         assert rc == 0
-    for name in ("checkins.tsv", "friendships.tsv", "colocations.csv",
-                 "home_points.csv", "profiles.csv"):
-        assert (out1 / name).is_file()
+    assert sorted(read_all(out1)) == ["colocations.csv", "friendships.tsv",
+                                      "home_points.csv", "profiles.csv"]
     assert read_all(out1) == read_all(out2)
     profiles = (out1 / "profiles.csv").read_text(encoding="utf-8")
     # 12 meeting instants x 2 pairings per user near a Donut place:
@@ -102,6 +101,26 @@ def _ingest_and_build(tmp_path, meet=True):
     assert run_cli(["build-graph", "--ingest", ing, "--models", files["models"],
                     "--out", out, "--seed", 1]) == 0
     return out
+
+
+def test_pipeline_drops_user_ids_the_scenario_files_cannot_carry(tmp_path):
+    """Check-ins of an empty user id, or of one that holds a comma or has
+    whitespace at either end, count as malformed lines, so that
+    `ingest -> build-graph -> run` passes and no such user gets a device."""
+    files = write_trace_fixture(tmp_path, users=("u1", "u2", "u3", "u4", "u2,x", "", " u3"))
+    with open(files["friendships"], "a", encoding="utf-8") as fh:
+        fh.write("u1\tu2,x\nu2\t u3\n")
+    ing, scn = tmp_path / "ing", tmp_path / "scn"
+    assert run_cli(["ingest", "--checkins", files["checkins"],
+                    "--friendships", files["friendships"],
+                    "--poi", files["poi"], "--out", ing]) == 0
+    assert run_cli(["build-graph", "--ingest", ing, "--models", files["models"],
+                    "--out", scn]) == 0
+    devices = (scn / "devices.csv").read_text(encoding="utf-8").splitlines()
+    owners = {row["owner"] for row in csv.DictReader(devices)}
+    assert owners == {"u1", "u2", "u3", "u4"}
+    assert run_cli(["run", "--scenario", scn, "--out", tmp_path / "run"]) == 0
+    assert read_result_csv(tmp_path / "run" / "results.csv")
 
 
 def test_build_graph_por_count_and_stats_consistency(tmp_path):

@@ -27,10 +27,7 @@ def bool_context(adjacency, holders, authorize, max_hops, extra=None):
 
 
 def graph_of(*edges) -> FriendshipGraph:
-    g = FriendshipGraph()
-    for a, b in edges:
-        g.add_edge(a, b)
-    return g
+    return FriendshipGraph((), edges)
 
 
 def all_yes(seed=0, replicate=0) -> AuthorizationMap:
@@ -165,7 +162,7 @@ def test_interested_node_behind_non_authorizing_intermediary():
 
 
 def test_empty_neighborhood_gives_empty_direct():
-    g = FriendshipGraph.from_pairs(["s"])
+    g = FriendshipGraph(["s"], ())
     assert reach("s", g, all_yes(), {"s"})[0] == {}
 
 
@@ -195,8 +192,17 @@ def test_indirect_empty_when_direct_reaches_everything():
     assert set(best) - set(direct) - {"s"} == set()
 
 
+def test_friendship_graph_is_built_whole_from_users_and_pairs():
+    g = FriendshipGraph(["s", "lonely"], [("x", "s"), ("s", "y"), ("s", "x")])
+    assert g.adjacency == {"s": ("x", "y"), "lonely": (), "x": ("s",), "y": ("s",)}
+    assert g.edges() == [("s", "x"), ("s", "y")]
+    assert (g.degree("s"), g.degree("lonely"), g.degree("ghost")) == (2, 0, 0)
+    with pytest.raises(ValueError, match="self-loop"):
+        FriendshipGraph(["a"], [("a", "b"), ("a", "a")])
+
+
 def test_disconnected_interested_node_unreached():
-    g = FriendshipGraph.from_pairs(["s", "x", "lonely"], [("s", "x")])
+    g = FriendshipGraph(["s", "x", "lonely"], [("s", "x")])
     members = community("s", g, all_yes(), {"s", "x", "lonely"})
     assert "lonely" not in members
     assert members == {"s", "x"}
@@ -204,7 +210,7 @@ def test_disconnected_interested_node_unreached():
 
 def test_community_clique_full_authorization():
     users = ["a", "b", "c", "d"]
-    g = FriendshipGraph.from_pairs(users, [(u, v) for u in users for v in users if u < v])
+    g = FriendshipGraph(users, [(u, v) for u in users for v in users if u < v])
     direct, best = reach("a", g, all_yes(), set(users))
     assert set(best) | {"a"} == set(users)
     assert set(direct) == {"b", "c", "d"}
@@ -218,7 +224,7 @@ def test_community_excludes_other_component():
 
 
 def test_singleton_source_community():
-    g = FriendshipGraph.from_pairs(["s"])
+    g = FriendshipGraph(["s"], ())
     assert reach("s", g, all_yes(), {"s"}) == ({}, {})
     assert community("s", g, all_yes(), {"s"}) == {"s"}
 
@@ -262,7 +268,7 @@ def random_fixture(rnd: random.Random, with_extra: bool):
     holders = {u for u in users if rnd.random() < rnd.uniform(0.3, 0.9)}
     source = rnd.choice(users)
     holders.add(source)
-    adjacency = {u: set(g.sorted_adjacency().get(u, ())) for u in users}
+    adjacency = {u: set(g.adjacency.get(u, ())) for u in users}
     authorize = {u: rnd.random() < 0.6 for u in users}
     extra = None
     if with_extra:
@@ -332,7 +338,7 @@ def dense_holder_fixture(rnd: random.Random):
     holders = {u for u in users if rnd.random() < share}
     source = rnd.choice(users)
     holders.add(source)
-    adjacency = {u: set(g.sorted_adjacency().get(u, ())) for u in users}
+    adjacency = {u: set(g.adjacency.get(u, ())) for u in users}
     for b in range(rnd.randrange(1, 4)):
         a, c = rnd.sample(users, 2)
         chain = [a, *(f"x{b}{i}" for i in range(rnd.randrange(1, 3))), c]
@@ -417,7 +423,7 @@ def test_reach_equals_oracle_on_a_generated_trace(tmp_path, monkeypatch):
     interest = max(range(1, 10), key=lambda i: len(scn.holders(i)))
     holders = scn.holders(interest)
     assert len(holders) > len(scn.friendships.nodes) // 2
-    adjacency = {u: set(vs) for u, vs in scn.friendships.sorted_adjacency().items()}
+    adjacency = {u: set(vs) for u, vs in scn.friendships.adjacency.items()}
     widest_clique = 0
     for probs in ((1.0, 0.9, 0.8, 0.7), (0.8, 0.6, 0.4, 0.2)):
         auth = AuthorizationMap(DrawTable(3, 0), AuthorizationPolicy(probs))

@@ -218,7 +218,7 @@ def test_cosine_identity_disjoint_and_two_thirds():
 
 
 def test_cosine_handles_empty_profiles():
-    empty = InterestDescriptor.empty("e")
+    empty = InterestDescriptor.empty()
     assert cosine_similarity(empty, empty) == 0.0
     assert cosine_similarity(empty, profile("b", {1})) == 0.0
 

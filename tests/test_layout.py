@@ -1,8 +1,9 @@
 """Source layout checks: every module-level function and class in
 `src/siotsim`, and every method, is used by the program itself (or, for a
-method, wrapped by the bench tracer), not only by its tests, only `trace`
-reads and writes CSV, no pipeline stage imports numpy, every name the bench
-tracer wraps exists, and the tracer's counts work on a real pipeline."""
+method, wrapped by the bench tracer), not only by its tests, every parameter
+with a default is passed by some caller in the package, only `trace` reads
+and writes CSV, no pipeline stage imports numpy, every name the bench tracer
+wraps exists, and the tracer's counts work on a real pipeline."""
 
 from __future__ import annotations
 
@@ -21,6 +22,10 @@ SRC = ROOT / "src" / "siotsim"
 # Secondary metrics of the paper that `run` does not write yet; ROADMAP
 # direction 8 has the CLI write them.
 ALLOWED_UNUSED = {"giant_component_pct", "mean_hops_comparison"}
+
+# The console entry point calls `main()` bare; the bench tracer and the
+# tests pass `argv`.
+ALLOWED_UNPASSED = {"cli.main(argv)"}
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
@@ -82,6 +87,52 @@ def unused_definitions() -> list[str]:
 
 def test_every_module_level_definition_is_used_by_the_package():
     assert unused_definitions() == []
+
+
+def unpassed_parameters() -> list[str]:
+    """`module.function(param)` or `module.Class.method(param)` of each
+    parameter with a default that no call in the package passes, by
+    position or by keyword. Calls match a function by name, as in
+    `unused_definitions`; a call of a class matches its `__init__`, and a
+    call with `*args` or `**kwargs` passes every parameter."""
+    functions = []  # (label, called name, leading parameters no call passes, def)
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((f"{path.stem}.{node.name}", node.name, 0, node))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" else item.name
+                    functions.append((f"{path.stem}.{node.name}.{item.name}", called,
+                                      0 if static else 1, item))
+    unpassed = []
+    for label, name, skip, fn in functions:
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        named = [c for c in calls
+                 if getattr(c.func, "id", getattr(c.func, "attr", None)) == name]
+        for index, arg in defaulted:
+            if not any((index is not None and index < len(c.args))
+                       or any(isinstance(a, ast.Starred) for a in c.args)
+                       or any(k.arg in (arg, None) for k in c.keywords) for c in named):
+                unpassed.append(f"{label}({arg})")
+    return unpassed
+
+
+def test_every_parameter_default_is_overridden_by_some_caller():
+    """A default that no caller in the package overrides is an option with
+    one value in use: a constant, or a parameter kept alive by tests."""
+    assert [p for p in unpassed_parameters() if p not in ALLOWED_UNPASSED] == []
 
 
 def _csv_reader_and_writer_uses(path: Path) -> list[int]:

@@ -10,7 +10,7 @@ from conftest import (clique_device_graph, fixed, fixed_horizon, make_devices,
                       mobile, profile, random_device_graph, random_nonincreasing,
                       token_for, trace_scenario)
 from oracles import (oracle_cior_pairs, oracle_components, oracle_flood,
-                     oracle_relay_table, partner_sets)
+                     oracle_relay_table, partner_sets, siot_edges)
 from siotsim import protocol
 from siotsim.humangraph import AuthorizationMap, AuthorizationPolicy
 from siotsim.protocol import (PropagationTrace, VuipToken, backpropagate,
@@ -204,16 +204,16 @@ def decisions(policy=None, seed=0, replicate=0) -> AuthorizationMap:
 
 def test_round_with_no_similar_pairs_leaves_graph_unchanged():
     g, users, _ = two_cliques_with_bridge()
-    base_edges = g.edges()
+    base_edges = siot_edges(g)
     disjoint = {u: profile(u, {i}) for i, u in enumerate(sorted(users))}
     out = run_cior_round(users, g, RelationshipKind, disjoint, decisions(), 3)
     assert out == {}
-    assert g.edges() == base_edges
+    assert siot_edges(g) == base_edges
 
 
 def test_round_bridges_two_cliques():
     g, users, profiles = two_cliques_with_bridge()
-    base_edges = g.edges()
+    base_edges = siot_edges(g)
     out = run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3)
     pairs = {(a, b) for a, partners in out.items() for b in partners if a < b}
     assert pairs and out == partner_sets(pairs)
@@ -222,7 +222,7 @@ def test_round_bridges_two_cliques():
     for a, b in pairs:
         assert a < b and 3 in profiles[a].held and 3 in profiles[b].held
     assert g.kind_counts()[RelationshipKind.CIOR] == 0  # base graph untouched
-    assert g.edges() == base_edges
+    assert siot_edges(g) == base_edges
 
 
 def test_round_can_originate_from_both_devices():
@@ -230,7 +230,7 @@ def test_round_can_originate_from_both_devices():
     g = SIoTGraph(make_devices(users))
     # only the fixed devices are linked, so a mobile-only origin finds nobody
     g.add_edge("a:fixed", "b:fixed", RelationshipKind.CLOR)
-    base_edges = g.edges()
+    base_edges = siot_edges(g)
     profiles = {u: profile(u, {3}) for u in users}
     mobile_only = run_cior_round(users, g, RelationshipKind, profiles,
                                  decisions(), 3, origin_device="mobile")
@@ -238,7 +238,7 @@ def test_round_can_originate_from_both_devices():
     both = run_cior_round(users, g, RelationshipKind, profiles,
                           decisions(), 3, origin_device="both")
     assert both == partner_sets({("a", "b")})
-    assert g.edges() == base_edges
+    assert siot_edges(g) == base_edges
     with pytest.raises(ValueError):
         run_cior_round(users, g, RelationshipKind, profiles, decisions(), 3,
                        origin_device="fixed")
@@ -262,7 +262,7 @@ def test_round_rejects_a_bad_ttl_or_threshold_before_it_plans(monkeypatch, ttl,
 
 def test_round_is_deterministic_and_seed_sensitive():
     g, users, profiles = two_cliques_with_bridge()
-    base_edges = g.edges()
+    base_edges = siot_edges(g)
     policy = AuthorizationPolicy((1.0,), (0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
     first = run_cior_round(users, g, RelationshipKind, profiles,
                            decisions(policy, seed=1), 3)
@@ -273,7 +273,7 @@ def test_round_is_deterministic_and_seed_sensitive():
                                   decisions(policy, seed=s), 3)
                    for s in range(2, 12)]
     assert any(pairs != first for pairs in other_edges)
-    assert g.edges() == base_edges
+    assert siot_edges(g) == base_edges
 
 
 def source_first_neighbors(graph: SIoTGraph, source_device: str) -> set[str]:
@@ -346,7 +346,7 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
         policy = AuthorizationPolicy((1.0,), random_nonincreasing(rnd, 6))
         shared = decisions(policy, seed=trial)
         ttl = rnd.randrange(1, 7)
-        base_edges = g.edges()
+        base_edges = siot_edges(g)
         for kinds in kind_subsets():
             view = g.select_kinds(kinds)
             assert g.select_kinds(kinds | {RelationshipKind.CIOR}) is view
@@ -360,7 +360,7 @@ def test_flood_and_round_match_the_oracle_on_every_kind_subset():
             out = run_cior_round(users, g, kinds, profiles, shared, 3, ttl=ttl)
             assert out == partner_sets(
                 oracle_cior_pairs(users, g, kinds, profiles, shared, 3, ttl))
-            assert g.edges() == base_edges  # base graph untouched
+            assert siot_edges(g) == base_edges  # base graph untouched
 
 
 def sparse_device_graph(rnd: random.Random, n_users: int) -> SIoTGraph:

@@ -11,7 +11,7 @@ import pytest
 from conftest import (checkin, clique_device_graph, corpus_of, fixed, make_devices,
                       mobile, scatter_points, traced_peak)
 from oracles import (oracle_clor, oracle_components, oracle_device_view,
-                     oracle_por_count)
+                     oracle_por_count, siot_edges)
 from siotsim import siotgraph
 from siotsim.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
 from siotsim.siotgraph import (BASE_KINDS, FIXED, MOBILE, Device,
@@ -190,7 +190,7 @@ def test_select_kinds_filtering():
     sor_only = g.select_kinds({RelationshipKind.SOR})
     assert len(view_pairs(sor_only)) == 2
     everything = g.select_kinds(set(RelationshipKind))
-    assert view_pairs(everything) == [(e.device_a, e.device_b) for e in g.edges()]
+    assert view_pairs(everything) == [(e.device_a, e.device_b) for e in siot_edges(g)]
     with pytest.raises(ValueError):
         g.select_kinds(set())
 
@@ -199,7 +199,7 @@ def test_cior_is_never_stored_and_never_keys_a_view():
     g = SIoTGraph(make_devices(["a", "b"]))
     with pytest.raises(ValueError):
         g.add_edge(mobile("a"), mobile("b"), RelationshipKind.CIOR)
-    assert g.edges() == []
+    assert siot_edges(g) == []
     g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
     view = g.select_kinds({RelationshipKind.SOR})
     assert g.select_kinds({RelationshipKind.SOR, RelationshipKind.CIOR}) is view
@@ -311,7 +311,8 @@ def test_build_siot_graph_composes_all_rules():
 def test_build_siot_graph_from_a_stream_equals_the_graph_from_a_list():
     users = ["a", "b", "c", "d"]
     homes = {u: GeoPoint(10.0, 10.0 + i) for i, u in enumerate(users)}
-    devices = instantiate_devices(users, homes, default_model_catalog(3), 4)
+    catalog = [(f"model_{i:02d}", 1.0 / 3) for i in range(3)]
+    devices = instantiate_devices(users, homes, catalog, 4)
     meetings = []
     for i, pair in enumerate(["ab", "ab", "ab", "bc", "bc", "cd", "ab", "da"]):
         meetings += [checkin(user, 10000.0 * i, 20.0, 20.0, place=f"{user}{i}")
@@ -319,8 +320,8 @@ def test_build_siot_graph_from_a_stream_equals_the_graph_from_a_list():
     colocs = detect_colocations(corpus_of(meetings))
     for threshold in (1, 2, 3, 5):
         from_list = build_siot_graph(devices, colocs, threshold)
-        assert build_siot_graph(devices, iter(colocs), threshold).edges() == \
-            from_list.edges()
+        assert siot_edges(build_siot_graph(devices, iter(colocs), threshold)) == \
+            siot_edges(from_list)
     assert from_list.kind_counts()[RelationshipKind.SOR] == 0
     assert build_siot_graph(devices, iter(colocs), 2).kind_counts()[
         RelationshipKind.SOR] == 2
@@ -341,7 +342,7 @@ def test_build_siot_graph_holds_no_list_of_read_colocations(tmp_path):
 
     small, small_peak = build(500)
     large, large_peak = build(5000)
-    assert large.edges() == small.edges()
+    assert siot_edges(large) == siot_edges(small)
     assert large.kind_counts()[RelationshipKind.SOR] == 1
     assert large_peak < small_peak + 64 * 1024, (small_peak, large_peak)
 
@@ -407,7 +408,7 @@ def test_graph_export_roundtrip(tmp_path):
     devices2 = read_devices_csv(dev_path)
     g2 = read_siot_graph(graph_path, devices2)
     assert devices2 == devices
-    assert g2.edges() == g.edges()
+    assert siot_edges(g2) == siot_edges(g)
 
 
 BASE_KIND_SETS = [frozenset(kinds) for r in range(1, 5) for kinds in
@@ -463,7 +464,7 @@ def test_a_read_graph_shares_its_kind_sets_and_device_ids(tmp_path):
     lines = [line for _ in range(4) for line in _random_edge_lines(rnd, sorted(devices))]
     path = tmp_path / "graph.csv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    edges = read_siot_graph(path, read_devices_csv(tmp_path / "devices.csv")).edges()
+    edges = siot_edges(read_siot_graph(path, read_devices_csv(tmp_path / "devices.csv")))
     kind_sets: dict = {}
     for e in edges:
         kind_sets.setdefault(e.kinds, set()).add(id(e.kinds))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import siot_edges
 from siotsim.scenario import read_scenario_dir, write_scenario_dir
 from siotsim.siotgraph import RelationshipKind
 from siotsim.synth import (SyntheticScenarioSpec, community_of_user,
@@ -10,7 +11,7 @@ from siotsim.synth import (SyntheticScenarioSpec, community_of_user,
 
 def cross_edge_count(scn) -> int:
     count = 0
-    for e in scn.siot.edges():
+    for e in siot_edges(scn.siot):
         oa = scn.siot.devices[e.device_a].owner
         ob = scn.siot.devices[e.device_b].owner
         if community_of_user(oa) != community_of_user(ob):
@@ -56,7 +57,7 @@ def test_same_seed_reproduces_scenario():
                                  cross_edges={RelationshipKind.SOR: 2}, seed=9)
     a, b = generate_scenario(spec), generate_scenario(spec)
     assert a.friendships.edges() == b.friendships.edges()
-    assert a.siot.edges() == b.siot.edges()
+    assert siot_edges(a.siot) == siot_edges(b.siot)
     assert a.profiles == b.profiles
 
 
@@ -99,6 +100,6 @@ def test_scenario_dir_roundtrip(tmp_path):
     loaded = read_scenario_dir(tmp_path / "scn")
     assert loaded.friendships.edges() == scn.friendships.edges()
     assert loaded.friendships.nodes == scn.friendships.nodes
-    assert loaded.siot.edges() == scn.siot.edges()
+    assert siot_edges(loaded.siot) == siot_edges(scn.siot)
     assert {u: (p.held, dict(p.weights)) for u, p in loaded.profiles.items()} == \
            {u: (p.held, dict(p.weights)) for u, p in scn.profiles.items()}

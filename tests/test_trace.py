@@ -57,6 +57,16 @@ def test_parse_malformed_minority_is_skipped(tmp_path):
     assert corpus.malformed_lines == 1
 
 
+@pytest.mark.parametrize("user", ["", "u2,x", " u2", "u2 ", "u2\u00a0"])
+def test_parse_counts_a_user_id_scenario_files_cannot_carry_as_malformed(tmp_path, user):
+    path = tmp_path / "ids.tsv"
+    path.write_text(GOOD_LINE + GOOD_LINE.replace("u1", "u3")
+                    + GOOD_LINE.replace("u1", user), encoding="utf-8")
+    corpus = parse_checkins(path)
+    assert corpus.users == {"u1", "u3"}
+    assert corpus.malformed_lines == 1
+
+
 def test_parse_majority_malformed_is_fatal(tmp_path):
     path = tmp_path / "corrupt.tsv"
     path.write_text(GOOD_LINE + "x\n" + "y\n", encoding="utf-8")
