@@ -18,6 +18,9 @@ from . import experiment, report, scenario, synth, trace
 from . import interests as im
 from . import siotgraph as sg
 
+COLOCATIONS_FILE = "colocations.csv"
+HOME_POINTS_FILE = "home_points.csv"
+
 
 def _require_file(parser: argparse.ArgumentParser, path: str | None, flag: str) -> Path:
     if path is None:
@@ -84,8 +87,8 @@ def cmd_ingest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     profiles = im.build_profiles(assignments, colocs, args.interest_threshold)
 
     trace.write_friendships_tsv(corpus.friendships, out / scenario.FRIENDSHIPS_FILE)
-    trace.write_colocations_csv(colocs, out / "colocations.csv")
-    trace.write_home_points_csv(homes, out / "home_points.csv")
+    trace.write_colocations_csv(colocs, out / COLOCATIONS_FILE)
+    trace.write_home_points_csv(homes, out / HOME_POINTS_FILE)
     im.write_profiles_csv(profiles, out / scenario.PROFILES_FILE)
     print(f"ingest: {len(corpus.users)} active users, {len(colocs)} co-locations, "
           f"{len(profiles)} profiles -> {out}")
@@ -94,14 +97,14 @@ def cmd_ingest(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     ingest_dir = _require_dir(parser, args.ingest, "--ingest")
-    for name in (scenario.FRIENDSHIPS_FILE, "colocations.csv", "home_points.csv",
+    for name in (scenario.FRIENDSHIPS_FILE, COLOCATIONS_FILE, HOME_POINTS_FILE,
                  scenario.PROFILES_FILE):
         _require_file(parser, str(ingest_dir / name), f"--ingest ({name})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    homes = trace.read_home_points_csv(ingest_dir / "home_points.csv")
-    colocs = trace.read_colocations_csv(ingest_dir / "colocations.csv")
+    homes = trace.read_home_points_csv(ingest_dir / HOME_POINTS_FILE)
+    colocs = trace.read_colocations_csv(ingest_dir / COLOCATIONS_FILE)
     pairs = trace.read_friendships_tsv(ingest_dir / scenario.FRIENDSHIPS_FILE)
     catalog = (sg.load_model_catalog(_require_file(parser, args.models, "--models"))
                if args.models else sg.default_model_catalog())

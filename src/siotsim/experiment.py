@@ -282,7 +282,7 @@ def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
     `passes` shares friendship passes with other contexts of the same
     interest, auth vector and `max_hops` (see `ReachContext`)."""
     holders = scenario.holders(interest)
-    extra = None
+    extra = {}
     if mode.name == MODE_ENHANCED:
         base = (scenario.siot.select_kinds(mode.kinds).owner_contacts()
                 if mode.kinds else {})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping
 
 from . import rng
@@ -185,8 +186,8 @@ class ReachContext:
     nodes holding the interest and `horizon` maps each node to its hop
     horizon K: it authorizes access to its contacts at hops 1..K only (see
     `AuthorizationMap`).
-    `extra_contacts` optionally adds each node's own device-layer contacts
-    (one hop, no authorization needed).
+    `extra_contacts` adds each node's own device-layer contacts (one hop,
+    no authorization needed); it is empty where there are none.
 
     A relaunch pass of a launcher holds, by hop, the nodes its discovery
     pass sees when the pass stops at each holder instead of expanding it
@@ -205,13 +206,13 @@ class ReachContext:
     holders: frozenset[str]
     horizon: Mapping[str, int]
     max_hops: int = DEFAULT_MAX_HOPS
-    extra_contacts: Mapping[str, tuple[str, ...]] | None = None
+    extra_contacts: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     passes: PassMemo = field(default_factory=dict)
 
     @staticmethod
     def for_graph(graph: FriendshipGraph, holders: Iterable[str],
                   auth: AuthorizationMap, max_hops: int = DEFAULT_MAX_HOPS,
-                  extra_contacts: Mapping[str, tuple[str, ...]] | None = None,
+                  extra_contacts: Mapping[str, tuple[str, ...]] = MappingProxyType({}),
                   passes: PassMemo | None = None) -> "ReachContext":
         return ReachContext(graph.adjacency, frozenset(holders),
                             auth.auth_horizons(), max_hops, extra_contacts,
@@ -253,8 +254,6 @@ def _friendship_pass(ctx: ReachContext, start: str) -> Layers:
 
 def _device_contacts(ctx: ReachContext, start: str) -> frozenset[str]:
     """The holders among the launcher's device-layer contacts."""
-    if ctx.extra_contacts is None:
-        return frozenset()
     return ctx.holders.intersection(ctx.extra_contacts.get(start, ())) - {start}
 
 
@@ -264,8 +263,7 @@ def _discover_from(ctx: ReachContext, start: str) -> tuple[Collection[str], Laye
     layers = ctx.passes.get((start, False))
     if layers is None:
         layers = ctx.passes[start, False] = _friendship_pass(ctx, start)
-    contacts = ctx.extra_contacts.get(start, ()) if ctx.extra_contacts else ()
-    return contacts, layers
+    return ctx.extra_contacts.get(start, ()), layers
 
 
 def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict[str, int]]:
@@ -296,8 +294,7 @@ def interest_reach(source: str, ctx: ReachContext) -> tuple[dict[str, int], dict
     enter `best` in sorted order, so `best` does not depend on the order
     of set iteration.
     """
-    if source not in ctx.adjacency and (
-            ctx.extra_contacts is None or source not in ctx.extra_contacts):
+    if source not in ctx.adjacency and source not in ctx.extra_contacts:
         raise ValueError(f"unknown source node: {source!r}")
     full = ctx.passes.get((source, True))
     if full is None:

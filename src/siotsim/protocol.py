@@ -47,8 +47,9 @@ class VuipToken:
 class PropagationTrace:
     token_id: str
     source_device: str
-    records: dict[str, str] = field(default_factory=dict)  # receiver -> previous hop
-    hops: dict[str, int] = field(default_factory=dict)
+    # receiver -> previous hop
+    records: dict[str, str] = field(default_factory=dict, init=False)
+    hops: dict[str, int] = field(default_factory=dict, init=False)
 
 
 class Walk(NamedTuple):

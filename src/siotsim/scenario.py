@@ -23,8 +23,8 @@ class Scenario:
     friendships: FriendshipGraph
     siot: SIoTGraph
     profiles: dict[str, InterestDescriptor]
-    _isolated: frozenset[str] | None = None
-    _holders: dict[int, frozenset[str]] = field(default_factory=dict)
+    _isolated: frozenset[str] | None = field(default=None, init=False)
+    _holders: dict[int, frozenset[str]] = field(default_factory=dict, init=False)
 
     @property
     def users(self) -> frozenset[str]:
@@ -32,7 +32,7 @@ class Scenario:
 
     def holders(self, interest: int) -> frozenset[str]:
         """Users holding `interest`; cached per interest, like
-        `isolated_users`, because profiles are fixed after construction."""
+        `isolated_users`: neither the profiles nor the graphs change."""
         found = self._holders.get(interest)
         if found is None:
             found = self._holders[interest] = frozenset(
@@ -43,8 +43,8 @@ class Scenario:
     def isolated_users(self) -> frozenset[str]:
         """Users with no friendship edge and no device relationship to a
         different owner. Such users are unreachable in every mode, so the
-        set is mode-independent; cached because graphs are fixed after
-        construction."""
+        set is mode-independent; cached, which is safe because neither
+        graph can change."""
         if self._isolated is None:
             connected = {u for u in self.friendships.nodes
                          if self.friendships.degree(u) > 0}

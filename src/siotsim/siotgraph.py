@@ -203,33 +203,32 @@ def establish_sor(devices: Mapping[str, Device], colocations: Iterable[CoLocatio
 
 
 class SIoTGraph:
-    """Typed-edge device graph with owner indexing and kind-filtered views.
+    """Typed-edge device graph with owner indexing and kind-filtered views,
+    built whole from typed pairs `(device_a, device_b, kind)`, never changed.
 
     Each device pair with an edge is stored once: its endpoints in sorted
     order, as the device records' own id strings, map to the shared kind
     set of `_KIND_SETS`."""
 
-    def __init__(self, devices: Mapping[str, Device]):
+    def __init__(self, devices: Mapping[str, Device],
+                 edges: Iterable[tuple[str, str, RelationshipKind]]):
         self.devices = dict(devices)
         self._edges: dict[tuple[str, str], frozenset[RelationshipKind]] = {}
         self._views: dict[frozenset[RelationshipKind], SIoTView] = {}
         self.owner_devices: dict[str, list[str]] = {}
         for d in sorted(self.devices.values(), key=lambda d: d.device_id):
             self.owner_devices.setdefault(d.owner, []).append(d.device_id)
-
-    def add_edge(self, a: str, b: str, kind: RelationshipKind) -> None:
-        if kind is RelationshipKind.CIOR:
-            raise ValueError("C-IOR links are not stored in the device graph")
-        if a == b:
-            raise ValueError(f"self-edge on device {a!r}")
-        dev_a, dev_b = self.devices.get(a), self.devices.get(b)
-        if dev_a is None or dev_b is None:
-            raise ValueError(f"unknown device in edge ({a!r}, {b!r})")
-        pair = ((dev_a.device_id, dev_b.device_id) if a < b
-                else (dev_b.device_id, dev_a.device_id))
-        self._edges[pair] = _ADDED[kind][self._edges.get(pair)]
-        for view in self._views.values():
-            view._clear()
+        for a, b, kind in edges:
+            if kind is RelationshipKind.CIOR:
+                raise ValueError("C-IOR links are not stored in the device graph")
+            if a == b:
+                raise ValueError(f"self-edge on device {a!r}")
+            dev_a, dev_b = self.devices.get(a), self.devices.get(b)
+            if dev_a is None or dev_b is None:
+                raise ValueError(f"unknown device in edge ({a!r}, {b!r})")
+            pair = ((dev_a.device_id, dev_b.device_id) if a < b
+                    else (dev_b.device_id, dev_a.device_id))
+            self._edges[pair] = _ADDED[kind][self._edges.get(pair)]
 
     def edge_count(self) -> int:
         """The number of device pairs with an edge."""
@@ -243,9 +242,8 @@ class SIoTGraph:
         return counts
 
     def copy(self) -> "SIoTGraph":
-        g = SIoTGraph(self.devices)
-        g._edges = dict(self._edges)
-        return g
+        return SIoTGraph(self.devices, ((a, b, kind) for (a, b), kinds in self._edges.items()
+                                        for kind in kinds))
 
     def select_kinds(self, kinds: Iterable[RelationshipKind]) -> "SIoTView":
         """The view of the given kinds, one per kind set and kept until the
@@ -275,16 +273,13 @@ class SIoTView:
 
     The sorted neighbour tuples, the owner projection and each component
     are built on first use and shared by every caller; they must not be
-    mutated. Adding an edge to the graph drops them."""
+    mutated. The graph never changes, so they never go stale."""
 
     def __init__(self, graph: SIoTGraph, kinds: Iterable[RelationshipKind]):
         self.graph = graph
         self.kinds = frozenset(kinds)
         if not self.kinds:
             raise ValueError("kind selection must name a base kind")
-        self._clear()
-
-    def _clear(self) -> None:
         self._neighbors: dict[str, tuple[str, ...]] | None = None
         self._contacts: dict[str, tuple[str, ...]] | None = None
         self._components: dict[str, Component] = {}
@@ -335,19 +330,20 @@ def build_siot_graph(devices: Mapping[str, Device], colocations: Iterable[CoLoca
     """Assemble the device graph from the trace-derived relationship rules.
     The co-locations are read once, by `establish_sor`, so a stream such as
     `trace.read_colocations_csv`'s is never held whole. A POR pair is
-    released once stored, so it is held only as the graph's key."""
-    g = SIoTGraph(devices)
-    por = establish_por(devices)
-    for i, (a, b) in enumerate(por):
-        g.add_edge(a, b, RelationshipKind.POR)
-        por[i] = None
-    for a, b in establish_clor(devices, clor_radius_m):
-        g.add_edge(a, b, RelationshipKind.CLOR)
-    for a, b in establish_oor(devices):
-        g.add_edge(a, b, RelationshipKind.OOR)
-    for a, b in establish_sor(devices, colocations, sor_threshold):
-        g.add_edge(a, b, RelationshipKind.SOR)
-    return g
+    released once yielded, so it is held only as the graph's key."""
+    def typed_pairs() -> Iterable[tuple[str, str, RelationshipKind]]:
+        por = establish_por(devices)
+        for i, (a, b) in enumerate(por):
+            yield a, b, RelationshipKind.POR
+            por[i] = None
+        for a, b in establish_clor(devices, clor_radius_m):
+            yield a, b, RelationshipKind.CLOR
+        for a, b in establish_oor(devices):
+            yield a, b, RelationshipKind.OOR
+        for a, b in establish_sor(devices, colocations, sor_threshold):
+            yield a, b, RelationshipKind.SOR
+
+    return SIoTGraph(devices, typed_pairs())
 
 
 # --- exports -----------------------------------------------------------------
@@ -392,16 +388,19 @@ def write_siot_graph(graph: SIoTGraph, path: str | Path) -> None:
 def read_siot_graph(path: str | Path, devices: Mapping[str, Device]) -> SIoTGraph:
     """Load a `write_siot_graph` export. A malformed line, a C-IOR line or
     an unknown device is an error naming the file and line."""
-    g = SIoTGraph(devices)
-    with open(path, encoding="utf-8") as fh:
+    lineno, line = 0, ""
+
+    def typed_pairs(fh) -> Iterable[tuple[str, str, RelationshipKind]]:
+        nonlocal lineno, line
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
-                continue
-            try:
+            if line:
                 a, b, kind_text = line.split(",")
-                g.add_edge(a, b, parse_kind(kind_text))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad edge line {line!r} "
-                                 f"({exc})") from exc
-    return g
+                yield a, b, parse_kind(kind_text)
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return SIoTGraph(devices, typed_pairs(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad edge line {line!r} "
+                             f"({exc})") from exc

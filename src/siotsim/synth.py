@@ -89,10 +89,8 @@ def generate_scenario(spec: SyntheticScenarioSpec) -> Scenario:
             devices[did] = Device(did, u, kind, model,
                                   home if kind == FIXED else None)
 
-    siot = SIoTGraph(devices)
-    for u in users:
-        siot.add_edge(device_id(u, MOBILE), device_id(u, FIXED), RelationshipKind.OOR)
-
+    edges = [(device_id(u, MOBILE), device_id(u, FIXED), RelationshipKind.OOR)
+             for u in users]
     cross_stream = rng.stream(spec.seed, "cross")
     for kind in CROSSABLE_KINDS:
         count = spec.cross_edges.get(kind, 0)
@@ -107,7 +105,7 @@ def generate_scenario(spec: SyntheticScenarioSpec) -> Scenario:
             if pair in placed:
                 continue
             placed.add(pair)
-            siot.add_edge(pair[0], pair[1], kind)
+            edges.append((*pair, kind))
 
     profiles: dict[str, InterestDescriptor] = {}
     interest_stream = rng.stream(spec.seed, "interests")
@@ -119,4 +117,4 @@ def generate_scenario(spec: SyntheticScenarioSpec) -> Scenario:
             counts[NOISE_CATEGORY_BASE + interest_stream.randrange(NOISE_CATEGORY_POOL)] = 1
         profiles[u] = InterestDescriptor.from_counts(u, counts, 1)
 
-    return Scenario(friendships, siot, profiles)
+    return Scenario(friendships, SIoTGraph(devices, edges), profiles)

@@ -181,19 +181,24 @@ def random_device_graph(rnd: random.Random, n_users: int,
                         edge_prob: float) -> SIoTGraph:
     from siotsim.siotgraph import RelationshipKind
     users = [f"u{i:03d}" for i in range(n_users)]
-    graph = SIoTGraph(make_devices(users))
-    for u in users:
-        graph.add_edge(mobile(u), fixed(u), RelationshipKind.OOR)
-    ids = sorted(graph.devices)
+    devices = make_devices(users)
+    edges = [(mobile(u), fixed(u), RelationshipKind.OOR) for u in users]
+    ids = sorted(devices)
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            if graph.devices[ids[i]].owner == graph.devices[ids[j]].owner:
+            if devices[ids[i]].owner == devices[ids[j]].owner:
                 continue
             if rnd.random() < edge_prob:
                 kind = rnd.choice([RelationshipKind.POR, RelationshipKind.SOR,
                                    RelationshipKind.CLOR])
-                graph.add_edge(ids[i], ids[j], kind)
-    return graph
+                edges.append((ids[i], ids[j], kind))
+    return SIoTGraph(devices, edges)
+
+
+def with_edges(graph: SIoTGraph, added) -> SIoTGraph:
+    """`graph` built again, whole, with the typed pairs `added`."""
+    pairs = [(a, b, kind) for (a, b), kinds in graph._edges.items() for kind in kinds]
+    return SIoTGraph(graph.devices, [*pairs, *added])
 
 
 def clique_device_graph(rnd: random.Random, n_users: int, models: int = 3) -> SIoTGraph:
@@ -208,15 +213,13 @@ def clique_device_graph(rnd: random.Random, n_users: int, models: int = 3) -> SI
             did = device_id(user, kind)
             devices[did] = Device(did, user, kind, f"m{rnd.randrange(models)}",
                                   GeoPoint(0.0, 0.001 * i) if kind == FIXED else None)
-    graph = SIoTGraph(devices)
-    for a, b in establish_por(devices):
-        graph.add_edge(a, b, RelationshipKind.POR)
-    for user, owned in graph.owner_devices.items():
+    edges = [(a, b, RelationshipKind.POR) for a, b in establish_por(devices)]
+    for user in sorted({d.owner for d in devices.values()}):
         if rnd.random() < 0.8:
-            graph.add_edge(owned[0], owned[1], RelationshipKind.OOR)
+            edges.append((mobile(user), fixed(user), RelationshipKind.OOR))
     ids = sorted(devices)
     for _ in range(rnd.randrange(0, n_users)):
         a, b = rnd.sample(ids, 2)
         if devices[a].owner != devices[b].owner:
-            graph.add_edge(a, b, rnd.choice([RelationshipKind.SOR, RelationshipKind.CLOR]))
-    return graph
+            edges.append((a, b, rnd.choice([RelationshipKind.SOR, RelationshipKind.CLOR])))
+    return SIoTGraph(devices, edges)

@@ -174,14 +174,14 @@ def test_criterion_02_reachability_oracle():
                 assert run.reached == frozenset(best) - {source}
                 assert run.hops == {k: v for k, v in best.items() if k != source}
         else:
-            extra = None
+            extra = {}
             ctx = ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
                                frozenset(holders), horizon, max_hops, extra)
             direct, best = interest_reach(source, ctx)
             if auth_map is not None:
                 profiles = {u: profile(u, {3} if u in holders else {9})
                             for u in users}
-                scn = Scenario(graph, SIoTGraph(make_devices(users)), profiles)
+                scn = Scenario(graph, SIoTGraph(make_devices(users), []), profiles)
                 mode = Mode.friendships()
                 context = build_reach_context(scn, 3, mode, auth_map, max_hops)
                 run = run_source(source, 3, mode, scn, context)
@@ -291,9 +291,8 @@ def test_criterion_04_protocol_invariants():
 def test_criterion_05_similarity_gate():
     # crafted chain: u0 -- u1 -- u2 -- u3, full forwarding, everything held
     users = [f"u{i}" for i in range(4)]
-    graph = SIoTGraph(make_devices(users))
-    for i in range(3):
-        graph.add_edge(mobile(users[i]), mobile(users[i + 1]), RelationshipKind.SOR)
+    graph = SIoTGraph(make_devices(users), [
+        (mobile(users[i]), mobile(users[i + 1]), RelationshipKind.SOR) for i in range(3)])
     profiles = {
         "u0": profile("u0", {3, 4, 6}),
         "u1": profile("u1", {4, 6, 7}),     # cosine 2/3, holds 4 but not 3
@@ -320,8 +319,7 @@ def test_criterion_05_similarity_gate():
     boundary = {"a": profile("a", {1, 2}), "b": profile("b", {2, 3})}
     sim = cosine_similarity(boundary["a"], boundary["b"])
     assert abs(sim - 0.5) < 1e-12
-    g2 = SIoTGraph(make_devices(["a", "b"]))
-    g2.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+    g2 = SIoTGraph(make_devices(["a", "b"]), [(mobile("a"), mobile("b"), RelationshipKind.SOR)])
     out = run_cior_round(["a"], g2, RelationshipKind, boundary, decisions,
                          interest=2)
     assert out == partner_sets({("a", "b")})
@@ -535,9 +533,9 @@ def hop_reduction_fixture():
     friendships = FriendshipGraph(users, [
         ("s", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "t1"),
         ("s", "y1"), ("y1", "y2"), ("y2", "y3"), ("y3", "t2")])
-    siot = SIoTGraph(make_devices(users))
-    for a, b in [("s", "r1"), ("r1", "r2"), ("r2", "t1"), ("r2", "t2")]:
-        siot.add_edge(mobile(a), mobile(b), RelationshipKind.POR)
+    siot = SIoTGraph(make_devices(users), [
+        (mobile(a), mobile(b), RelationshipKind.POR)
+        for a, b in [("s", "r1"), ("r1", "r2"), ("r2", "t1"), ("r2", "t2")]])
     profiles = {u: profile(u, {3}) if u in ("s", "t1", "t2")
                 else profile(u, set()) for u in users}
     return Scenario(friendships, siot, profiles)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import (make_devices, mobile, profile, result_csv_text,
-                      trace_scenario, traced_peak)
+                      trace_scenario, traced_peak, with_edges)
 from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
 from siotsim import experiment, humangraph
 from siotsim.experiment import (ExperimentConfig, Mode,
@@ -31,7 +31,7 @@ from siotsim.trace import CheckIn, CoLocation
 
 def scenario_without_siot_edges(users, friend_pairs, holders):
     friendships = FriendshipGraph(users, friend_pairs)
-    siot = SIoTGraph(make_devices(users))
+    siot = SIoTGraph(make_devices(users), [])
     profiles = {u: profile(u, {3} if u in holders else set()) for u in users}
     return Scenario(friendships, siot, profiles)
 
@@ -90,9 +90,9 @@ def hop_chain_scenario():
     users = ["s", "x1", "x2", "x3", "t", "r1", "r2"]
     friendships = FriendshipGraph(
         users, [("s", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "t")])
-    siot = SIoTGraph(make_devices(users))
-    for a, b in [("s", "r1"), ("r1", "r2"), ("r2", "t")]:
-        siot.add_edge(mobile(a), mobile(b), RelationshipKind.POR)
+    siot = SIoTGraph(make_devices(users), [
+        (mobile(a), mobile(b), RelationshipKind.POR)
+        for a, b in [("s", "r1"), ("r1", "r2"), ("r2", "t")]])
     profiles = {u: profile(u, {3}) if u in ("s", "t") else profile(u, set())
                 for u in users}
     return Scenario(friendships, siot, profiles)
@@ -558,11 +558,12 @@ def test_hops_sweep_is_samplewise_monotone():
                 index[(mode, hi, rep, src)].reached
 
 
-def test_cached_views_and_adjacency_see_edges_added_later():
+def test_views_and_adjacency_of_graphs_built_with_more_edges():
     users = ["a", "b", "c"]
     friendships = FriendshipGraph(users, [("a", "b")])
-    siot = SIoTGraph(make_devices(users))
-    siot.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+    devices = make_devices(users)
+    sor = (mobile("a"), mobile("b"), RelationshipKind.SOR)
+    siot = SIoTGraph(devices, [sor])
     kinds = {RelationshipKind.SOR, RelationshipKind.POR}
     view = siot.select_kinds(kinds)
     assert view.neighbors(mobile("a")) == (mobile("b"),)
@@ -570,12 +571,11 @@ def test_cached_views_and_adjacency_see_edges_added_later():
     ctx = ReachContext.for_graph(friendships, users, full_auth())
     assert ctx.adjacency == {"a": ("b",), "b": ("a",), "c": ()}
 
-    siot.add_edge(mobile("b"), mobile("c"), RelationshipKind.POR)
+    siot = SIoTGraph(devices, [sor, (mobile("b"), mobile("c"), RelationshipKind.POR)])
 
-    again = siot.select_kinds(kinds)
-    assert again is view
-    assert again.neighbors(mobile("b")) == (mobile("a"), mobile("c"))
-    assert again.owner_contacts() == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
+    view = siot.select_kinds(kinds)
+    assert view.neighbors(mobile("b")) == (mobile("a"), mobile("c"))
+    assert view.owner_contacts() == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
     assert siot.select_kinds({RelationshipKind.SOR}).owner_contacts() == {
         "a": ("b",), "b": ("a",)}
 
@@ -588,9 +588,8 @@ def clique_scenario() -> Scenario:
         communities=3, nodes_per_community=10, intra_friend_prob=0.3,
         cross_edges={RelationshipKind.SOR: 4, RelationshipKind.CLOR: 2},
         interest_prob=0.6, noise_interests=2, seed=41))
-    for a, b in establish_por(scn.siot.devices):
-        scn.siot.add_edge(a, b, RelationshipKind.POR)
-    return scn
+    por = [(a, b, RelationshipKind.POR) for a, b in establish_por(scn.siot.devices)]
+    return Scenario(scn.friendships, with_edges(scn.siot, por), scn.profiles)
 
 
 def test_an_enhanced_context_changes_neither_the_view_nor_the_round():

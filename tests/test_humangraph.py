@@ -20,7 +20,7 @@ from siotsim.scenario import Scenario, read_scenario_dir
 from siotsim.siotgraph import SIoTGraph
 
 
-def bool_context(adjacency, holders, authorize, max_hops, extra=None):
+def bool_context(adjacency, holders, authorize, max_hops, extra={}):
     return ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
                         frozenset(holders), bool_horizons(authorize, adjacency),
                         max_hops, extra)
@@ -231,7 +231,7 @@ def test_singleton_source_community():
 
 def test_source_must_hold_interest():
     g = graph_of(("s", "a"))
-    scn = Scenario(g, SIoTGraph(make_devices(["s", "a"])),
+    scn = Scenario(g, SIoTGraph(make_devices(["s", "a"]), []),
                    {"s": profile("s", {9}), "a": profile("a", {3})})
     context = build_reach_context(scn, 3, Mode.friendships(), all_yes(),
                                   DEFAULT_MAX_HOPS)
@@ -270,9 +270,8 @@ def random_fixture(rnd: random.Random, with_extra: bool):
     holders.add(source)
     adjacency = {u: set(g.adjacency.get(u, ())) for u in users}
     authorize = {u: rnd.random() < 0.6 for u in users}
-    extra = None
+    extra = {}
     if with_extra:
-        extra = {}
         for u in users:
             if rnd.random() < 0.3:
                 others = [v for v in users if v != u]
@@ -295,13 +294,13 @@ def test_reach_equals_fixed_point_oracle():
         assert best == o_best
 
 
-def horizon_context(adjacency, holders, horizon, max_hops, extra=None):
+def horizon_context(adjacency, holders, horizon, max_hops, extra={}):
     return ReachContext({u: tuple(sorted(vs)) for u, vs in adjacency.items()},
                         frozenset(holders), horizon, max_hops, extra)
 
 
 def assert_reach_matches_oracle(source, adjacency, holders, horizon, max_hops,
-                                extra=None):
+                                extra={}):
     direct, best = interest_reach(source, horizon_context(
         adjacency, holders, horizon, max_hops, extra))
     o_direct, o_best = oracle_reach(source, adjacency, lambda n, h: h <= horizon[n],
@@ -429,7 +428,7 @@ def test_reach_equals_oracle_on_a_generated_trace(tmp_path, monkeypatch):
         auth = AuthorizationMap(DrawTable(3, 0), AuthorizationPolicy(probs))
         for mode in (Mode.friendships(), Mode.enhanced(cior=False)):
             ctx = build_reach_context(scn, interest, mode, auth, DEFAULT_MAX_HOPS)
-            if ctx.extra_contacts is not None:
+            if ctx.extra_contacts:
                 widest_clique = max(map(len, ctx.extra_contacts.values()))
             for source in sorted(holders)[::9]:
                 direct, best = interest_reach(source, ctx)

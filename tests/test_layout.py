@@ -1,9 +1,10 @@
 """Source layout checks: every module-level function and class in
 `src/siotsim`, and every method, is used by the program itself (or, for a
 method, wrapped by the bench tracer), not only by its tests, every parameter
-with a default is passed by some caller in the package, only `trace` reads
-and writes CSV, no pipeline stage imports numpy, every name the bench tracer
-wraps exists, and the tracer's counts work on a real pipeline."""
+and every dataclass field with a default is passed by some caller in the
+package, only `trace` reads and writes CSV, no pipeline stage imports numpy,
+every name the bench tracer wraps exists, and the tracer's counts work on a
+real pipeline."""
 
 from __future__ import annotations
 
@@ -89,6 +90,26 @@ def test_every_module_level_definition_is_used_by_the_package():
     assert unused_definitions() == []
 
 
+def _package_trees() -> list[tuple[str, ast.Module]]:
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def _called_name(node: ast.AST) -> str | None:
+    """The name a call or a decorator refers to: `f` in `f(...)`,
+    `module.f(...)` and `@f`."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter `name`, which is positional
+    parameter `index` (None for keyword-only)."""
+    return ((index is not None and index < len(call.args))
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (name, None) for k in call.keywords))
+
+
 def unpassed_parameters() -> list[str]:
     """`module.function(param)` or `module.Class.method(param)` of each
     parameter with a default that no call in the package passes, by
@@ -97,12 +118,11 @@ def unpassed_parameters() -> list[str]:
     call with `*args` or `**kwargs` passes every parameter."""
     functions = []  # (label, called name, leading parameters no call passes, def)
     calls = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem, tree in _package_trees():
         calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                functions.append((f"{path.stem}.{node.name}", node.name, 0, node))
+                functions.append((f"{stem}.{node.name}", node.name, 0, node))
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
@@ -110,7 +130,7 @@ def unpassed_parameters() -> list[str]:
                     static = any(getattr(d, "id", None) == "staticmethod"
                                  for d in item.decorator_list)
                     called = node.name if item.name == "__init__" else item.name
-                    functions.append((f"{path.stem}.{node.name}.{item.name}", called,
+                    functions.append((f"{stem}.{node.name}.{item.name}", called,
                                       0 if static else 1, item))
     unpassed = []
     for label, name, skip, fn in functions:
@@ -119,12 +139,9 @@ def unpassed_parameters() -> list[str]:
         defaulted = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
         defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                       if d is not None]
-        named = [c for c in calls
-                 if getattr(c.func, "id", getattr(c.func, "attr", None)) == name]
+        named = [c for c in calls if _called_name(c) == name]
         for index, arg in defaulted:
-            if not any((index is not None and index < len(c.args))
-                       or any(isinstance(a, ast.Starred) for a in c.args)
-                       or any(k.arg in (arg, None) for k in c.keywords) for c in named):
+            if not any(_passes(c, index, arg) for c in named):
                 unpassed.append(f"{label}({arg})")
     return unpassed
 
@@ -133,6 +150,49 @@ def test_every_parameter_default_is_overridden_by_some_caller():
     """A default that no caller in the package overrides is an option with
     one value in use: a constant, or a parameter kept alive by tests."""
     assert [p for p in unpassed_parameters() if p not in ALLOWED_UNPASSED] == []
+
+
+def unpassed_fields() -> list[str]:
+    """`module.Class(field)` of each dataclass field with a default, set by
+    `__init__`, that no call in the package passes: a call of the class,
+    by position or by keyword, or a `dataclasses.replace` keyword. Calls
+    match by name, as in `unpassed_parameters`."""
+    classes = []  # (label, class name, [(position, field)] of defaulted fields)
+    calls = []
+    for stem, tree in _package_trees():
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any(_called_name(d) == "dataclass" for d in node.decorator_list)):
+                continue
+            defaulted, position = [], 0
+            for item in node.body:
+                if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                    continue
+                value = item.value
+                is_field = isinstance(value, ast.Call) and _called_name(value) == "field"
+                options = {k.arg: k.value for k in value.keywords} if is_field else {}
+                if getattr(options.get("init"), "value", True) is False:
+                    continue
+                if value is not None and (not is_field
+                                          or {"default", "default_factory"} & options.keys()):
+                    defaulted.append((position, item.target.id))
+                position += 1
+            classes.append((f"{stem}.{node.name}", node.name, defaulted))
+    replaced = {k.arg for c in calls if _called_name(c) == "replace" for k in c.keywords}
+    unpassed = []
+    for label, name, defaulted in classes:
+        named = [c for c in calls if _called_name(c) == name]
+        for index, field in defaulted:
+            if field not in replaced and not any(_passes(c, index, field) for c in named):
+                unpassed.append(f"{label}({field})")
+    return unpassed
+
+
+def test_every_dataclass_field_default_is_overridden_by_some_caller():
+    """The same for the fields of a dataclass: a cache or a store that no
+    caller fills is `field(init=False)`, not a constructor argument."""
+    assert unpassed_fields() == []
 
 
 def _csv_reader_and_writer_uses(path: Path) -> list[int]:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (clique_device_graph, fixed, fixed_horizon, make_devices,
                       mobile, profile, random_device_graph, random_nonincreasing,
-                      token_for, trace_scenario)
+                      token_for, trace_scenario, with_edges)
 from oracles import (oracle_cior_pairs, oracle_components, oracle_flood,
                      oracle_relay_table, partner_sets, siot_edges)
 from siotsim import protocol
@@ -23,12 +23,10 @@ from siotsim.siotgraph import BASE_KINDS, MOBILE, RelationshipKind, SIoTGraph
 
 def chain_graph(n: int) -> SIoTGraph:
     users = [f"u{i}" for i in range(n)]
-    g = SIoTGraph(make_devices(users))
-    for u in users:
-        g.add_edge(mobile(u), f"{u}:fixed", RelationshipKind.OOR)
-    for i in range(n - 1):
-        g.add_edge(mobile(users[i]), mobile(users[i + 1]), RelationshipKind.SOR)
-    return g
+    return SIoTGraph(make_devices(users), [
+        *((mobile(u), f"{u}:fixed", RelationshipKind.OOR) for u in users),
+        *((mobile(users[i]), mobile(users[i + 1]), RelationshipKind.SOR)
+          for i in range(n - 1))])
 
 
 def full_view(g: SIoTGraph):
@@ -71,7 +69,7 @@ def test_source_always_sends_even_when_nobody_forwards():
 
 
 def test_isolated_source_produces_empty_trace():
-    g = SIoTGraph(make_devices(["solo"]))
+    g = SIoTGraph(make_devices(["solo"]), [])
     trace = propagate_vuip(mobile("solo"), full_view(g), anon_token(),
                            fixed_horizon())
     assert trace.records == {}
@@ -80,9 +78,9 @@ def test_isolated_source_produces_empty_trace():
 def test_each_device_receives_once():
     # diamond: u0 - u1/u2 - u3 plus a cycle edge
     users = [f"u{i}" for i in range(4)]
-    g = SIoTGraph(make_devices(users))
-    for a, b in [("u0", "u1"), ("u0", "u2"), ("u1", "u3"), ("u2", "u3")]:
-        g.add_edge(mobile(a), mobile(b), RelationshipKind.SOR)
+    g = SIoTGraph(make_devices(users), [
+        (mobile(a), mobile(b), RelationshipKind.SOR)
+        for a, b in [("u0", "u1"), ("u0", "u2"), ("u1", "u3"), ("u2", "u3")]])
     trace = propagate_vuip(mobile("u0"), full_view(g), anon_token(),
                            fixed_horizon())
     assert len(trace.records) == len(set(trace.records))
@@ -186,13 +184,10 @@ def test_backpropagate_rejects_unknown_requester():
 
 def two_cliques_with_bridge():
     users = [f"a{i}" for i in range(3)] + [f"b{i}" for i in range(3)]
-    g = SIoTGraph(make_devices(users))
-    for side in ("a", "b"):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                g.add_edge(mobile(f"{side}{i}"), mobile(f"{side}{j}"),
-                           RelationshipKind.SOR)
-    g.add_edge(mobile("a0"), mobile("b0"), RelationshipKind.POR)
+    edges = [(mobile(f"{side}{i}"), mobile(f"{side}{j}"), RelationshipKind.SOR)
+             for side in ("a", "b") for i in range(3) for j in range(i + 1, 3)]
+    g = SIoTGraph(make_devices(users),
+                  [*edges, (mobile("a0"), mobile("b0"), RelationshipKind.POR)])
     profiles = {u: profile(u, {3}) for u in users}
     return g, users, profiles
 
@@ -227,9 +222,8 @@ def test_round_bridges_two_cliques():
 
 def test_round_can_originate_from_both_devices():
     users = ["a", "b"]
-    g = SIoTGraph(make_devices(users))
     # only the fixed devices are linked, so a mobile-only origin finds nobody
-    g.add_edge("a:fixed", "b:fixed", RelationshipKind.CLOR)
+    g = SIoTGraph(make_devices(users), [("a:fixed", "b:fixed", RelationshipKind.CLOR)])
     base_edges = siot_edges(g)
     profiles = {u: profile(u, {3}) for u in users}
     mobile_only = run_cior_round(users, g, RelationshipKind, profiles,
@@ -368,18 +362,17 @@ def sparse_device_graph(rnd: random.Random, n_users: int) -> SIoTGraph:
     edge, so some devices are isolated and some components are one owner's
     OOR pair; rare cross edges join the rest into mixed components."""
     users = [f"u{i:03d}" for i in range(n_users)]
-    g = SIoTGraph(make_devices(users))
-    for u in users:
-        if rnd.random() < 0.7:
-            g.add_edge(mobile(u), fixed(u), RelationshipKind.OOR)
-    ids = sorted(g.devices)
+    devices = make_devices(users)
+    edges = [(mobile(u), fixed(u), RelationshipKind.OOR)
+             for u in users if rnd.random() < 0.7]
+    ids = sorted(devices)
     p = rnd.uniform(0.0, 2.0 / len(ids))
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            if g.devices[ids[i]].owner != g.devices[ids[j]].owner and rnd.random() < p:
-                g.add_edge(ids[i], ids[j], rnd.choice(
-                    [RelationshipKind.POR, RelationshipKind.SOR, RelationshipKind.CLOR]))
-    return g
+            if devices[ids[i]].owner != devices[ids[j]].owner and rnd.random() < p:
+                edges.append((ids[i], ids[j], rnd.choice(
+                    [RelationshipKind.POR, RelationshipKind.SOR, RelationshipKind.CLOR])))
+    return SIoTGraph(devices, edges)
 
 
 def random_rounds(seed: int, count: int):
@@ -495,8 +488,9 @@ def test_plan_shares_one_candidate_set_per_held_set_and_component_holders():
 def test_flood_equals_the_relay_table_oracle_item_for_item():
     """The relay table of every flood holds the oracle's (receiver,
     previous hop, hop) items in the oracle's order, over dense POR cliques,
-    every kind subset, TTL 1-6 and random horizons, also after an edge is
-    added to the graph between two floods from the same device."""
+    every kind subset, TTL 1-6 and random horizons, also over the graph
+    built again with one more edge between two floods from the same
+    device."""
     rnd = random.Random(1515)
     subsets = list(kind_subsets())
     compared = grown = 0
@@ -518,7 +512,9 @@ def test_flood_equals_the_relay_table_oracle_item_for_item():
                 compared += 1
                 others = [d for d in ids if d != source and d not in view.neighbors(source)]
                 if step == 0 and others:
-                    g.add_edge(source, rnd.choice(others), rnd.choice(sorted(kinds, key=str)))
+                    g = with_edges(g, [(source, rnd.choice(others),
+                                        rnd.choice(sorted(kinds, key=str)))])
+                    view = g.select_kinds(kinds)
                     grown += 1
     assert compared == 480 and grown > 200
 

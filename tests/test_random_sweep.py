@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_nonincreasing, result_csv_text, trace_scenario
+from conftest import random_nonincreasing, result_csv_text, trace_scenario, with_edges
 from oracles import oracle_campaign, oracle_cior_pairs, partner_sets
 from siotsim import experiment
 from siotsim.experiment import (MODE_ENHANCED, MODE_FRIENDSHIPS,
@@ -61,14 +61,15 @@ def draw_scenario(rnd: random.Random, spec: SyntheticScenarioSpec) -> Scenario:
     the C-LOR links of homes within 0-600 m (homes in a community lie
     about 111 m apart, in a row) each added half of the time."""
     scenario = generate_scenario(spec)
-    siot = scenario.siot
+    devices = scenario.siot.devices
+    added = []
     if rnd.random() < 0.5:
-        for a, b in establish_por(siot.devices):
-            siot.add_edge(a, b, RelationshipKind.POR)
+        added += [(a, b, RelationshipKind.POR) for a, b in establish_por(devices)]
     if rnd.random() < 0.5:
-        for a, b in establish_clor(siot.devices, rnd.uniform(0.0, 600.0)):
-            siot.add_edge(a, b, RelationshipKind.CLOR)
-    return scenario
+        added += [(a, b, RelationshipKind.CLOR)
+                  for a, b in establish_clor(devices, rnd.uniform(0.0, 600.0))]
+    return Scenario(scenario.friendships, with_edges(scenario.siot, added),
+                    scenario.profiles)
 
 
 def draw_kinds(rnd: random.Random) -> frozenset[RelationshipKind]:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import (checkin, clique_device_graph, corpus_of, fixed, make_devices,
-                      mobile, scatter_points, traced_peak)
+                      mobile, scatter_points, traced_peak, with_edges)
 from oracles import (oracle_clor, oracle_components, oracle_device_view,
                      oracle_por_count, siot_edges)
 from siotsim import siotgraph
@@ -178,11 +178,10 @@ def view_pairs(view) -> list[tuple[str, str]]:
 
 
 def test_select_kinds_filtering():
-    devices = make_devices(["a", "b"])
-    g = SIoTGraph(devices)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.POR)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
-    g.add_edge(fixed("a"), fixed("b"), RelationshipKind.SOR)
+    g = SIoTGraph(make_devices(["a", "b"]), [
+        (mobile("a"), mobile("b"), RelationshipKind.POR),
+        (mobile("a"), mobile("b"), RelationshipKind.SOR),
+        (fixed("a"), fixed("b"), RelationshipKind.SOR)])
 
     por_only = g.select_kinds({RelationshipKind.POR})
     assert [a for a, _ in view_pairs(por_only)] == [mobile("a")]
@@ -196,11 +195,10 @@ def test_select_kinds_filtering():
 
 
 def test_cior_is_never_stored_and_never_keys_a_view():
-    g = SIoTGraph(make_devices(["a", "b"]))
+    devices = make_devices(["a", "b"])
     with pytest.raises(ValueError):
-        g.add_edge(mobile("a"), mobile("b"), RelationshipKind.CIOR)
-    assert siot_edges(g) == []
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+        SIoTGraph(devices, [(mobile("a"), mobile("b"), RelationshipKind.CIOR)])
+    g = SIoTGraph(devices, [(mobile("a"), mobile("b"), RelationshipKind.SOR)])
     view = g.select_kinds({RelationshipKind.SOR})
     assert g.select_kinds({RelationshipKind.SOR, RelationshipKind.CIOR}) is view
     assert view.kinds == {RelationshipKind.SOR}
@@ -212,13 +210,14 @@ def test_cior_is_never_stored_and_never_keys_a_view():
 def test_kind_monotonicity_of_views():
     rnd = random.Random(55)
     devices = make_devices([f"u{i}" for i in range(8)])
-    g = SIoTGraph(devices)
     ids = sorted(devices)
+    edges = []
     for _ in range(30):
         a, b = rnd.sample(ids, 2)
         if devices[a].owner == devices[b].owner:
             continue
-        g.add_edge(a, b, rnd.choice(list(RelationshipKind)[:4]))
+        edges.append((a, b, rnd.choice(list(RelationshipKind)[:4])))
+    g = SIoTGraph(devices, edges)
     subsets = [{RelationshipKind.POR},
                {RelationshipKind.POR, RelationshipKind.SOR},
                {RelationshipKind.POR, RelationshipKind.SOR, RelationshipKind.OOR},
@@ -232,10 +231,8 @@ def test_kind_monotonicity_of_views():
 
 
 def test_owner_contacts_projection_skips_same_owner():
-    devices = make_devices(["a", "b"])
-    g = SIoTGraph(devices)
-    g.add_edge(mobile("a"), fixed("a"), RelationshipKind.OOR)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
+    g = SIoTGraph(make_devices(["a", "b"]), [(mobile("a"), fixed("a"), RelationshipKind.OOR),
+                                             (mobile("a"), mobile("b"), RelationshipKind.SOR)])
     contacts = g.select_kinds(set(RelationshipKind)).owner_contacts()
     assert contacts == {"a": ("b",), "b": ("a",)}
 
@@ -250,11 +247,10 @@ def owners_by_device(view) -> dict:
 def test_components_follow_added_edges():
     # a-b and c-d are two-owner components, f is one owner's OOR pair and
     # e has no edge at all
-    g = SIoTGraph(make_devices(["a", "b", "c", "d", "e", "f"]))
-    for user in "abcdf":
-        g.add_edge(mobile(user), fixed(user), RelationshipKind.OOR)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
-    g.add_edge(mobile("c"), mobile("d"), RelationshipKind.SOR)
+    g = SIoTGraph(make_devices(["a", "b", "c", "d", "e", "f"]), [
+        *((mobile(user), fixed(user), RelationshipKind.OOR) for user in "abcdf"),
+        (mobile("a"), mobile("b"), RelationshipKind.SOR),
+        (mobile("c"), mobile("d"), RelationshipKind.SOR)])
     view = g.select_kinds(BASE_KINDS)
     before = owners_by_device(view)
     assert before == oracle_components(view)
@@ -269,8 +265,9 @@ def test_components_follow_added_edges():
     assert view.component(mobile("f")).owners == {"f"}
     assert not {mobile("e"), fixed("e"), mobile("f"), fixed("f")} & before.keys()
 
-    g.add_edge(fixed("b"), fixed("c"), RelationshipKind.CLOR)
-    assert view.component(fixed("a")) is not record  # dropped with the edge
+    # the same graph built with one more edge
+    g = with_edges(g, [(fixed("b"), fixed("c"), RelationshipKind.CLOR)])
+    view = g.select_kinds(BASE_KINDS)
     after = owners_by_device(view)
     assert after == oracle_components(view)
     merged = {device for user in "abcd" for device in (mobile(user), fixed(user))}
@@ -278,13 +275,15 @@ def test_components_follow_added_edges():
     assert {id(view.component(d)) for d in merged} == {id(view.component(fixed("b")))}
     assert after[fixed("b")] == {"a", "b", "c", "d"}
 
-    # read after every added edge of a random graph
+    # read from a random graph built with each of its edges in turn added
     rnd = random.Random(77)
-    g = SIoTGraph(make_devices([f"u{i}" for i in range(12)]))
-    ids = sorted(g.devices)
+    devices = make_devices([f"u{i}" for i in range(12)])
+    ids = sorted(devices)
+    edges = []
     for _ in range(30):
         a, b = rnd.sample(ids, 2)
-        g.add_edge(a, b, rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value)))
+        edges.append((a, b, rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value))))
+        g = SIoTGraph(devices, edges)
         for kinds in ({RelationshipKind.SOR}, BASE_KINDS):
             view = g.select_kinds(kinds)
             assert owners_by_device(view) == oracle_components(view)
@@ -398,10 +397,9 @@ def test_load_model_catalog_accepts_probabilities_zero_and_one(tmp_path):
 
 def test_graph_export_roundtrip(tmp_path):
     devices = make_devices(["a", "b", "c"])
-    g = SIoTGraph(devices)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.POR)
-    g.add_edge(mobile("a"), mobile("b"), RelationshipKind.SOR)
-    g.add_edge(fixed("b"), fixed("c"), RelationshipKind.CLOR)
+    g = SIoTGraph(devices, [(mobile("a"), mobile("b"), RelationshipKind.POR),
+                            (mobile("a"), mobile("b"), RelationshipKind.SOR),
+                            (fixed("b"), fixed("c"), RelationshipKind.CLOR)])
     dev_path, graph_path = tmp_path / "devices.csv", tmp_path / "graph.csv"
     write_devices_csv(devices, dev_path)
     write_siot_graph(g, graph_path)
@@ -448,11 +446,10 @@ def test_views_of_a_read_graph_match_the_raw_line_oracle(tmp_path):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         graph = read_siot_graph(path, devices)
         check(graph, lines)
-        # an edge added after every view has been read
+        # the same graph built with one more edge
         a, b = rnd.sample(ids, 2)
         kind = rnd.choice(sorted(BASE_KINDS, key=lambda k: k.value))
-        graph.add_edge(a, b, kind)
-        check(graph, lines + [f"{a},{b},{kind.value}"])
+        check(with_edges(graph, [(a, b, kind)]), lines + [f"{a},{b},{kind.value}"])
 
 
 def test_a_read_graph_shares_its_kind_sets_and_device_ids(tmp_path):
@@ -475,17 +472,24 @@ def test_a_read_graph_shares_its_kind_sets_and_device_ids(tmp_path):
     assert len({id(d) for d in endpoints}) == len(set(endpoints))
 
 
-@pytest.mark.parametrize("bad_line", [
-    "a:mobile,b:mobile,C-IOR",
-    "a:mobile,b:mobile,C-IOR,3",
-    "a:mobile,b:mobile,POR,3",
-    "a:mobile,ghost:mobile,POR",
-])
-def test_read_siot_graph_names_the_file_and_line_of_bad_input(tmp_path, bad_line):
+@pytest.mark.parametrize("bad_line, reason", [pytest.param(*case, id=case[0]) for case in [
+    ("a:mobile,b:mobile,C-IOR", "C-IOR links are not stored in the device graph"),
+    ("a:mobile,b:mobile,C-IOR,3", None),
+    ("a:mobile,b:mobile,POR,3", None),
+    ("a:mobile,ghost:mobile,POR", "unknown device in edge ('a:mobile', 'ghost:mobile')"),
+    ("a:mobile,a:mobile,POR", "self-edge on device 'a:mobile'"),
+    ("a:mobile,b:mobile,C-WOR", "unknown relationship kind: 'C-WOR'"),
+]])
+def test_read_siot_graph_names_the_file_and_line_of_bad_input(tmp_path, bad_line, reason):
+    """The file, the line and the line's text; and the exact reason where it
+    is not Python's own unpacking message."""
     devices = make_devices(["a", "b"])
     path = tmp_path / "graph.csv"
     path.write_text(f"a:mobile,b:mobile,POR\n\n{bad_line}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+    expected = f"^{re.escape(f'{path}:3: bad edge line {bad_line!r} (')}"
+    if reason is not None:
+        expected += f"{re.escape(reason)}\\)$"
+    with pytest.raises(ValueError, match=expected):
         read_siot_graph(path, devices)
 
 
@@ -496,9 +500,14 @@ def test_parse_kind_roundtrip():
         parse_kind("C-WOR")  # deliberately absent kind
 
 
-def test_add_edge_validations():
-    g = SIoTGraph(make_devices(["a"]))
-    with pytest.raises(ValueError):
-        g.add_edge(mobile("a"), mobile("a"), RelationshipKind.POR)
-    with pytest.raises(ValueError):
-        g.add_edge(mobile("a"), "ghost", RelationshipKind.POR)
+def test_graph_constructor_rejects_cior_self_edges_and_unknown_devices():
+    devices = make_devices(["a", "b"])
+    for edge, reason in [
+        ((mobile("a"), mobile("b"), RelationshipKind.CIOR),
+         "C-IOR links are not stored in the device graph"),
+        ((mobile("a"), mobile("a"), RelationshipKind.POR), "self-edge on device 'a:mobile'"),
+        ((mobile("a"), "ghost", RelationshipKind.POR),
+         "unknown device in edge ('a:mobile', 'ghost')"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            SIoTGraph(devices, [(mobile("a"), fixed("a"), RelationshipKind.OOR), edge])
