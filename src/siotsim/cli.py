@@ -171,7 +171,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    runs = experiment.run_campaign(scn, cfg, threads=args.threads)
+    runs = experiment.run_campaign(scn, cfg)
     experiment.write_result_csv(runs, out / "results.csv")
     irn_series = report.mean_irn_pct(runs)
     report.emit_csv(irn_series, out / "irn_series.csv")
@@ -197,8 +197,10 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_threshold(int), default=1,
-                        help="worker cap, at least 1; never changes results")
+    common.add_argument("--threads", type=int, choices=[1], default=1,
+                        help="accepts only 1 and is read by no stage; kept for "
+                             "scripts that pass --threads 1, and goes once "
+                             "bench/run.py stops passing it (ROADMAP direction 1)")
     common.add_argument("--out", default="out", help="output directory")
 
     parser = argparse.ArgumentParser(

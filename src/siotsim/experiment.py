@@ -16,7 +16,6 @@ are a round's output but an input of reach, and every round still runs."""
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, KeysView, Mapping, Sequence
@@ -165,9 +164,13 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.sweep != "none" and self.sweep not in _SWEEPS:
             raise ValueError(f"unknown sweep variable: {self.sweep!r}")
-        for mode in self.modes:
+        if not self.modes:
+            raise ValueError("modes names no mode")
+        for n, mode in enumerate(self.modes):
             if mode not in (MODE_FRIENDSHIPS, MODE_ENHANCED):
                 raise ValueError(f"unknown mode: {mode!r}")
+            if mode in self.modes[:n]:
+                raise ValueError(f"mode {mode!r} given twice")
         if self.origin_device not in (ORIGIN_MOBILE, ORIGIN_BOTH):
             raise ValueError(f"unknown origin_device: {self.origin_device!r}")
         if self.sources != "all" and not (self.sources.isdecimal()
@@ -244,8 +247,8 @@ _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat `key = value` experiment config file. Unknown keys are
-    fatal, and every error names the file."""
+    """Parse a flat `key = value` experiment config file. Unknown keys and
+    keys given twice are fatal, and every error names the file."""
     kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -258,6 +261,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             parse = _FIELD_PARSERS.get(key)
             if parse is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in kwargs:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} given twice")
             try:
                 kwargs[key] = parse(value)
             except ValueError as exc:
@@ -398,30 +403,15 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
     return [run for point_runs in runs_at for run in point_runs]
 
 
-def run_campaign(scenario: Scenario, config: ExperimentConfig,
-                 threads: int = 1) -> list[SourceRun]:
+def run_campaign(scenario: Scenario, config: ExperimentConfig) -> list[SourceRun]:
     """Run the full campaign: every (sweep point, mode, replicate, source)
-    combination. Replicates use independent decision draws; results are
-    deterministic for a fixed seed regardless of `threads`. At most
-    `threads` replicates, and never more than there are, run at once in
-    worker processes. The C-IOR rounds share one `RoundMemo`; each worker
-    task fills its own copy."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    combination, one replicate after another. Replicates use independent
+    decision draws, so results are deterministic for a fixed seed. The
+    C-IOR rounds of all replicates share one `RoundMemo`."""
     sources = select_sources(scenario, config)
-    runs: list[SourceRun] = []
     rounds: RoundMemo = {}
-    workers = min(threads, config.replicates)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_replicate, scenario, config, sources, r, rounds)
-                       for r in range(config.replicates)]
-            for fut in futures:
-                runs.extend(fut.result())
-    else:
-        for r in range(config.replicates):
-            runs.extend(_run_replicate(scenario, config, sources, r, rounds))
-    return runs
+    return [run for r in range(config.replicates)
+            for run in _run_replicate(scenario, config, sources, r, rounds)]
 
 
 RESULT_HEADER = ["campaign", "interest", "mode", "kinds", "sweep_var",

@@ -2,9 +2,9 @@
 
 Every stochastic decision in the simulator is derived from a hash of its
 identifying key, never from shared mutable RNG state. That makes results
-independent of evaluation order (so parallel runs are bit-identical to
-sequential ones) and lets coupled-randomness experiments reuse the exact
-same draw for a node across modes and sweep points.
+independent of evaluation order (replicates give the same bytes in any
+order) and lets coupled-randomness experiments reuse the exact same draw
+for a node across modes and sweep points.
 """
 
 from __future__ import annotations

@@ -391,7 +391,7 @@ def _owner_contacts(graph, kinds) -> dict:
 
 def oracle_campaign(scenario, config) -> str:
     """The `results.csv` text of a campaign, every run from first
-    principles: no memo, group, relabelling or worker pool.
+    principles: no memo, group or relabelling.
 
     The sweep points and their labels come from `config.sweep_points()`.
     For each replicate, point, mode and source, in that order, decisions

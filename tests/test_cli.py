@@ -396,9 +396,12 @@ def test_ingest_names_the_file_and_line_of_a_bad_poi_row(tmp_path, capsys, bad_r
     ("sim_threshold = 1.5", "sim_threshold must be in [0, 1], got 1.5"),
     ("kinds = C-IOR", "kind set 'C-IOR' holds no base kind"),
     ("sweep = kinds\nkind_sets = OOR ; C-IOR", "kind set 'C-IOR' holds no base kind"),
+    ("modes =", "modes names no mode"),
+    ("modes = friendships, friendships", "mode 'friendships' given twice"),
 ], ids=["sources-not-a-number", "sources-zero", "no-replicates", "sweep-without-values",
         "nan-sim-threshold", "negative-sim-threshold", "sim-threshold-above-one",
-        "kinds-without-base-kind", "kind-set-without-base-kind"])
+        "kinds-without-base-kind", "kind-set-without-base-kind", "no-modes",
+        "repeated-mode"])
 def test_run_names_the_config_file_of_an_invalid_config(tmp_path, capsys, line, message):
     scn = tmp_path / "scn"
     assert run_cli(["synth", "--out", scn]) == 0
@@ -664,6 +667,14 @@ def test_explicit_zero_poi_radius_is_not_replaced_by_the_default(tmp_path):
 @pytest.mark.parametrize("command", ["ingest", "build-graph", "synth", "run", "report"])
 def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, value):
     assert run_cli([command, "--threads", value, "--out", tmp_path / "out"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "build-graph", "synth", "run", "report"])
+def test_threads_above_one_is_a_usage_error(tmp_path, capsys, command):
+    """No stage reads `--threads`; it accepts only 1."""
+    assert run_cli([command, "--threads", 2, "--out", tmp_path / "out"]) == 2
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

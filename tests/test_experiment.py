@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import pickle
 import random
@@ -229,61 +228,9 @@ def test_campaign_csv_deterministic_and_seed_sensitive():
     assert any(other != first for other in others)
 
 
-def test_worker_pool_is_capped_at_the_replicate_count(monkeypatch):
-    # a stand-in pool that runs each task in this process and records its size
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    scn = generate_scenario(SyntheticScenarioSpec(communities=2, nodes_per_community=5,
-                                                  seed=13))
-    cfg = ExperimentConfig(replicates=2, seed=1)
-    pooled = result_csv_text(run_campaign(scn, cfg, threads=64))
-    assert sizes == [2]
-    assert pooled == result_csv_text(run_campaign(scn, cfg, threads=1))
-    assert sizes == [2]
-    run_campaign(scn, replace(cfg, replicates=1), threads=64)
-    assert sizes == [2]
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads"):
-            run_campaign(scn, cfg, threads=threads)
-
-
-def test_threads_do_not_change_results():
-    # the auth and hops sweeps give each replicate memos under two keys
-    spec = SyntheticScenarioSpec(communities=2, nodes_per_community=5,
-                                 cross_edges={RelationshipKind.POR: 1}, seed=13)
-    scn = generate_scenario(spec)
-    base = ExperimentConfig(replicates=3, seed=1,
-                            auth_prob_per_hop=(0.9, 0.6, 0.4, 0.2))
-    for cfg in (base,
-                replace(base, sweep="auth",
-                        auth_values=((0.9, 0.6, 0.4, 0.2), (1.0, 0.5))),
-                replace(base, sweep="hops", hops_values=(2, 4))):
-        sequential = result_csv_text(run_campaign(scn, cfg, threads=1))
-        parallel = result_csv_text(run_campaign(scn, cfg, threads=2))
-        assert sequential == parallel
-        assert len({r.sweep_value for r in run_campaign(scn, cfg)}) == \
-            len(cfg.sweep_points())
-
-
 def test_records_are_slotted_and_survive_a_pickle_round_trip():
     """The trace, device and run records keep no per-instance dict, and each
-    goes to a worker process and back unchanged."""
+    survives a pickle round trip unchanged."""
     home = GeoPoint(38.7, -9.1)
     run = SourceRun("c", 3, "enhanced", "OOR+SOR", "auth", "0.9", 1, "u1",
                     {"u2": 1, "u3": 2}, 4)
@@ -368,7 +315,8 @@ def sharing_scenario():
 def test_sharing_passes_across_points_is_invisible():
     """A campaign whose pass keys interleave (A, B, A) returns the same runs,
     in the same order, as running each point as its own one-point campaign
-    and labelling its runs with the point."""
+    and labelling its runs with the point; the points of a sweep with
+    distinct values label their runs with distinct values."""
     scn = sharing_scenario()
     base = ExperimentConfig(replicates=2, seed=5,
                             auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3),
@@ -390,6 +338,12 @@ def test_sharing_passes_across_points_is_invisible():
         expected = [run for r in range(cfg.replicates) for runs in alone
                     for run in runs if run.replicate == r]
         assert run_campaign(scn, cfg) == expected
+    for cfg in (base,
+                replace(base, sweep="auth",
+                        auth_values=((0.9, 0.6, 0.4, 0.2), (1.0, 0.5))),
+                replace(base, sweep="hops", hops_values=(2, 4))):
+        assert len({r.sweep_value for r in run_campaign(scn, cfg)}) == \
+            len(cfg.sweep_points())
 
 
 def test_each_distinct_reach_context_is_built_once_per_group(monkeypatch):
@@ -500,6 +454,14 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("no_such_key = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no_such_key"):
         load_config(path)
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("replicates = 2\nseed = 4\nreplicates = 3\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:3: config key 'replicates' given twice"
 
 
 def test_load_config_rejects_bad_values(tmp_path):
@@ -621,10 +583,9 @@ def test_an_enhanced_context_changes_neither_the_view_nor_the_round():
 ], ids=["kinds", "ttl", "spread", "kinds-both-origins"])
 def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
     """A campaign whose rounds share plans, gates and flood bitmasks writes
-    the bytes of one whose every round is `oracle_cior_pairs`, with one
-    worker or two, and in one worker its rounds return the oracle's pairs,
-    as partner maps, in turn; the rounds link owners that friendships
-    alone do not."""
+    the bytes of one whose every round is `oracle_cior_pairs`, and its
+    rounds return the oracle's pairs, as partner maps, in turn; the rounds
+    link owners that friendships alone do not."""
     cfg = ExperimentConfig(replicates=2, seed=13, auth_prob_per_hop=(0.9, 0.6),
                            spread_prob_per_hop=(0.8, 0.5), **sweep)
     returned: dict[str, list] = {"oracle": [], "memo": []}
@@ -647,8 +608,7 @@ def test_shared_round_work_changes_no_result_byte(monkeypatch, sweep):
     assert expected != without
     monkeypatch.setattr(experiment, "run_cior_round",
                         recorded("memo", experiment.run_cior_round))
-    for threads in (1, 2):  # two workers record in their own processes
-        assert result_csv_text(run_campaign(clique_scenario(), cfg, threads)) == expected
+    assert result_csv_text(run_campaign(clique_scenario(), cfg)) == expected
     assert returned["memo"] == returned["oracle"]
 
 
@@ -656,27 +616,27 @@ SPREADS = dict(sweep="spread", spread_values=(1.0, 0.6, 0.2))
 OWN_DEVICES = frozenset({RelationshipKind.OOR})
 
 
-@pytest.mark.parametrize("scenario, cfg, threads", [
-    (sharing_scenario, {}, 1),
-    (sharing_scenario, SPREADS, 1),
-    (sharing_scenario, dict(SPREADS, cior=False), 1),
+@pytest.mark.parametrize("scenario, cfg", [
+    (sharing_scenario, {}),
+    (sharing_scenario, SPREADS),
+    (sharing_scenario, dict(SPREADS, cior=False)),
     (sharing_scenario, dict(sweep="auth",
-                            auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8))), 1),
-    (clique_scenario, dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE)), 1),
-    (clique_scenario, dict(sweep="ttl", ttl_values=(1, 3, 6)), 1),
-    (sharing_scenario, dict(sweep="hops", hops_values=(2, 4, 2)), 1),
-    (clique_scenario, SPREADS, 1),
+                            auth_values=((1.0, 0.8), (0.6, 0.3), (1.0, 0.8)))),
+    (clique_scenario, dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE))),
+    (clique_scenario, dict(sweep="ttl", ttl_values=(1, 3, 6))),
+    (sharing_scenario, dict(sweep="hops", hops_values=(2, 4, 2))),
+    (clique_scenario, SPREADS),
     (clique_scenario, dict(sweep="kinds", kind_sets=(SPARSE, CLIQUES, SPARSE),
-                           origin_device="both"), 1),
-    (sharing_scenario, dict(SPREADS, include_isolated=False), 1),
-    (clique_scenario, dict(SPREADS, sources="5"), 1),
-    (clique_scenario, dict(sweep="hops", hops_values=(2, 4, 2)), 2),
+                           origin_device="both")),
+    (sharing_scenario, dict(SPREADS, include_isolated=False)),
+    (clique_scenario, dict(SPREADS, sources="5")),
+    (clique_scenario, dict(sweep="hops", hops_values=(2, 4, 2))),
     (trace_scenario, dict(sweep="kinds", kind_sets=(
-        OWN_DEVICES, CLIQUES | {RelationshipKind.CLOR}, OWN_DEVICES)), 1),
+        OWN_DEVICES, CLIQUES | {RelationshipKind.CLOR}, OWN_DEVICES))),
 ], ids=["none", "spread", "spread-no-cior", "auth-ABA", "kinds-ABA", "ttl", "hops-ABA",
         "clique-spread", "kinds-both-origins", "without-isolated", "k-sources",
-        "two-workers", "trace-kinds-ABA"])
-def test_campaign_equals_the_campaign_oracle(scenario, cfg, threads):
+        "clique-hops-ABA", "trace-kinds-ABA"])
+def test_campaign_equals_the_campaign_oracle(scenario, cfg):
     """Every byte of `results.csv`, with all sharing across modes, sweep
     points and sources, equals the campaign rebuilt from per-decision
     draws, oracle rounds and oracle reach."""
@@ -684,4 +644,4 @@ def test_campaign_equals_the_campaign_oracle(scenario, cfg, threads):
                               auth_prob_per_hop=(0.9, 0.7, 0.5, 0.3),
                               spread_prob_per_hop=(0.8, 0.6), **cfg)
     expected = oracle_campaign(scenario(), config)
-    assert result_csv_text(run_campaign(scenario(), config, threads)) == expected
+    assert result_csv_text(run_campaign(scenario(), config)) == expected

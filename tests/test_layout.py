@@ -2,9 +2,9 @@
 `src/siotsim`, and every method, is used by the program itself (or, for a
 method, wrapped by the bench tracer), not only by its tests, every parameter
 and every dataclass field with a default is passed by some caller in the
-package, only `trace` reads and writes CSV, no pipeline stage imports numpy,
-every name the bench tracer wraps exists, and the tracer's counts work on a
-real pipeline."""
+package, only `trace` reads and writes CSV, no pipeline stage imports numpy
+or a process pool, every name the bench tracer wraps exists, and the
+tracer's counts work on a real pipeline."""
 
 from __future__ import annotations
 
@@ -219,8 +219,8 @@ def test_only_trace_reads_and_writes_csv():
     assert {module: lines for module, lines in uses.items() if lines} == {}
 
 
-# Runs every CLI stage in one fresh interpreter, then names the heavy
-# modules any of them imported.
+# Runs every CLI stage in one fresh interpreter, then names the modules of
+# numpy and of process pools that any of them imported.
 _ALL_STAGES = """
 import sys
 from pathlib import Path
@@ -241,11 +241,12 @@ stages = [
 ]
 for stage in stages:
     assert cli.main([str(a) for a in stage]) == 0, stage
-print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("numpy", "concurrent", "multiprocessing")))
 """
 
 
-def test_no_stage_imports_numpy(tmp_path):
+def test_no_stage_imports_numpy_or_a_process_pool(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "bench"),
                                                       env.get("PYTHONPATH")]))
