@@ -5,14 +5,14 @@ and hop budgets, with coupled randomness across modes and sweep points.
 The coupling also shares work. Each replicate has one draw table
 (`rng.DrawTable`) that every sweep point and mode reads. Friendship
 discovery passes depend only on the replicate, the auth vector, `max_hops`
-and the launcher, so a replicate runs the points with the same auth vector
-and `max_hops` as one group, with one memo of passes for both modes of all
-its points. Within a group a reach context depends only on the mode and
-the partners of the point's C-IOR round, so the group computes the runs
-of each distinct (mode, partners) once and relabels them for later points;
-it keeps them only while a later point has that mode. Results keep point
-order. Sharing is keyed on reach inputs only, never on results: partners
-are a round's output but an input of reach, and every round still runs."""
+and the launcher, so each (auth vector, `max_hops`) pass key of a
+replicate owns one memo of passes for both modes of all its points. Given
+the pass key, a run depends only on its context's holder contact map:
+the device and C-IOR contacts between holders, `{}` in friendships mode.
+So the key also owns the runs of each distinct map, and a (point, mode)
+whose context has a map already seen reuses those runs, relabelled.
+Sharing is keyed on reach inputs only, never on results: partners are a
+round's output but an input of reach, and every round still runs."""
 
 from __future__ import annotations
 
@@ -83,18 +83,18 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-# each sweep variable's config field of values, and its point at one value
-# as a change to the base point
-_SWEEPS: dict[str, tuple[str, Callable[[SweepPoint, Any], SweepPoint]]] = {
-    "spread": ("spread_values", lambda p, v: replace(
+# each sweep variable's config field of values, the base field its values
+# replace, and its point at one value as a change to the base point
+_SWEEPS: dict[str, tuple[str, str, Callable[[SweepPoint, Any], SweepPoint]]] = {
+    "spread": ("spread_values", "spread_prob_per_hop", lambda p, v: replace(
         p, value=_fmt(v), policy=replace(p.policy, spread_prob_per_hop=(v,)))),
-    "auth": ("auth_values", lambda p, vec: replace(
+    "auth": ("auth_values", "auth_prob_per_hop", lambda p, vec: replace(
         p, value=",".join(_fmt(x) for x in vec),
         policy=replace(p.policy, auth_prob_per_hop=vec))),
-    "kinds": ("kind_sets", lambda p, kinds: replace(
+    "kinds": ("kind_sets", "kinds", lambda p, kinds: replace(
         p, value="+".join(sorted(k.value for k in kinds)), kinds=kinds)),
-    "ttl": ("ttl_values", lambda p, t: replace(p, value=str(t), ttl=t)),
-    "hops": ("hops_values", lambda p, h: replace(p, value=str(h), max_hops=h)),
+    "ttl": ("ttl_values", "ttl", lambda p, t: replace(p, value=str(t), ttl=t)),
+    "hops": ("hops_values", "max_hops", lambda p, h: replace(p, value=str(h), max_hops=h)),
 }
 
 
@@ -194,7 +194,7 @@ class ExperimentConfig:
         base = SweepPoint(self.sweep, "", policy, self.ttl, self.kinds, self.max_hops)
         if self.sweep == "none":
             return [base]
-        name, point_at = _SWEEPS[self.sweep]
+        name, _, point_at = _SWEEPS[self.sweep]
         if not getattr(self, name):
             raise ValueError(f"sweep={self.sweep} needs {name}")
         return [point_at(base, v) for v in getattr(self, name)]
@@ -247,9 +247,11 @@ _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat `key = value` experiment config file. Unknown keys and
-    keys given twice are fatal, and every error names the file."""
+    """Parse a flat `key = value` experiment config file. Unknown keys,
+    keys given twice and keys that no sweep point reads are fatal, and
+    every error names the file."""
     kwargs: dict = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -261,17 +263,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
             parse = _FIELD_PARSERS.get(key)
             if parse is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in kwargs:
+            if key in lines:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} given twice")
+            lines[key] = lineno
             try:
                 kwargs[key] = parse(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
                                  f"{value!r} ({exc})") from exc
     try:
-        return ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    # no point reads another sweep's values, or the base field its own replace
+    unread = sorted(lines.keys() & {base if var == config.sweep else values
+                                    for var, (values, base, _) in _SWEEPS.items()},
+                    key=lines.get)
+    if unread:
+        raise ValueError(f"{path}:{lines[unread[0]]}: config key {unread[0]!r} "
+                         f"is not read under sweep = {config.sweep}")
+    return config
 
 
 def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
@@ -280,22 +291,23 @@ def build_reach_context(scenario: Scenario, interest: int, mode: Mode,
                         passes: PassMemo | None = None) -> ReachContext:
     """Assemble the reachability context for one (mode, decisions) pair.
 
-    In enhanced mode every node additionally sees, one hop away, the owners
-    of devices linked to its own devices in the selected-kind view, plus
-    its partners in `cior_partners`, a C-IOR round's partner map. Neither
-    the view's contacts nor the partner sets are changed.
+    In enhanced mode every holder additionally sees, one hop away, the
+    holders owning devices linked to its own in the selected-kind view,
+    plus its partners in `cior_partners`, a C-IOR round's partner map of
+    holders, merged as sorted tuples so that equal contacts give equal
+    maps. Neither the view's contacts nor the partner sets are changed.
     `passes` shares friendship passes with other contexts of the same
     interest, auth vector and `max_hops` (see `ReachContext`)."""
     holders = scenario.holders(interest)
     extra = {}
     if mode.name == MODE_ENHANCED:
-        base = (scenario.siot.select_kinds(mode.kinds).owner_contacts()
+        base = (scenario.siot.select_kinds(mode.kinds).owner_contacts(holders)
                 if mode.kinds else {})
         extra = base
         if cior_partners:
             extra = dict(base)
             for owner, partners in cior_partners.items():
-                extra[owner] = tuple(partners.union(base.get(owner, ())))
+                extra[owner] = tuple(sorted(partners.union(base.get(owner, ()))))
     return ReachContext.for_graph(scenario.friendships, holders, auth,
                                   max_hops, extra, passes)
 
@@ -348,59 +360,52 @@ def _run_replicate(scenario: Scenario, config: ExperimentConfig,
                    sources: Sequence[str], replicate: int,
                    rounds: RoundMemo) -> list[SourceRun]:
     """Every (sweep point, mode, source) run of one replicate, in point
-    order. The points that share a `_pass_key` run as one group, which owns
-    its memo of friendship passes and its runs under (mode, C-IOR partner
-    map): friendships mode is (`Mode.friendships()`, `{}`). A point reuses
-    the runs of its key, relabelled. The maps are compared, not hashed, so
-    a round's map is never copied, and the runs of a mode are dropped after
-    the group's last point with that mode. `rounds` is the campaign's memo
-    of C-IOR plans."""
+    order. Each `_pass_key` owns a memo of friendship passes and the runs of
+    each distinct holder contact map (`ReachContext.extra_contacts`); a
+    (point, mode) whose map is there reuses those runs, relabelled. Maps are
+    compared, not hashed, so a round's map is never copied. A key's memo
+    and runs go after its last point, so interleaved keys, as in
+    `hops_values = 2, 4, 2`, keep both alive between their points.
+    `rounds` is the campaign's memo of C-IOR plans."""
     all_holders = sorted(scenario.holders(config.interest))
     draws = rng.DrawTable(config.seed, replicate)
     points = config.sweep_points()
-    groups: dict[tuple, list[int]] = {}
+    last = {_pass_key(point): i for i, point in enumerate(points)}
+    shared: dict[tuple, tuple[PassMemo, list[tuple[Mapping, list[SourceRun]]]]] = {}
+    out: list[SourceRun] = []
     for i, point in enumerate(points):
-        groups.setdefault(_pass_key(point), []).append(i)
-    runs_at: list[list[SourceRun]] = [[] for _ in points]
-    for members in groups.values():
-        passes: PassMemo = {}
-        memo: dict[Mode, list[tuple[dict, list[SourceRun]]]] = {}
-        for n, i in enumerate(members):
-            point = points[i]
-            auth = AuthorizationMap(draws, point.policy)
-            later = {config.mode_for(name, points[j])
-                     for j in members[n + 1:] for name in config.modes}
-            for mode_name in config.modes:
-                mode = config.mode_for(mode_name, point)
-                partners: dict[str, set[str]] = {}
-                if mode.cior and mode.kinds:
-                    partners = run_cior_round(
-                        all_holders, scenario.siot, mode.kinds, scenario.profiles,
-                        auth, config.interest, ttl=point.ttl,
-                        sim_threshold=config.sim_threshold,
-                        origin_device=config.origin_device, memo=rounds)
-                kept = next((runs for linked, runs in memo.get(mode, ())
-                             if linked == partners), None)
-                if kept is not None:
-                    runs_at[i].extend(SourceRun(
-                        run.campaign, run.interest, run.mode, run.kinds, point.var,
-                        point.value, run.replicate, run.source, run.hops,
-                        run.denominator) for run in kept)
-                    continue
-                context = build_reach_context(scenario, config.interest, mode,
-                                              auth, point.max_hops, partners,
-                                              passes)
-                mode_runs = [run_source(
-                    source, config.interest, mode, scenario, context,
-                    include_isolated=config.include_isolated,
-                    campaign=config.campaign, sweep_var=point.var,
-                    sweep_value=point.value, replicate=replicate)
+        key = _pass_key(point)
+        passes, kept = shared.setdefault(key, ({}, []))
+        auth = AuthorizationMap(draws, point.policy)
+        for mode_name in config.modes:
+            mode = config.mode_for(mode_name, point)
+            partners: dict[str, set[str]] = {}
+            if mode.cior and mode.kinds:
+                partners = run_cior_round(
+                    all_holders, scenario.siot, mode.kinds, scenario.profiles,
+                    auth, config.interest, ttl=point.ttl,
+                    sim_threshold=config.sim_threshold,
+                    origin_device=config.origin_device, memo=rounds)
+            context = build_reach_context(scenario, config.interest, mode, auth,
+                                          point.max_hops, partners, passes)
+            seen = next((runs for held, runs in kept if held == context.extra_contacts), None)
+            if seen is not None:
+                kinds = mode.kinds_label()
+                out.extend(SourceRun(
+                    run.campaign, run.interest, mode.name, kinds, point.var,
+                    point.value, run.replicate, run.source, run.hops,
+                    run.denominator) for run in seen)
+                continue
+            runs = [run_source(source, config.interest, mode, scenario, context,
+                               include_isolated=config.include_isolated,
+                               campaign=config.campaign, sweep_var=point.var,
+                               sweep_value=point.value, replicate=replicate)
                     for source in sources]
-                if mode in later:
-                    memo.setdefault(mode, []).append((partners, mode_runs))
-                runs_at[i].extend(mode_runs)
-            memo = {m: entries for m, entries in memo.items() if m in later}
-    return [run for point_runs in runs_at for run in point_runs]
+            kept.append((context.extra_contacts, runs))
+            out.extend(runs)
+        if last[key] == i:
+            del shared[key]
+    return out
 
 
 def run_campaign(scenario: Scenario, config: ExperimentConfig) -> list[SourceRun]:

@@ -100,9 +100,6 @@ class PoiCatalog:
         self.pois = sorted(pois, key=lambda p: p.poi_id)
         self._grids: dict[float, tuple[CellIndex, dict[tuple[int, int], list[int]]]] = {}
 
-    def __len__(self) -> int:
-        return len(self.pois)
-
     def _grid(self, radius_m: float) -> tuple[CellIndex, dict[tuple[int, int], list[int]]]:
         """The cell index for `radius_m` and the catalog positions in each
         of its cells."""

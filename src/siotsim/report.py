@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -81,22 +82,29 @@ def _aggregate(values_by_replicate: dict[int, list[float]]) -> tuple[float, floa
     return y, Z_95 * std / math.sqrt(len(means))
 
 
+def _series(points: Iterable[tuple[str, object, int, float]]) -> list[MetricSeries]:
+    """One series per label of the (label, x, replicate, value) points, in
+    label order, with one aggregated point per x in the order the x values
+    first appear; each replicate's values keep their order."""
+    # label -> x -> replicate -> values
+    table: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
+    for label, x, replicate, value in points:
+        table[label][x][replicate].append(value)
+    out = []
+    for label in sorted(table):
+        aggregated = [_aggregate(by_rep) for by_rep in table[label].values()]
+        out.append(MetricSeries(label, tuple(table[label]), tuple(y for y, _ in aggregated),
+                                tuple(ci for _, ci in aggregated)))
+    return out
+
+
 def mean_irn_pct(runs: Iterable) -> list[MetricSeries]:
     """Mean percentage of interested nodes reached, grouped into one series
     per `IRN_SERIES_KEYS` with one point per sweep value, in the order the
     values first appear. Sources are averaged within each replicate before
     replicates are averaged."""
-    table: dict[str, dict] = {}  # label -> x -> replicate -> irn values
-    for run in runs:
-        series = table.setdefault(_series_label(run, IRN_SERIES_KEYS), {})
-        by_rep = series.setdefault(run.sweep_value, {})
-        by_rep.setdefault(run.replicate, []).append(run.irn_pct)
-    out = []
-    for label in sorted(table):
-        points = [_aggregate(by_rep) for by_rep in table[label].values()]
-        out.append(MetricSeries(label, tuple(table[label]), tuple(y for y, _ in points),
-                                tuple(ci for _, ci in points)))
-    return out
+    return _series((_series_label(run, IRN_SERIES_KEYS), run.sweep_value,
+                    run.replicate, run.irn_pct) for run in runs)
 
 
 def _irn_pct_within(run, last_hop: int) -> list[float]:
@@ -116,26 +124,11 @@ def irn_by_hop(runs: Iterable) -> list[MetricSeries]:
     only nodes first reached within that many hops. Non-decreasing in the
     hop index by construction, and the last point of each curve is its
     group's mean IRN percentage."""
-    groups: dict[str, list] = {}
-    for run in runs:
-        groups.setdefault(_series_label(run, HOP_SERIES_KEYS), []).append(run)
-    last_hop = max((hop for group in groups.values() for run in group
-                    for hop in run.hops.values()), default=1)
-    out = []
-    for label in sorted(groups):
-        curves = [(run.replicate, _irn_pct_within(run, last_hop))
-                  for run in groups[label]]
-        xs, ys, cis = [], [], []
-        for hop in range(1, last_hop + 1):
-            by_rep: dict[int, list[float]] = {}
-            for replicate, curve in curves:
-                by_rep.setdefault(replicate, []).append(curve[hop - 1])
-            y, ci = _aggregate(by_rep)
-            xs.append(hop)
-            ys.append(y)
-            cis.append(ci)
-        out.append(MetricSeries(label, tuple(xs), tuple(ys), tuple(cis)))
-    return out
+    runs = list(runs)
+    last_hop = max((hop for run in runs for hop in run.hops.values()), default=1)
+    return _series((_series_label(run, HOP_SERIES_KEYS), hop, run.replicate, pct)
+                   for run in runs
+                   for hop, pct in enumerate(_irn_pct_within(run, last_hop), 1))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class Scenario:
         if self._isolated is None:
             connected = {u for u in self.friendships.nodes
                          if self.friendships.degree(u) > 0}
-            connected.update(self.siot.select_kinds(BASE_KINDS).owner_contacts())
+            connected.update(self.siot.select_kinds(BASE_KINDS).owner_contacts(self.users))
             self._isolated = self.users - connected
         return self._isolated
 

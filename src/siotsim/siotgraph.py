@@ -271,7 +271,7 @@ class SIoTView:
     """Read-only view of a SIoTGraph exposing only edges carrying at least
     one selected kind.
 
-    The sorted neighbour tuples, the owner projection and each component
+    The sorted neighbour tuples, the owner projections and each component
     are built on first use and shared by every caller; they must not be
     mutated. The graph never changes, so they never go stale."""
 
@@ -281,7 +281,7 @@ class SIoTView:
         if not self.kinds:
             raise ValueError("kind selection must name a base kind")
         self._neighbors: dict[str, tuple[str, ...]] | None = None
-        self._contacts: dict[str, tuple[str, ...]] | None = None
+        self._contacts: dict[frozenset[str], dict[str, tuple[str, ...]]] = {}
         self._components: dict[str, Component] = {}
 
     def _pairs(self) -> Iterable[tuple[str, str]]:
@@ -314,14 +314,18 @@ class SIoTView:
             self._components.update(dict.fromkeys(ids, found))
         return found
 
-    def owner_contacts(self) -> dict[str, tuple[str, ...]]:
-        """Owner-level projection: for each user, the owners of devices
-        linked to any of that user's devices (self excluded)."""
-        if self._contacts is None:
-            owner = {d: dev.owner for d, dev in self.graph.devices.items()}
-            self._contacts = sorted_adjacency(
-                (owner[a], owner[b]) for a, b in self._pairs() if owner[a] != owner[b])
-        return self._contacts
+    def owner_contacts(self, owners: frozenset[str]) -> dict[str, tuple[str, ...]]:
+        """Owner-level projection cut to `owners`: for each of them, the
+        others in the set that own a device linked to one of its devices,
+        if there is one. Built once per set."""
+        found = self._contacts.get(owners)
+        if found is None:
+            owner = {d: dev.owner for d, dev in self.graph.devices.items()
+                     if dev.owner in owners}
+            found = self._contacts[owners] = sorted_adjacency(
+                (owner[a], owner[b]) for a, b in self._pairs()
+                if a in owner and b in owner and owner[a] != owner[b])
+        return found
 
 
 def build_siot_graph(devices: Mapping[str, Device], colocations: Iterable[CoLocation],

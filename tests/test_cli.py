@@ -413,6 +413,19 @@ def test_run_names_the_config_file_of_an_invalid_config(tmp_path, capsys, line, 
     assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
+def test_run_names_the_line_of_a_config_key_that_no_point_reads(tmp_path, capsys):
+    scn = tmp_path / "scn"
+    assert run_cli(["synth", "--out", scn]) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("replicates = 2\nauth_values = 0.5\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert (f"{cfg}:2: config key 'auth_values' is not read under sweep = none"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """`synth` and `run`, each in a new process under two hash seeds, write
     the same bytes: no output takes its order from iterating a set."""

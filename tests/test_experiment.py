@@ -346,50 +346,97 @@ def test_sharing_passes_across_points_is_invisible():
             len(cfg.sweep_points())
 
 
-def test_each_distinct_reach_context_is_built_once_per_group(monkeypatch):
-    """Within a group of points that share a pass key, a reach context
-    depends only on the mode and the round's partner map, so each distinct
-    (mode, partner map) is built once per replicate, and its runs are
-    relabelled for the later points that have it."""
-    built: list = []
-    pairs: list = []
+def test_each_distinct_holder_contact_map_is_run_once_per_pass_key(monkeypatch):
+    """Within a replicate and pass key, a run depends only on its context's
+    holder contact map, so `run_source` runs once per source for each
+    distinct (replicate, pass key, map), and those runs are relabelled for
+    every later (point, mode) with the same map, also after another key's
+    points."""
+    keys: list = []
+    calls: list = []
     real_context = experiment.build_reach_context
-    real_round = experiment.run_cior_round
+    real_run = experiment.run_source
 
-    def frozen(partners):
-        return frozenset((a, b) for a, others in partners.items() for b in others if a < b)
+    def context(scenario, interest, mode, auth, max_hops, *args, **kwargs):
+        ctx = real_context(scenario, interest, mode, auth, max_hops, *args, **kwargs)
+        contacts = frozenset((u, v) for u, vs in ctx.extra_contacts.items() for v in vs)
+        keys.append((auth.draws.replicate, auth.policy.auth_prob_per_hop, max_hops,
+                     contacts))
+        return ctx
 
-    def context(scenario, interest, mode, auth, max_hops, cior_partners=None,
-                passes=None):
-        built.append((auth.draws.replicate, mode, frozen(cior_partners or {})))
-        return real_context(scenario, interest, mode, auth, max_hops, cior_partners,
-                            passes)
-
-    def cior_round(sources, graph, kinds, profiles, decisions, *args, **kwargs):
-        found = real_round(sources, graph, kinds, profiles, decisions, *args, **kwargs)
-        pairs.append((decisions.draws.replicate, frozenset(kinds), frozen(found)))
-        return found
+    def run(source, *args, **kwargs):
+        calls.append((keys[-1], source))
+        return real_run(source, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "build_reach_context", context)
-    monkeypatch.setattr(experiment, "run_cior_round", cior_round)
+    monkeypatch.setattr(experiment, "run_source", run)
     base = ExperimentConfig(replicates=2, seed=13, auth_prob_per_hop=(0.9, 0.6),
                             spread_prob_per_hop=(0.8, 0.5))
-    for scenario, cfg, expected in (
+    for scenario, cfg, distinct in (
             (sharing_scenario, replace(base, cior=False, sweep="spread",
-                                       spread_values=(1.0, 0.6, 0.2, 0.6)), lambda r: 2),
+                                       spread_values=(1.0, 0.6, 0.2, 0.6)), 2),
             (sharing_scenario, replace(base, sweep="kinds",
-                                       kind_sets=(SPARSE, CLIQUES, SPARSE)), lambda r: 3),
+                                       kind_sets=(SPARSE, CLIQUES, SPARSE)), 2),
+            (sharing_scenario, replace(base, cior=False, sweep="hops",
+                                       hops_values=(2, 4, 2)), 4),
             (clique_scenario, replace(base, sweep="spread",
-                                      spread_values=(1.0, 0.6, 0.2, 1.0)),
-             lambda r: 1 + len({p for rep, _, p in pairs if rep == r}))):
-        built.clear()
-        pairs.clear()
+                                      spread_values=(1.0, 0.6, 0.2, 1.0)), 4)):
+        keys.clear()
+        calls.clear()
+        sources = select_sources(scenario(), cfg)
         runs = run_campaign(scenario(), cfg)
-        assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(select_sources(scenario(), cfg))
+        assert len(runs) == 2 * 2 * len(cfg.sweep_points()) * len(sources)
+        assert len(keys) == 2 * 2 * len(cfg.sweep_points())
+        assert len(set(calls)) == len(calls) == len(set(keys)) * len(sources), cfg.sweep
+        assert {key for key, _ in calls} == set(keys)
         for r in range(cfg.replicates):
-            assert len([b for b in built if b[0] == r]) == expected(r), cfg.sweep
-        assert len(set(built)) == len(built)
-    assert len({p for _, _, p in pairs}) > 2  # the clique rounds differ by point
+            assert len({key for key in keys if key[0] == r}) == distinct, cfg.sweep
+    # the clique rounds differ by point, so their maps do too
+    assert len({key[3] for key in keys}) > 3
+
+
+def test_kind_sets_with_equal_holder_contacts_share_their_runs(monkeypatch):
+    """Under `cior = false`, kind sets whose views differ only in contacts
+    with a non-holder give one holder contact map, so their runs are
+    computed once; a kind set without a holder contact gives `{}`, the map
+    of friendships mode, and reuses the friendships runs labelled
+    `enhanced`. Each point's runs equal those of its one-point campaign."""
+    users = ["a", "b", "c", "x"]
+    scn = Scenario(FriendshipGraph(users, [("a", "x"), ("x", "c")]),
+                   SIoTGraph(make_devices(users), [
+                       (mobile("a"), mobile("b"), RelationshipKind.SOR),
+                       (mobile("b"), mobile("x"), RelationshipKind.POR)]),
+                   {u: profile(u, set() if u == "x" else {3}) for u in users})
+    sor = frozenset({RelationshipKind.SOR})
+    cfg = ExperimentConfig(replicates=2, seed=3, cior=False, sweep="kinds",
+                           kind_sets=(sor, sor | {RelationshipKind.POR},
+                                      frozenset({RelationshipKind.CLOR})))
+    alone = [[replace(run, sweep_var="kinds", sweep_value=point.value)
+              for run in run_campaign(scn, replace(cfg, sweep="none", kinds=point.kinds))]
+             for point in cfg.sweep_points()]
+    computed = []
+    real_run = experiment.run_source
+
+    def run(source, interest, mode, *args, **kwargs):
+        computed.append((kwargs["replicate"], mode.name, kwargs["sweep_value"], source))
+        return real_run(source, interest, mode, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_source", run)
+    runs = run_campaign(scn, cfg)
+    assert runs == [run for r in range(2) for point_runs in alone
+                    for run in point_runs if run.replicate == r]
+    assert sorted(computed) == [(r, mode, "SOR", s) for r in range(2)
+                                for mode in ("enhanced", "friendships") for s in "abc"]
+    index = {(run.mode, run.sweep_value, run.replicate, run.source): run for run in runs}
+    assert index["enhanced", "SOR", 0, "a"].hops == {"b": 1, "c": 2}
+    assert index["friendships", "SOR", 0, "a"].hops == {"c": 2}
+    for r in range(2):
+        for s in "abc":
+            clor = index["enhanced", "C-LOR", r, s]
+            assert clor.kinds == "C-LOR"
+            assert clor.hops is index["friendships", "C-LOR", r, s].hops
+            assert index["enhanced", "POR+SOR", r, s].hops is \
+                index["enhanced", "SOR", r, s].hops
 
 
 def test_a_campaign_leaves_no_cyclic_garbage():
@@ -477,6 +524,30 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, key, sweep", [
+    ("replicates = 2\nauth_values = 0.5\n", "auth_values", "none"),
+    ("sweep = none\nkind_sets = OOR\n", "kind_sets", "none"),
+    ("sweep = ttl\nttl_values = 2, 4\nhops_values = 2\n", "hops_values", "ttl"),
+    ("sweep = spread\nspread_values = 1.0\nspread_prob_per_hop = 0.5\n",
+     "spread_prob_per_hop", "spread"),
+    ("sweep = auth\nauth_values = 0.5\nauth_prob_per_hop = 0.9\n",
+     "auth_prob_per_hop", "auth"),
+    ("sweep = kinds\nkind_sets = OOR\nkinds = POR\n", "kinds", "kinds"),
+    ("sweep = ttl\nttl_values = 2\nttl = 3\n", "ttl", "ttl"),
+    ("sweep = hops\nhops_values = 2\nmax_hops = 3\n", "max_hops", "hops"),
+], ids=["auth-values-under-none", "kind-sets-under-none", "hops-values-under-ttl",
+        "spread-base", "auth-base", "kinds-base", "ttl-base", "hops-base"])
+def test_load_config_rejects_a_key_that_no_sweep_point_reads(tmp_path, text, key, sweep):
+    """Another sweep's values, or the base value that the chosen sweep
+    replaces, is an error naming its line (each case's last)."""
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"seed = 4\n{text}", encoding="utf-8")
+    line = 1 + len(text.splitlines())
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:{line}: config key {key!r} is not read under sweep = {sweep}"
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(kinds=frozenset({RelationshipKind.CIOR})),
     dict(kinds=frozenset()),
@@ -527,9 +598,10 @@ def test_views_and_adjacency_of_graphs_built_with_more_edges():
     sor = (mobile("a"), mobile("b"), RelationshipKind.SOR)
     siot = SIoTGraph(devices, [sor])
     kinds = {RelationshipKind.SOR, RelationshipKind.POR}
+    owners = frozenset(users)
     view = siot.select_kinds(kinds)
     assert view.neighbors(mobile("a")) == (mobile("b"),)
-    assert view.owner_contacts() == {"a": ("b",), "b": ("a",)}
+    assert view.owner_contacts(owners) == {"a": ("b",), "b": ("a",)}
     ctx = ReachContext.for_graph(friendships, users, full_auth())
     assert ctx.adjacency == {"a": ("b",), "b": ("a",), "c": ()}
 
@@ -537,8 +609,8 @@ def test_views_and_adjacency_of_graphs_built_with_more_edges():
 
     view = siot.select_kinds(kinds)
     assert view.neighbors(mobile("b")) == (mobile("a"), mobile("c"))
-    assert view.owner_contacts() == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
-    assert siot.select_kinds({RelationshipKind.SOR}).owner_contacts() == {
+    assert view.owner_contacts(owners) == {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
+    assert siot.select_kinds({RelationshipKind.SOR}).owner_contacts(owners) == {
         "a": ("b",), "b": ("a",)}
 
 
@@ -556,23 +628,28 @@ def clique_scenario() -> Scenario:
 
 def test_an_enhanced_context_changes_neither_the_view_nor_the_round():
     """A context that merges a round's partners copies the view's owner
-    contacts: the view's cached contacts, which every later context of the
-    kind set reads, and the round's partner map, which the run memo keeps,
-    are left as they were."""
+    contacts: the view's cached contacts, of all owners and of the holders,
+    which every later context of the kind set reads, and the round's
+    partner map are left as they were. Each merged entry is the sorted
+    union of the owner's partners and its holder contacts."""
     scn = clique_scenario()
     auth = full_auth()
-    partners = run_cior_round(sorted(scn.holders(3)), scn.siot, CLIQUES,
+    holders = scn.holders(3)
+    partners = run_cior_round(sorted(holders), scn.siot, CLIQUES,
                               scn.profiles, auth, 3)
-    contacts = scn.siot.select_kinds(CLIQUES).owner_contacts()
-    assert partners and any(set(contacts.get(o, ())) - p for o, p in partners.items())
-    contacts_before = dict(contacts)
+    view = scn.siot.select_kinds(CLIQUES)
+    contacts = view.owner_contacts(scn.users)
+    cut = view.owner_contacts(holders)
+    assert partners and any(set(cut.get(o, ())) - p for o, p in partners.items())
+    contacts_before, cut_before = dict(contacts), dict(cut)
     partners_before = {owner: set(others) for owner, others in partners.items()}
     context = build_reach_context(scn, 3, Mode.enhanced(CLIQUES), auth,
                                   DEFAULT_MAX_HOPS, partners)
-    assert scn.siot.select_kinds(CLIQUES).owner_contacts() == contacts_before
+    assert view.owner_contacts(scn.users) == contacts_before
+    assert view.owner_contacts(holders) == cut_before
     assert partners == partners_before
     for owner, others in partners.items():
-        assert set(context.extra_contacts[owner]) == others.union(contacts.get(owner, ()))
+        assert context.extra_contacts[owner] == tuple(sorted(others.union(cut.get(owner, ()))))
 
 
 @pytest.mark.parametrize("sweep", [

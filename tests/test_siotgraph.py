@@ -233,7 +233,7 @@ def test_kind_monotonicity_of_views():
 def test_owner_contacts_projection_skips_same_owner():
     g = SIoTGraph(make_devices(["a", "b"]), [(mobile("a"), fixed("a"), RelationshipKind.OOR),
                                              (mobile("a"), mobile("b"), RelationshipKind.SOR)])
-    contacts = g.select_kinds(set(RelationshipKind)).owner_contacts()
+    contacts = g.select_kinds(set(RelationshipKind)).owner_contacts(frozenset({"a", "b"}))
     assert contacts == {"a": ("b",), "b": ("a",)}
 
 
@@ -368,7 +368,8 @@ def test_owner_contacts_peak_is_a_small_multiple_of_its_result():
     owner: its traced peak stays below 4 times the size of the result."""
     view = clique_device_graph(random.Random(7), 150, models=5).select_kinds(
         {RelationshipKind.POR})
-    contacts, peak = traced_peak(view.owner_contacts)
+    owners = frozenset(dev.owner for dev in view.graph.devices.values())
+    contacts, peak = traced_peak(lambda: view.owner_contacts(owners))
     size = sys.getsizeof(contacts) + sum(map(sys.getsizeof, contacts.values()))
     assert len(contacts) == 150
     assert peak < 4 * size, (peak, size)
@@ -428,12 +429,22 @@ def _random_edge_lines(rnd, ids) -> list[str]:
 
 
 def test_views_of_a_read_graph_match_the_raw_line_oracle(tmp_path):
+    """Each view's neighbours and owner contacts equal the raw-line oracle's;
+    the contacts cut to a random owner subset equal the oracle's contacts
+    with every owner outside the subset left out."""
+    pick = random.Random(2626)
+
     def check(graph, lines):
+        owners = sorted({dev.owner for dev in graph.devices.values()})
         for kinds in BASE_KIND_SETS:
             neighbours, contacts, counts = oracle_device_view(lines, graph.devices, kinds)
             view = graph.select_kinds(kinds)
             assert {d: view.neighbors(d) for d in graph.devices} == neighbours, kinds
-            assert view.owner_contacts() == contacts, kinds
+            assert view.owner_contacts(frozenset(owners)) == contacts, kinds
+            some = frozenset(pick.sample(owners, pick.randrange(len(owners) + 1)))
+            cut = {u: tuple(v for v in vs if v in some)
+                   for u, vs in contacts.items() if u in some}
+            assert view.owner_contacts(some) == {u: vs for u, vs in cut.items() if vs}
             assert graph.kind_counts() == counts
 
     assert len(set(BASE_KIND_SETS)) == 15
