@@ -106,6 +106,7 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     homes = trace.read_home_points_csv(ingest_dir / HOME_POINTS_FILE)
     colocs = trace.read_colocations_csv(ingest_dir / COLOCATIONS_FILE)
     pairs = trace.read_friendships_tsv(ingest_dir / scenario.FRIENDSHIPS_FILE)
+    profiles = im.read_profiles_csv(ingest_dir / scenario.PROFILES_FILE)
     catalog = (sg.load_model_catalog(_require_file(parser, args.models, "--models"))
                if args.models else sg.default_model_catalog())
     devices = sg.instantiate_devices(sorted(homes), homes, catalog, args.seed)
@@ -114,8 +115,7 @@ def cmd_build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     trace.write_friendships_tsv(pairs, out / scenario.FRIENDSHIPS_FILE)
     sg.write_devices_csv(devices, out / scenario.DEVICES_FILE)
     sg.write_siot_graph(graph, out / scenario.SIOT_GRAPH_FILE)
-    profiles_src = (ingest_dir / scenario.PROFILES_FILE).read_text(encoding="utf-8")
-    (out / scenario.PROFILES_FILE).write_text(profiles_src, encoding="utf-8")
+    im.write_profiles_csv(profiles, out / scenario.PROFILES_FILE)
 
     counts, edges = graph.kind_counts(), graph.edge_count()
     lines = [f"devices {len(devices)}", f"edges {edges}"]

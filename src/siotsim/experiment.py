@@ -97,6 +97,11 @@ _SWEEPS: dict[str, tuple[str, str, Callable[[SweepPoint, Any], SweepPoint]]] = {
     "hops": ("hops_values", "max_hops", lambda p, h: replace(p, value=str(h), max_hops=h)),
 }
 
+# the keys only a C-IOR round reads, with both fields of the sweeps that
+# vary only its inputs
+_ROUND_KEYS = {"sim_threshold", "origin_device",
+               *(name for var in ("ttl", "spread") for name in _SWEEPS[var][:2])}
+
 
 def irn_percentage(reached_count: int, denominator: int) -> float:
     """Percentage of the interested nodes a source reached. `run` and
@@ -276,12 +281,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     # no point reads another sweep's values, or the base field its own replace
-    unread = sorted(lines.keys() & {base if var == config.sweep else values
-                                    for var, (values, base, _) in _SWEEPS.items()},
-                    key=lines.get)
+    unread = dict.fromkeys(lines.keys() & {base if var == config.sweep else values
+                                           for var, (values, base, _) in _SWEEPS.items()},
+                           f"under sweep = {config.sweep}")
+    if not (config.cior and MODE_ENHANCED in config.modes):
+        unread.update(dict.fromkeys(lines.keys() & _ROUND_KEYS, "when no C-IOR round runs"))
     if unread:
-        raise ValueError(f"{path}:{lines[unread[0]]}: config key {unread[0]!r} "
-                         f"is not read under sweep = {config.sweep}")
+        key = min(unread, key=lines.get)
+        raise ValueError(f"{path}:{lines[key]}: config key {key!r} is not read {unread[key]}")
     return config
 
 

@@ -47,44 +47,42 @@ class MacroCategory:
 
 @dataclass(frozen=True)
 class InterestDescriptor:
-    """Interest profile of a user or device: per-category meeting counts
-    plus the derived set of held categories.
+    """Interest profile of a user or device: the set of held categories.
 
     `owner` is None for anonymized copies that travel inside protocol
     messages.
     """
 
     owner: str | None
-    weights: Mapping[int, int]
     held: frozenset[int]
 
     @staticmethod
     def from_counts(owner: str | None, counts: Mapping[int, int],
                     threshold: int) -> "InterestDescriptor":
+        """The profile holding each category whose meeting count reaches
+        `threshold`."""
         if threshold < 1:
             raise ValueError("interest threshold must be >= 1")
         if any(v < 0 for v in counts.values()):
             raise ValueError("negative category count")
-        held = frozenset(k for k, v in counts.items() if v >= threshold)
-        return InterestDescriptor(owner, dict(counts), held)
+        return InterestDescriptor(owner, frozenset(k for k, v in counts.items()
+                                                   if v >= threshold))
 
     @staticmethod
     def empty() -> "InterestDescriptor":
-        return InterestDescriptor(None, {}, frozenset())
+        return InterestDescriptor(None, frozenset())
 
     def anonymized(self) -> "InterestDescriptor":
-        return InterestDescriptor(None, dict(self.weights), self.held)
+        return InterestDescriptor(None, self.held)
 
 
 @dataclass(frozen=True, slots=True)
 class InterestAssignment:
-    """A co-location matched to its nearest PoI and the macro-categories
+    """A co-location matched to its nearest PoI, as the macro-categories
     containing that PoI's keyword."""
 
     coloc_index: int
     macro_ids: frozenset[int]
-    poi_id: str
-    match_distance_m: float
 
 
 class PoiCatalog:
@@ -190,12 +188,12 @@ def assign_colocation_interests(colocs: Sequence[CoLocation],
         hit = catalog.nearest_in_range(coloc.location, poi_radius_m)
         if hit is None:
             continue
-        poi, dist = hit
-        macro_ids = index.get(poi.keyword)
+        keyword = hit[0].keyword
+        macro_ids = index.get(keyword)
         if not macro_ids:
-            unmatched.add(poi.keyword)
+            unmatched.add(keyword)
             continue
-        out.append(InterestAssignment(i, macro_ids, poi.poi_id, dist))
+        out.append(InterestAssignment(i, macro_ids))
     if unmatched:
         log.warning("assign_colocation_interests: %d PoI keywords match no "
                     "macro-category: %s", len(unmatched), sorted(unmatched))
@@ -235,51 +233,30 @@ def cosine_similarity(a: InterestDescriptor, b: InterestDescriptor) -> float:
     return inter / math.sqrt(len(a.held) * len(b.held))
 
 
-PROFILE_HEADER = ["owner", "macro_id", "count", "held"]
+PROFILE_HEADER = ["owner", "macro_id"]
 
 
 def write_profiles_csv(profiles: Mapping[str, InterestDescriptor],
                        path: str | Path) -> None:
-    write_csv_rows(path, PROFILE_HEADER, (
-        [owner, mid, d.weights.get(mid, 0), 1 if mid in d.held else 0]
-        for owner, d in sorted(profiles.items())
-        for mid in sorted(set(d.weights) | d.held)))
+    """One row per held category; a profile that holds nothing has none."""
+    write_csv_rows(path, PROFILE_HEADER, ([owner, mid]
+                                          for owner, d in sorted(profiles.items())
+                                          for mid in sorted(d.held)))
 
 
 def read_profiles_csv(path: str | Path) -> dict[str, InterestDescriptor]:
-    """Load a `write_profiles_csv` file. A malformed row, a negative count,
-    a `held` flag other than 0 or 1, a second row for the same (owner,
-    macro_id), or the first row whose flag no single interest threshold
-    >= 1 gives with the rows before it (a held count must be at least 1
-    and above every count not held) is an error naming the file and line."""
-    weights: dict[str, dict[int, int]] = {}
+    """Load a `write_profiles_csv` file: each owner's held categories. A
+    malformed row or a second row for the same (owner, macro_id) is an
+    error naming the file and line."""
     held: dict[str, set[int]] = {}
-    lowest_held, highest_unheld = math.inf, 0
 
-    def parse(row: list[str]) -> tuple[str, int, int, bool]:
-        owner, mid, count, held_flag = row
-        macro_id, weight = int(mid), int(count)
-        if weight < 0:
-            raise ValueError("negative count")
-        if held_flag not in ("0", "1"):
-            raise ValueError("held flag must be 0 or 1")
-        if macro_id in weights.get(owner, ()):
+    def parse(row: list[str]) -> tuple[str, int]:
+        owner, mid = row
+        macro_id = int(mid)
+        if macro_id in held.get(owner, ()):
             raise ValueError(f"second row for macro_id {macro_id}")
-        if held_flag == "1" and weight <= highest_unheld:
-            raise ValueError(f"held at count {weight}: no interest threshold >= 1 "
-                             f"holds it and leaves a count of {highest_unheld} unheld")
-        if held_flag == "0" and weight >= lowest_held:
-            raise ValueError(f"not held at count {weight}: no interest threshold "
-                             f"holds a count of {lowest_held} and leaves it unheld")
-        return owner, macro_id, weight, held_flag == "1"
+        return owner, macro_id
 
-    for owner, macro_id, weight, is_held in read_csv_rows(path, PROFILE_HEADER, "profile",
-                                                          parse):
-        weights.setdefault(owner, {})[macro_id] = weight
-        if is_held:
-            held.setdefault(owner, set()).add(macro_id)
-            lowest_held = min(lowest_held, weight)
-        else:
-            highest_unheld = max(highest_unheld, weight)
-    return {owner: InterestDescriptor(owner, w, frozenset(held.get(owner, ())))
-            for owner, w in weights.items()}
+    for owner, macro_id in read_csv_rows(path, PROFILE_HEADER, "profile", parse):
+        held.setdefault(owner, set()).add(macro_id)
+    return {owner: InterestDescriptor(owner, frozenset(mids)) for owner, mids in held.items()}

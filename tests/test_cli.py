@@ -69,8 +69,8 @@ def test_ingest_writes_all_artifacts_and_is_deterministic(tmp_path):
     profiles = (out1 / "profiles.csv").read_text(encoding="utf-8")
     # 12 meeting instants x 2 pairings per user near a Donut place:
     # interests 3 and 6 held by everyone
-    assert "u1,3,24,1" in profiles
-    assert "u1,6,24,1" in profiles
+    assert "\nu1,3\n" in profiles
+    assert "\nu1,6\n" in profiles
 
 
 def test_ingest_missing_poi_is_usage_error(tmp_path, capsys):
@@ -281,8 +281,12 @@ def test_report_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, bad_row):
     ("home_points.csv", lambda lines: ["user,latitude,longitude"] + lines[1:],
      ": unexpected home-point header"),
     ("home_points.csv", lambda lines: lines[:2] + lines[1:2] + lines[2:], ":3:"),
+    ("profiles.csv", lambda lines: ["owner,macro_id,count,held"]
+     + [f"{row},24,1" for row in lines[1:]], ": unexpected profile header"),
+    ("profiles.csv", lambda lines: lines[:2] + ["u1,9,24,1"] + lines[2:], ":3:"),
 ], ids=["short-colocation", "non-number-colocation", "short-home",
-        "latitude-out-of-range", "home-header", "repeated-home-user"])
+        "latitude-out-of-range", "home-header", "repeated-home-user",
+        "four-column-profiles", "four-field-profile-row"])
 def test_build_graph_names_the_file_and_line_of_a_bad_ingest_row(tmp_path, capsys,
                                                                  name, edit, where):
     _ingest_and_build(tmp_path)
@@ -327,17 +331,14 @@ def test_build_graph_names_the_file_and_line_of_a_bad_input_row(tmp_path, capsys
     ("devices.csv", "c00n000:extra,c00n000"),
     ("devices.csv", "c00n000:extra,c00n000,fixed,m0,north,0.0"),
     ("devices.csv", "c00n000:spare,c00n000,mobile,m0,,\nc00n000:spare,c00n000,mobile,m0,,"),
-    ("profiles.csv", "c00n000,3"),
-    ("profiles.csv", "c00n000,x,1,1"),
-    ("profiles.csv", "c00n000,7,two,1"),
-    ("profiles.csv", "c00n000,7,1,2"),
-    ("profiles.csv", "c00n000,7,-1,1"),
-    ("profiles.csv", "c00n000,9,2,1\nc00n000,9,5,0"),
-    ("profiles.csv", "c00n000,9,0,1"),
+    ("profiles.csv", "c00n000,7\nc00n000"),
+    ("profiles.csv", "c00n000,7\nc00n000,x"),
+    ("profiles.csv", "c00n000,7\nc00n000,8,1"),
+    ("profiles.csv", "c00n000,9\nc00n000,9"),
 ], ids=["three-field-friendship", "self-loop-friendship", "repeated-friendship",
         "reversed-repeated-friendship", "short-device", "non-number-device",
-        "repeated-device", "short-profile", "non-integer-macro-id", "non-integer-count",
-        "held-flag-2", "negative-count", "duplicate-macro-id", "held-at-count-0"])
+        "repeated-device", "short-profile", "non-integer-macro-id", "three-field-profile",
+        "duplicate-macro-id"])
 def test_run_names_the_file_and_line_of_a_bad_scenario_row(tmp_path, capsys,
                                                            name, bad_row):
     # `bad_row` goes in after the first line (a CSV file's header); its last
@@ -417,13 +418,16 @@ def test_run_names_the_line_of_a_config_key_that_no_point_reads(tmp_path, capsys
     scn = tmp_path / "scn"
     assert run_cli(["synth", "--out", scn]) == 0
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("replicates = 2\nauth_values = 0.5\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
-    assert rc == 2
-    assert (f"{cfg}:2: config key 'auth_values' is not read under sweep = none"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
+    for text, message in (("replicates = 2\nauth_values = 0.5\n",
+                           "2: config key 'auth_values' is not read under sweep = none"),
+                          ("cior = false\nttl = 4\n",
+                           "2: config key 'ttl' is not read when no C-IOR round runs")):
+        cfg.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli(["run", "--config", cfg, "--scenario", scn, "--out", tmp_path / "out"])
+        assert rc == 2
+        assert f"{cfg}:{message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -672,8 +676,8 @@ def test_explicit_zero_poi_radius_is_not_replaced_by_the_default(tmp_path):
         assert run_cli(["ingest", "--checkins", files["checkins"],
                         "--friendships", files["friendships"],
                         "--poi", files["poi"], *flags, "--out", outs[name]]) == 0
-    assert "u1,3,24,1" in (outs["default"] / "profiles.csv").read_text(encoding="utf-8")
-    assert ",1\n" not in (outs["zero"] / "profiles.csv").read_text(encoding="utf-8")
+    assert "\nu1,3\n" in (outs["default"] / "profiles.csv").read_text(encoding="utf-8")
+    assert (outs["zero"] / "profiles.csv").read_text(encoding="utf-8") == "owner,macro_id\n"
 
 
 @pytest.mark.parametrize("value", [0, -1])

@@ -524,28 +524,41 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("text, key, sweep", [
-    ("replicates = 2\nauth_values = 0.5\n", "auth_values", "none"),
-    ("sweep = none\nkind_sets = OOR\n", "kind_sets", "none"),
-    ("sweep = ttl\nttl_values = 2, 4\nhops_values = 2\n", "hops_values", "ttl"),
+NO_ROUND = "when no C-IOR round runs"
+
+
+@pytest.mark.parametrize("text, key, why", [
+    ("replicates = 2\nauth_values = 0.5\n", "auth_values", "under sweep = none"),
+    ("sweep = none\nkind_sets = OOR\n", "kind_sets", "under sweep = none"),
+    ("sweep = ttl\nttl_values = 2, 4\nhops_values = 2\n", "hops_values", "under sweep = ttl"),
     ("sweep = spread\nspread_values = 1.0\nspread_prob_per_hop = 0.5\n",
-     "spread_prob_per_hop", "spread"),
+     "spread_prob_per_hop", "under sweep = spread"),
     ("sweep = auth\nauth_values = 0.5\nauth_prob_per_hop = 0.9\n",
-     "auth_prob_per_hop", "auth"),
-    ("sweep = kinds\nkind_sets = OOR\nkinds = POR\n", "kinds", "kinds"),
-    ("sweep = ttl\nttl_values = 2\nttl = 3\n", "ttl", "ttl"),
-    ("sweep = hops\nhops_values = 2\nmax_hops = 3\n", "max_hops", "hops"),
+     "auth_prob_per_hop", "under sweep = auth"),
+    ("sweep = kinds\nkind_sets = OOR\nkinds = POR\n", "kinds", "under sweep = kinds"),
+    ("sweep = ttl\nttl_values = 2\nttl = 3\n", "ttl", "under sweep = ttl"),
+    ("sweep = hops\nhops_values = 2\nmax_hops = 3\n", "max_hops", "under sweep = hops"),
+    ("cior = false\nttl = 4\n", "ttl", NO_ROUND),
+    ("modes = friendships\nauth_prob_per_hop = 0.8\nsim_threshold = 0.7\n",
+     "sim_threshold", NO_ROUND),
+    ("cior = false\nmodes = enhanced\norigin_device = both\n", "origin_device", NO_ROUND),
+    ("modes = friendships\nspread_prob_per_hop = 0.5\n", "spread_prob_per_hop", NO_ROUND),
+    ("modes = friendships\nsweep = ttl\nttl_values = 2, 4\n", "ttl_values", NO_ROUND),
+    ("cior = false\nsweep = spread\nspread_values = 1.0, 0.5\n", "spread_values", NO_ROUND),
 ], ids=["auth-values-under-none", "kind-sets-under-none", "hops-values-under-ttl",
-        "spread-base", "auth-base", "kinds-base", "ttl-base", "hops-base"])
-def test_load_config_rejects_a_key_that_no_sweep_point_reads(tmp_path, text, key, sweep):
-    """Another sweep's values, or the base value that the chosen sweep
-    replaces, is an error naming its line (each case's last)."""
+        "spread-base", "auth-base", "kinds-base", "ttl-base", "hops-base",
+        "ttl-without-cior", "sim-threshold-without-enhanced", "origin-device-without-cior",
+        "spread-without-enhanced", "ttl-values-without-enhanced", "spread-values-without-cior"])
+def test_load_config_rejects_a_key_that_no_sweep_point_reads(tmp_path, text, key, why):
+    """Another sweep's values, the base value that the chosen sweep
+    replaces, or a key that only a C-IOR round reads when no round runs,
+    is an error naming its line (each case's last)."""
     path = tmp_path / "cfg.txt"
     path.write_text(f"seed = 4\n{text}", encoding="utf-8")
     line = 1 + len(text.splitlines())
     with pytest.raises(ValueError) as info:
         load_config(path)
-    assert str(info.value) == f"{path}:{line}: config key {key!r} is not read under sweep = {sweep}"
+    assert str(info.value) == f"{path}:{line}: config key {key!r} is not read {why}"
 
 
 @pytest.mark.parametrize("kwargs", [

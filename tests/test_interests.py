@@ -75,8 +75,6 @@ def test_donut_poi_credits_both_containing_categories():
     out = assign_colocation_interests(colocs, catalog, default_macro_categories())
     assert len(out) == 1
     assert out[0].macro_ids == {3, 6}
-    assert out[0].poi_id == "p1"
-    assert out[0].match_distance_m <= 250.0
 
 
 def test_poi_out_of_range_yields_no_assignment():
@@ -93,7 +91,7 @@ def test_equidistant_pois_tie_break_on_smaller_id():
     catalog = PoiCatalog([PoI("p2", GeoPoint(0.0, 10.0005), "Pizza"),
                           PoI("p1", GeoPoint(0.0, 9.9995), "Donut")])
     out = assign_colocation_interests(colocs, catalog, default_macro_categories())
-    assert out[0].poi_id == "p1"
+    assert out[0].macro_ids == {3, 6}  # p1's Donut, not p2's Pizza ({4})
 
 
 def _matches_oracle(catalog, queries, radius_m) -> int:
@@ -171,7 +169,6 @@ def test_profile_threshold_boundary():
     not_held = build_profiles(assign_colocation_interests(colocs, catalog, macros),
                               colocs, interest_threshold=10)
     assert 3 not in not_held["a"].held
-    assert not_held["a"].weights[3] == 9
 
 
 def test_profile_threshold_one_holds_on_single_meeting():
@@ -197,8 +194,9 @@ def test_raising_threshold_never_adds_categories():
                      checkin(v, t, lat, 10.0, place=f"y{i}")]
     colocs = detect_colocations(corpus_of(checkins))
     assignments = assign_colocation_interests(colocs, catalog, macros)
-    for a in assignments:
-        assert a.match_distance_m <= 250.0
+    for a in assignments:  # the nearer PoI: p1's Donut at 10.0, p2's Pizza at 10.002
+        assert a.macro_ids == ({3, 6} if colocs[a.coloc_index].location.lat < 10.001
+                               else {4})
     previous = None
     for threshold in (1, 3, 7, 15, 40):
         profiles = build_profiles(assignments, colocs, threshold)
@@ -243,7 +241,6 @@ def test_anonymized_strips_owner_only():
     anon = d.anonymized()
     assert anon.owner is None
     assert anon.held == d.held
-    assert anon.weights == d.weights
 
 
 def test_profiles_csv_roundtrip(tmp_path):
@@ -255,34 +252,16 @@ def test_profiles_csv_roundtrip(tmp_path):
     assert loaded.keys() == profiles.keys()
     for owner in profiles:
         assert loaded[owner].held == profiles[owner].held
-        assert loaded[owner].weights == profiles[owner].weights
-
-
-@pytest.mark.parametrize("rows, line", [
-    (["a,3,1,1", "a,4,2,0"], 3),
-    (["a,4,2,0", "a,3,1,1"], 3),
-    (["a,3,2,1", "b,4,2,0"], 3),
-    (["a,3,0,1"], 2),
-    (["a,3,5,1", "b,4,2,0", "b,5,1,1"], 4),
-], ids=["unheld-above-held", "held-below-unheld", "across-owners", "held-at-zero",
-        "held-below-an-earlier-unheld"])
-def test_profiles_csv_with_flags_no_threshold_gives_is_an_error(tmp_path, rows, line):
-    """A category is held iff its count reaches one interest threshold >= 1,
-    so every held count is at least 1 and above every count not held. A
-    file that breaks this is an error naming the file and the line of the
-    row that breaks it."""
-    path = tmp_path / "profiles.csv"
-    path.write_text("\n".join(["owner,macro_id,count,held", *rows]) + "\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
-        read_profiles_csv(path)
 
 
 def test_profiles_csv_from_any_threshold_loads(tmp_path):
+    # a file lists held categories only, so the held sets of the same
+    # counts under any interest threshold load exactly as written
     path = tmp_path / "profiles.csv"
-    for threshold in (1, 2, 5):
-        counts = {3: 1, 4: 2, 5: 5, 6: 0}
+    counts = {3: 1, 4: 12, 5: 9, 6: 10}
+    for threshold, rows in ((1, "a,3\na,4\na,5\na,6\nb,3\n"), (10, "a,4\na,6\n")):
         profiles = {"a": InterestDescriptor.from_counts("a", counts, threshold),
-                    "b": InterestDescriptor.from_counts("b", {4: threshold}, threshold)}
+                    "b": InterestDescriptor.from_counts("b", {3: 1}, threshold)}
         write_profiles_csv(profiles, path)
-        assert read_profiles_csv(path) == profiles
+        assert path.read_text(encoding="utf-8") == "owner,macro_id\n" + rows
+        assert read_profiles_csv(path) == {u: p for u, p in profiles.items() if p.held}

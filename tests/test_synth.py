@@ -101,5 +101,21 @@ def test_scenario_dir_roundtrip(tmp_path):
     assert loaded.friendships.edges() == scn.friendships.edges()
     assert loaded.friendships.nodes == scn.friendships.nodes
     assert siot_edges(loaded.siot) == siot_edges(scn.siot)
-    assert {u: (p.held, dict(p.weights)) for u, p in loaded.profiles.items()} == \
-           {u: (p.held, dict(p.weights)) for u, p in scn.profiles.items()}
+    assert {u: p.held for u, p in loaded.profiles.items()} == \
+           {u: p.held for u, p in scn.profiles.items()}
+
+
+def test_scenario_dir_lists_only_held_categories(tmp_path):
+    # half the users hold the interest and the rest hold nothing: the file
+    # has one row per holder, and a user who holds nothing has no profile
+    spec = SyntheticScenarioSpec(communities=2, nodes_per_community=10,
+                                 interest_prob=0.5, seed=5)
+    scn = generate_scenario(spec)
+    assert scn.profiles.keys() == scn.users
+    holders = sorted(u for u, p in scn.profiles.items() if p.held)
+    assert 0 < len(holders) < len(scn.users)
+    write_scenario_dir(scn, tmp_path / "scn")
+    assert (tmp_path / "scn" / "profiles.csv").read_text(encoding="utf-8") == \
+        "owner,macro_id\n" + "".join(f"{u},3\n" for u in holders)
+    loaded = read_scenario_dir(tmp_path / "scn").profiles
+    assert {u: p.held for u, p in loaded.items()} == {u: frozenset({3}) for u in holders}
